@@ -124,15 +124,27 @@ def read_lake(lake_dir: str, num_partitions: int | None = None,
 def lookup(lake_dir: str, repo: str, path: str) -> dict | None:
     """POINT LOOKUP of one (repo, path) key — no lake scan.
 
-    Prunes twice before touching data: the key's bucket (same hash
-    routing the writers used) selects only manifest entries covering
-    that bucket, and the Parquet reads push the key equality predicate
-    into row-group filtering. The candidate rows (a handful of
-    versions) resolve driver-side by max lsn. Returns the live row as a
-    dict, or None if absent/deleted. At scale this is the index-free
-    read path a serving layer would wrap in an actor holding decoded
-    manifests.
+    The manifest prunes the file set: the key's bucket plus its salt
+    span (same hash routing the writers used) selects only the entries
+    covering those buckets. The data read then costs
+
+    1. ONE key-column scan of all candidate files: a single
+       ``pyarrow.dataset`` scan reads only ``repo, path, lsn, op``,
+       filters on the key, and keeps the max-lsn version and the file
+       holding it. It opens every candidate file but decodes no
+       payload. Parquet statistics prune no file: fragments are sorted
+       by (epoch, bucket, lsn), so every file's key min/max spans the
+       key;
+    2. if that version is live, ONE filtered read of the winning file
+       for the full row. A tombstone or a never-written key returns
+       None after step 1.
+
+    The row is conformed to the lake's current schema, so it has the
+    same columns and types as the key's ``read_lake`` row (plus
+    ``lsn``). At scale this is the index-free read path a serving
+    layer would wrap in an actor holding decoded manifests.
     """
+    import pyarrow.dataset as pds
     import pyarrow.parquet as pq
 
     from etl_ray.state.merge import SALT_FACTOR
@@ -161,18 +173,34 @@ def lookup(lake_dir: str, repo: str, path: str) -> dict | None:
     files = list(dict.fromkeys(
         f for k in sorted(cand) for f in vis.get(k, [])))
 
-    best: tuple[int, dict] | None = None
-    for f in files:
-        t = pq.read_table(f, filters=[("repo", "=", repo),
-                                      ("path", "=", path)])
-        for row in t.to_pylist():
-            if best is None or row["lsn"] > best[0]:
-                best = (row["lsn"], row)
-    if best is None or best[1]["op"] == "D":
+    # step 1: winning version (lsn, op, file) from the key columns only
+    key_schema = pa.schema([("repo", pa.string()), ("path", pa.string()),
+                            ("lsn", pa.int64()), ("op", pa.string())])
+    is_key = (pds.field("repo") == repo) & (pds.field("path") == path)
+    scan = pds.dataset(files, schema=key_schema, format="parquet").scanner(
+        columns=["lsn", "op"], filter=is_key)
+    best: tuple[int, str, str] | None = None
+    for tb in scan.scan_batches():
+        b = tb.record_batch
+        if b.num_rows == 0:
+            continue
+        lsns = b["lsn"].to_numpy()
+        i = int(np.argmax(lsns))
+        if best is None or lsns[i] > best[0]:
+            best = (int(lsns[i]), b["op"][i].as_py(), tb.fragment.path)
+    if best is None or best[1] == "D":
         return None
-    out = dict(best[1])
-    out.pop("op", None)
-    return out
+
+    # step 2: the full row, from the winning file only
+    lsn, _, winner = best
+    t = pq.read_table(winner, filters=[("repo", "=", repo),
+                                       ("path", "=", path),
+                                       ("lsn", "=", lsn)])
+    row_schema = pa.schema(
+        list(schema_mod.from_b64(man["schema_b64"]))
+        + [pa.field("lsn", pa.int64()),
+           pa.field("content_sha256", pa.string())])
+    return schema_mod.conform(t.slice(0, 1), row_schema).to_pylist()[0]
 
 
 def changes_between(lake_dir: str, from_epoch: int,

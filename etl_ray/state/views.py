@@ -49,32 +49,36 @@ from etl_ray.util import key_hash64
 _KEY_COLS = ["repo", "path"]
 
 
+def _group_partial(t: pa.Table, group_cols: list[str],
+                   sum_cols: list[str]) -> pa.Table:
+    """(count, sums) per group of one table: the per-block step of
+    ``_agg_partials``, and applied directly to driver-held tables."""
+    if len(t) == 0:
+        # group-column types must come from the INPUT schema — a
+        # hardcoded string() conflicts with int group columns
+        # whenever an empty block appears (ADVICE r3), which the
+        # changed-key filter guarantees
+        return pa.table({c: pa.array([], t.schema.field(c).type)
+                         for c in group_cols} |
+                        {"n": pa.array([], pa.int64())} |
+                        {f"sum_{c}": pa.array([], pa.int64())
+                         for c in sum_cols})
+    df = t.select(group_cols + sum_cols).to_pandas()
+    g = df.groupby(group_cols, dropna=False, sort=False)
+    out = g.size().rename("n").to_frame()
+    for c in sum_cols:
+        out[f"sum_{c}"] = g[c].sum().astype("int64")
+    return pa.Table.from_pandas(out.reset_index(), preserve_index=False)
+
+
 def _agg_partials(ds: "ray.data.Dataset", group_cols: list[str],
                   sum_cols: list[str], sign: int) -> pd.DataFrame:
     """Per-block partial (count, sums) per group, tiny rows to the
     driver, combined there — group cardinality is small by contract,
     so this avoids an all-to-all for what reduces to a few rows."""
-
-    def _partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            # group-column types must come from the INPUT schema — a
-            # hardcoded string() conflicts with int group columns
-            # whenever an empty block appears (ADVICE r3), which the
-            # changed-key filter guarantees
-            return pa.table({c: pa.array([], t.schema.field(c).type)
-                             for c in group_cols} |
-                            {"n": pa.array([], pa.int64())} |
-                            {f"sum_{c}": pa.array([], pa.int64())
-                             for c in sum_cols})
-        df = t.select(group_cols + sum_cols).to_pandas()
-        g = df.groupby(group_cols, dropna=False, sort=False)
-        out = g.size().rename("n").to_frame()
-        for c in sum_cols:
-            out[f"sum_{c}"] = g[c].sum().astype("int64")
-        return pa.Table.from_pandas(out.reset_index(),
-                                    preserve_index=False)
-
-    rows = ds.map_batches(_partial, batch_format="pyarrow").take_all()
+    rows = ds.map_batches(
+        lambda t: _group_partial(t, group_cols, sum_cols),
+        batch_format="pyarrow").take_all()
     if not rows:
         cols = group_cols + ["n"] + [f"sum_{c}" for c in sum_cols]
         return pd.DataFrame(columns=cols)
@@ -204,13 +208,13 @@ def refresh_view(lake_dir: str, view_dir: str,
         [t.select(_KEY_COLS) for t in feed_tables]).combine_chunks()
     changed = ray.put(np.unique(key_hash64(keys, _KEY_COLS)))
 
-    # additions: after-images of upserted keys as of t_epoch
+    # additions: after-images of upserted keys as of t_epoch, already
+    # driver-held — aggregated here, not shipped back through Ray
     adds = pa.concat_tables(
         [t.filter(pc.not_equal(t["op"], "D"))
           .select(group_cols + sum_cols) for t in feed_tables],
         promote_options="default")
-    add_df = _agg_partials(ray.data.from_arrow(adds), group_cols,
-                           sum_cols, +1) if len(adds) else None
+    add_df = _group_partial(adds, group_cols, sum_cols).to_pandas()
 
     # retractions: the changed keys' contribution as of f_epoch —
     # broadcast hash-set filter inside the pruned time-travel scan
@@ -229,8 +233,7 @@ def refresh_view(lake_dir: str, view_dir: str,
     sub_df = _agg_partials(old, group_cols, sum_cols, -1)
 
     prior = read_view(view_dir).to_pandas()
-    frames = [prior, sub_df] + ([add_df] if add_df is not None else [])
-    df = _combine(frames, group_cols, sum_cols)
+    df = _combine([prior, sub_df, add_df], group_cols, sum_cols)
     meta["as_of_epoch"] = int(t_epoch)
     _write_state(view_dir, df, meta)
     return meta

@@ -250,6 +250,103 @@ def test_point_lookup(wal_dir, ref_state, tmp_path):
         assert lookup(lake, *deleted) is None
 
 
+def test_lookup_row_equals_read_lake_row(tmp_path):
+    """lookup() returns exactly the key's read_lake row (every column,
+    current schema) on a direct-mode lake replayed in two calls across
+    the schema evolution, with a salted hot key whose winning version
+    sits in a salt-span bucket — before and after partial compaction
+    + vacuum. Keys last written before the evolution must come back
+    with the evolved columns (``stars`` null), not their file's."""
+    import os
+
+    import pyarrow as pa
+
+    from etl_ray.state.lake import lookup, vacuum
+    from etl_ray.state.lineage import lineage_table
+    from etl_ray.state.merge import SALT_FACTOR
+    from etl_ray.util import key_hash64
+
+    P = 64  # direct mode: 8 buckets of 8 pids
+
+    def pid_of(repo):
+        return int(key_hash64(pa.table(
+            {"repo": pa.array([repo]), "path": pa.array(["x.py"])}),
+            ["repo", "path"])[0]) % P
+
+    # a hot key whose natural pid ends a bucket: every non-zero salt
+    # routes its events to the NEXT bucket
+    hot = next(f"org/hot{i}" for i in range(10000)
+               if pid_of(f"org/hot{i}") % 8 == 7
+               and pid_of(f"org/hot{i}") < P - 1)
+
+    def ev(lsn, epoch, op, repo, v, stars=None):
+        r = {"lsn": lsn, "epoch": epoch, "op": op, "repo": repo,
+             "path": "x.py", "commit": f"c{lsn}", "lang": "py",
+             "content": None if op == "D" else f"{repo}-v{v}",
+             "size": lsn % 97}
+        if epoch:
+            r["stars"] = stars
+        return r
+
+    cold = [f"org/c{j}" for j in range(30)]
+    e0 = [ev(j, 0, "I", k, 0) for j, k in enumerate(cold)]
+    # 3200 events: the replay splits the epoch into 8 blocks, each
+    # holding more hot events than the per-batch salting threshold;
+    # the last one has lsn % SALT_FACTOR == 3, so it is written under
+    # a salted bucket
+    e0 += [ev(100 + j, 0, "I" if j == 0 else "U", hot, j)
+           for j in range(3200)]
+    assert e0[-1]["lsn"] % SALT_FACTOR == 3
+    e1 = [ev(5000 + j, 1, "U", cold[j], 1, stars=j if j % 2 else None)
+          for j in range(8)]
+    e1 += [ev(5100, 1, "D", cold[8], 1), ev(5101, 1, "I", "org/new", 1, 5)]
+
+    narrow = pa.schema([
+        ("lsn", pa.int64()), ("epoch", pa.int32()), ("op", pa.string()),
+        ("repo", pa.string()), ("path", pa.string()),
+        ("commit", pa.string()), ("lang", pa.string()),
+        ("content", pa.string()), ("size", pa.int32())])
+    wide = narrow.set(narrow.get_field_index("size"),
+                      pa.field("size", pa.int64())).append(
+        pa.field("stars", pa.int64()))
+    wal = str(tmp_path / "wal")
+    for k, (rows, schema) in enumerate(((e0, narrow), (e1, wide))):
+        os.makedirs(f"{wal}/epoch={k}")
+        pq.write_table(pa.Table.from_pylist(rows, schema=schema),
+                       f"{wal}/epoch={k}/part-0.parquet")
+
+    lake = str(tmp_path / "lake")
+    replay(wal, lake, 1, num_partitions=P, mode="direct")
+    # salting precondition: the hot key's salted events (7 of every 8)
+    # were counted under the bucket after its natural one, which holds
+    # only a few cold keys otherwise
+    hot_bucket = pid_of(hot) * 8 // P
+    lin = lineage_table(lake).to_pandas()
+    assert lin[lin.pid == hot_bucket + 1].n_events.sum() >= 525
+    replay(wal, lake, 2, num_partitions=P, mode="direct")
+    assert mf.current_schema(lake).field("size").type == pa.int64()
+
+    def check(stage):
+        rows = read_lake(lake).take_all()
+        assert len(rows) == 30 - 1 + 2, stage
+        for want in rows:
+            got = lookup(lake, want["repo"], want["path"])
+            assert got is not None, (stage, want["repo"])
+            assert {c: got.get(c, "<absent>") for c in want} == want, (
+                stage, want["repo"])
+        by_repo = {r["repo"]: r for r in rows}
+        assert by_repo[hot]["content"] == f"{hot}-v3199", stage
+        assert by_repo[cold[20]]["stars"] is None, stage  # epoch-0 key
+        assert lookup(lake, cold[8], "x.py") is None, stage  # deleted
+        assert lookup(lake, "no/such", "x.py") is None, stage
+
+    check("after replay")
+    compact(lake, buckets=[hot_bucket])
+    assert mf.last_manifest(lake)["partial"]
+    vacuum(lake)
+    check("after partial compact + vacuum")
+
+
 def test_single_hot_key_salting_spreads_partitions(tmp_path):
     """ONE key carrying more events than SALT_THRESHOLD in a batch must
     be salted across several merge partitions (the sorted-mode skew
