@@ -670,13 +670,11 @@ def run_cdc_child(num_cpus: int) -> None:
     # rule asks about. Both parallelism levels get the identical warmup.
     warm_lake = lake + "_warm"
     shutil.rmtree(warm_lake, ignore_errors=True)
-    replay(wal, warm_lake, CDC_EPOCHS, num_partitions=CDC_PARTITIONS,
-           concurrency=None)
+    replay(wal, warm_lake, CDC_EPOCHS, num_partitions=CDC_PARTITIONS)
     shutil.rmtree(warm_lake, ignore_errors=True)
 
     f_before = _ray_fault_counters()
-    s = replay(wal, lake, CDC_EPOCHS, num_partitions=CDC_PARTITIONS,
-               concurrency=None)
+    s = replay(wal, lake, CDC_EPOCHS, num_partitions=CDC_PARTITIONS)
     faults = _fault_delta(f_before, _ray_fault_counters())
     shutil.rmtree(lake, ignore_errors=True)  # free tmpfs pages promptly
     print(json.dumps({"num_cpus": num_cpus, "n_events": s["n_events"],

@@ -45,8 +45,8 @@ def cmd_replay(args) -> dict:
     from etl_ray.pipelines.cdc import replay
 
     s = replay(args.wal, args.lake, args.epochs,
-               num_partitions=args.partitions, mode=args.mode,
-               window=args.window, stop_after=args.stop_after)
+               num_partitions=args.partitions, window=args.window,
+               stop_after=args.stop_after)
     s.pop("summaries", None)
     return {"lake": args.lake, **s}
 
@@ -154,7 +154,6 @@ def main(argv: list[str] | None = None) -> int:
     r.add_argument("--lake", required=True)
     r.add_argument("--epochs", type=int, required=True)
     r.add_argument("--partitions", type=int, default=64)
-    r.add_argument("--mode", choices=["direct", "sorted"], default="direct")
     r.add_argument("--window", type=int, default=8)
     r.add_argument("--stop-after", type=int, default=None)
     r.set_defaults(fn=cmd_replay)

@@ -1,29 +1,29 @@
 """The flagship CDC replay pipeline (SURVEY.md §3.1).
 
-Replay processes the WAL in **windows of epochs**. Per epoch (its own
-streaming Ray Data execution):
+Replay processes the WAL in **windows of epochs**. Each window is ONE
+streaming Ray Data execution with no shuffle:
 
-    read_parquet(wal/epoch=K)                  # S2 bounded WAL tail
-      → map_batches(prepare_events)            # M4 parse + M9 audit +
-                                               # M7 sha256 + pid routing
-      → groupby("pid").map_groups(merge)       # A1/A3/A4 merge stage
-                                               #   (tasks or actor pool)
-      → take_all() manifest entries (≤ P tiny rows)
+    read_epochs(wal, window)                   # S2 bounded WAL tail
+      → map_batches(prepare_events)            # M9 audit + key hash
+      → map_batches(make_fragment_writer)      # A1/A3/A4: per-task LWW
+                                               #   reduce, M7 sha256,
+                                               #   bucket fragment writes
+      → take_all() manifest entry rows         # tiny, one per
+                                               #   (epoch, bucket, task)
 
-The epochs of a window execute CONCURRENTLY (driver threads — epochs
-are independent until commit: disjoint lsn ranges, separate delta
-files), which hides each execution's fixed cost (~2s: planning, sort
-sampling, task ramp-up — it dominated wall time when epochs ran
-serially) and keeps the cluster saturated. Commits then run strictly
-sequentially in epoch order with monotonic fencing (S3 phase-2), so
-crash/resume granularity is one window: whatever prefix committed
-before a crash is skipped on resume, the rest recomputes (delta-file
-writes are deterministic + idempotent). The window size bounds
-in-flight state at 10^10-event scale.
+The three stages fuse into one operator. The repartition-by-key is the
+bucket-partitioned file layout (``merge.bucket_of``); per-key max-lsn
+resolution across tasks and epochs is merge-on-read
+(``state.lake.read_lake``). Commits then run strictly sequentially in
+epoch order with monotonic fencing (S3 phase 2,
+``manifest.commit_entry_rows``), so crash/resume granularity is one
+window: whatever prefix committed before a crash is skipped on resume,
+the rest recomputes (fragment writes are deterministic + idempotent).
+The window size bounds in-flight state at 10^10-event scale.
 
 The driver holds only: the window loop, the running unified schema, and
-the commits. Merge state (per-partition lsn high-watermarks) is
-broadcast via ray.put and persisted in manifests (BASELINE.json:6,14).
+the commits. Merge state (per-bucket lsn high-watermarks) is broadcast
+via ray.put and persisted in manifests (BASELINE.json:6,14).
 """
 
 from __future__ import annotations
@@ -40,13 +40,11 @@ from etl_ray.sources import wal as wal_mod
 from etl_ray.state import lineage as lineage_mod
 from etl_ray.state import manifest as mf
 from etl_ray.state import schema as schema_mod
-from etl_ray.state.merge import (BUCKET_SPAN, MergeApplier,
-                                 make_fragment_writer, make_merge_fn,
+from etl_ray.state.merge import (BUCKET_SPAN, make_fragment_writer,
                                  payload_schema, prepare_events)
 
-# epochs per streaming execution; bounds in-flight shuffle state (tune to
-# cluster memory at scale — each window holds ~window × epoch_bytes in
-# the object store through the groupby)
+# epochs per streaming execution; bounds the entry rows and the
+# uncommitted fragments a crash can lose (tune to cluster size at scale)
 DEFAULT_WINDOW = 8
 
 # Fraction of a node's CPU slots RESERVED (never running ingest tasks)
@@ -91,132 +89,66 @@ def epoch_schema(wal_dir: str, epoch: int):
     return payload_schema(pads.dataset(f"{wal_dir}/epoch={epoch}").schema)
 
 
-# manifest-entry merging lives in state.manifest (shared with LakeSink)
-_merge_entry_rows = mf.merge_entry_rows
-
-
 def apply_window(wal_dir: str, lake_dir: str, epochs: list[int],
-                 num_partitions: int, concurrency=None,
-                 mode: str = "direct") -> list[dict]:
+                 num_partitions: int) -> list[dict]:
     """Apply a window of epochs; commit each in ascending order.
 
-    Each epoch is its own Ray Data execution (read → prep → per-pid
-    shuffle → merge), but the window's executions run CONCURRENTLY from
-    driver threads: epochs are independent until commit (disjoint lsn
-    ranges, independent delta files), so overlapping them hides each
-    execution's fixed cost and keeps the cluster saturated, while the
-    commit loop below stays strictly sequential per epoch (monotonic
-    fencing). A window-unified schema keeps all delta files of the
-    window mutually compatible.
+    One streaming execution reads every epoch of the window (unified
+    schema), runs the stateless prep, and reduces + writes bucket
+    fragments per task (``merge.make_fragment_writer`` handles
+    multi-epoch batches). Entry rows carry their epoch; the commit loop
+    (``manifest.commit_entry_rows``) stays strictly sequential per epoch
+    (monotonic fencing). A window-unified schema keeps all fragments of
+    the window mutually compatible.
     """
     epochs = [k for k in epochs if k > mf.last_wal_epoch(lake_dir)]
     if not epochs:
         return []
-    mode = mf.lake_mode(lake_dir) or mode  # a resumed lake keeps its mode
-    current = mf.current_schema(lake_dir)
-    unified = current
+    unified = mf.current_schema(lake_dir)
     for k in epochs:
         unified = schema_mod.unify(unified, epoch_schema(wal_dir, k))
     schema_b64 = schema_mod.to_b64(unified)
     hwm_ref = ray.put(mf.high_watermarks(lake_dir))
 
     num_buckets = max(1, num_partitions // BUCKET_SPAN)
+    # identical num_cpus on read + both maps keeps the three stages
+    # FUSED into one operator (differing resource requests block
+    # fusion and would push ~30 GB of decoded batches through the
+    # object store between stages)
+    task_cpus = _task_cpus()
+    ds = wal_mod.read_epochs(wal_dir, epochs, blocks_per_cpu=2.0,
+                             ray_remote_args={"num_cpus": task_cpus})
+    ds = ds.map_batches(prepare_events(num_partitions),
+                        batch_format="pyarrow", num_cpus=task_cpus)
+    ds = ds.map_batches(
+        make_fragment_writer(lake_dir, schema_b64, hwm_ref,
+                             num_partitions, num_buckets),
+        batch_format="pyarrow", num_cpus=task_cpus)
+    rows = ds.take_all()  # ≤ (epochs × buckets × tasks) tiny rows
 
-    if mode == "direct":
-        # scale path: ONE streaming execution for the whole window —
-        # read every epoch dir (unified schema), stateless prep, partial
-        # reduce + bucket-partitioned fragment writes
-        # (merge.make_fragment_writer handles multi-epoch batches), no
-        # pre-merge shuffle and no per-epoch execution fixed cost. The
-        # per-epoch commit loop below is unchanged: entry rows carry
-        # their epoch.
-        # identical num_cpus on read + both maps keeps the three stages
-        # FUSED into one operator (differing resource requests block
-        # fusion and would push ~30 GB of decoded batches through the
-        # object store between stages)
-        task_cpus = _task_cpus()
-        ds = wal_mod.read_epochs(wal_dir, epochs, blocks_per_cpu=2.0,
-                                 ray_remote_args={"num_cpus": task_cpus})
-        ds = ds.map_batches(prepare_events(num_partitions),
-                            batch_format="pyarrow", num_cpus=task_cpus)
-        ds = ds.map_batches(
-            make_fragment_writer(lake_dir, schema_b64, hwm_ref,
-                                 num_partitions, num_buckets),
-            batch_format="pyarrow", num_cpus=task_cpus)
-        rows = ds.take_all()  # ≤ (epochs × buckets × tasks) tiny rows
-        results = {k: [r for r in rows if r["epoch"] == k] for k in epochs}
-    else:
-        def _build_epoch(k: int):
-            """Lazy per-epoch pipeline — built on the MAIN thread
-            (read_parquet does lazy imports whose failure handling is
-            not thread-safe in ray 2.49); only execution (take_all)
-            runs in the pool."""
-            ds = wal_mod.read_epoch(wal_dir, k, blocks_per_cpu=0.5)
-            ds = ds.map_batches(prepare_events(num_partitions),
-                                batch_format="pyarrow")
-            if concurrency is None:
-                # warm-worker tasks (no per-epoch actor-pool spin-up)
-                return ds.groupby("pid").map_groups(
-                    make_merge_fn(lake_dir, k, schema_b64, hwm_ref),
-                    batch_format="pyarrow",
-                )
-            return ds.groupby("pid").map_groups(
-                MergeApplier,
-                fn_constructor_args=(lake_dir, k, schema_b64, hwm_ref),
-                batch_format="pyarrow",
-                concurrency=concurrency,
-                num_cpus=1,
-            )
-
-        plans = {k: _build_epoch(k) for k in epochs}
-        if len(epochs) == 1:
-            results = {k: plan.take_all() for k, plan in plans.items()}
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=len(epochs)) as pool:
-                futs = {k: pool.submit(plan.take_all)  # ≤ P tiny rows each
-                        for k, plan in plans.items()}
-                results = {k: f.result() for k, f in futs.items()}
-
-    summaries = []
-    for k in epochs:  # phase-2: strictly ascending per-epoch commits
-        if mode == "direct":
-            by_bucket: dict[int, list[dict]] = {}
-            for r in results[k]:
-                by_bucket.setdefault(int(r["pid"]), []).append(r)
-            partitions = {b: _merge_entry_rows(rs)
-                          for b, rs in by_bucket.items()}
-        else:
-            partitions = {int(r["pid"]): {c: v for c, v in r.items()
-                                          if c not in ("pid", "epoch")}
-                          for r in results[k]}
-        mf.commit_epoch(lake_dir, k, unified, partitions, num_partitions,
-                        mode=mode,
-                        num_buckets=num_buckets if mode == "direct" else None)
-        summaries.append({
-            "epoch": k,
-            "n_events": sum(e["n_events"] for e in partitions.values()),
-            "n_rows": sum(e["n_rows"] for e in partitions.values()),
-            "n_quarantined": sum(e["n_quarantined"]
-                                 for e in partitions.values()),
-        })
-    return summaries
+    committed = mf.commit_entry_rows(lake_dir, epochs, rows, unified,
+                                     num_partitions, num_buckets)
+    return [{
+        "epoch": k,
+        "n_events": sum(e["n_events"] for e in partitions.values()),
+        "n_rows": sum(e["n_rows"] for e in partitions.values()),
+        "n_quarantined": sum(e["n_quarantined"]
+                             for e in partitions.values()),
+    } for k, partitions in committed.items()]
 
 
-def apply_epoch(wal_dir: str, lake_dir: str, epoch: int, num_partitions: int,
-                concurrency=None, mode: str = "direct") -> dict:
+def apply_epoch(wal_dir: str, lake_dir: str, epoch: int,
+                num_partitions: int) -> dict:
     """Apply one WAL epoch to the lake; returns the epoch's lineage summary."""
     if epoch <= mf.last_wal_epoch(lake_dir):
         # already committed — replaying it is a no-op (exactly-once)
         return {"epoch": epoch, "n_events": 0, "n_rows": 0, "n_quarantined": 0,
                 "skipped": True}
-    return apply_window(wal_dir, lake_dir, [epoch], num_partitions,
-                        concurrency, mode=mode)[0]
+    return apply_window(wal_dir, lake_dir, [epoch], num_partitions)[0]
 
 
 # live fragments per bucket before the replay loop schedules a
-# compaction (direct mode): bounds a long-running lake's read
+# compaction: bounds a long-running lake's read
 # amplification. Sized so steady-state reads merge O(threshold) files
 # while compaction (a full resolve+rewrite) stays rare relative to
 # epoch ingest — tune DOWN for read-heavy lakes.
@@ -224,21 +156,23 @@ AUTO_COMPACT_FRAGMENTS = 512
 
 
 def replay(wal_dir: str, lake_dir: str, n_epochs: int, num_partitions: int = 32,
-           concurrency=None, stop_after: int | None = None,
-           window: int = DEFAULT_WINDOW, mode: str = "direct",
+           stop_after: int | None = None, window: int = DEFAULT_WINDOW,
            auto_compact: int | None = AUTO_COMPACT_FRAGMENTS) -> dict:
     """Replay the WAL into the lake, resuming from the committed checkpoint.
 
     ``stop_after=k`` simulates a crash after k epochs (for resume tests).
-    ``auto_compact`` schedules a compaction whenever any partition key's
+    ``auto_compact`` schedules a compaction whenever any bucket's
     live data-file count exceeds it (None disables). Returns a summary
     with events/sec over the epochs actually applied.
     """
     os.makedirs(lake_dir, exist_ok=True)
     last_man = mf.last_manifest(lake_dir)
     if last_man is not None:
-        # a resumed replay must keep the original partitioning: partition
-        # ownership (pid routing + high-watermarks) is defined by P
+        # refuse a lake routed under another key-hash/layout version
+        # before writing any fragment into it
+        mf.check_key_hash(lake_dir)
+        # a resumed replay must keep the original partitioning: bucket
+        # ownership (routing + high-watermarks) is defined by P
         num_partitions = last_man["num_partitions"]
     start = mf.last_wal_epoch(lake_dir) + 1
     end = n_epochs if stop_after is None else min(n_epochs, start + stop_after)
@@ -249,7 +183,7 @@ def replay(wal_dir: str, lake_dir: str, n_epochs: int, num_partitions: int = 32,
     for w0 in range(start, end, window):
         tw = time.perf_counter()
         ss = apply_window(wal_dir, lake_dir, list(range(w0, min(w0 + window, end))),
-                          num_partitions, concurrency, mode=mode)
+                          num_partitions)
         dw = round(time.perf_counter() - tw, 3)
         for s in ss:
             s["window_wall_s"] = dw
@@ -261,9 +195,10 @@ def replay(wal_dir: str, lake_dir: str, n_epochs: int, num_partitions: int = 32,
             if over:
                 from etl_ray.state.lake import compact
 
-                # PARTIAL compaction: only the over-threshold keys (plus
-                # their shared-file closure) get rewritten — compaction
-                # write amplification tracks the hot keys, not the lake
+                # PARTIAL compaction: only the over-threshold buckets
+                # (plus their shared-file closure) get rewritten —
+                # compaction write amplification tracks the hot buckets,
+                # not the lake
                 compact(lake_dir, buckets=over)
                 n_compactions += 1
     wall = time.perf_counter() - t0

@@ -356,29 +356,6 @@ def read_epochs(wal_dir: str, epochs: list[int],
                                  ray_remote_args=ray_remote_args or {})
 
 
-def read_epoch(wal_dir: str, epoch: int,
-               blocks_per_cpu: float = 2.0) -> "ray.data.Dataset":
-    """Read one epoch of the WAL as a Dataset (files carry the epoch col).
-
-    The block count is forced explicitly: an epoch often lands in one or
-    two Parquet files, and downstream parallelism follows *input
-    blocks* — with the default inference a whole epoch could run as a
-    single task. Direct-mode ingest (no shuffle) wants ~2 blocks/CPU
-    for smooth load balance; the sorted-merge path passes a smaller
-    factor because the sort-shuffle's object-IPC load grows with block
-    count and the single-node raylet saturates before the CPUs do.
-    """
-    import ray as _ray
-
-    try:
-        cpus = int(_ray.cluster_resources().get("CPU", 8))
-    except Exception:  # noqa: BLE001 — uninitialised session
-        cpus = 8
-    n_blocks = max(8, int(cpus * blocks_per_cpu))
-    return ray.data.read_parquet(f"{wal_dir}/epoch={epoch}",
-                                 override_num_blocks=n_blocks)
-
-
 def reference_replay(wal_dir: str, n_epochs: int) -> dict[tuple[str, str], dict]:
     """Single-process reference LWW interpreter (SURVEY.md §5.3).
 

@@ -10,7 +10,7 @@ WAL-shaped Dataset can be loaded with the native write API:
     ds.write_datasink(LakeSink(lake_dir, num_partitions=128))
 
 ``write()`` runs distributed (prep + fragment write per block, exactly
-the replay's direct-mode stage); ``on_write_complete()`` runs on the
+the replay's ingest stage); ``on_write_complete()`` runs on the
 driver and performs the fenced commits — a failed job commits nothing
 and the orphan fragments stay invisible to readers (manifest.py
 fencing rules).
@@ -33,7 +33,7 @@ from etl_ray.state.merge import (BUCKET_SPAN, make_fragment_writer,
 
 
 class LakeSink(Datasink):
-    """Two-phase CDC lake sink (direct/fragment mode).
+    """Two-phase CDC lake sink (bucket fragment writes + fenced commits).
 
     Parameters mirror ``cdc.replay``: ``num_partitions`` fixes key
     routing (a resumed lake must keep it), ``schema`` is the unified
@@ -62,10 +62,10 @@ class LakeSink(Datasink):
         os.makedirs(self.lake_dir, exist_ok=True)
         last = mf.last_manifest(self.lake_dir)
         if last is not None:
+            mf.check_key_hash(self.lake_dir)
             # resumed lake: partitioning is defined by the manifest log
             self.num_partitions = last["num_partitions"]
-            self.num_buckets = last.get(
-                "num_buckets", max(1, self.num_partitions // BUCKET_SPAN))
+            self.num_buckets = last["num_buckets"]
         self._hwm_ref = ray.put(mf.high_watermarks(self.lake_dir))
         if self._schema is not None:
             current = mf.current_schema(self.lake_dir)
@@ -138,16 +138,8 @@ class LakeSink(Datasink):
                     [f for f in file_schema
                      if f.name not in ("lsn", "op", "content_sha256")])
         epochs = sorted({int(r["epoch"]) for r in entries})
-        for k in epochs:  # fenced, strictly ascending commits
-            by_bucket: dict[int, list[dict]] = {}
-            for r in entries:
-                if int(r["epoch"]) == k:
-                    by_bucket.setdefault(int(r["pid"]), []).append(r)
-            partitions = {b: mf.merge_entry_rows(rs)
-                          for b, rs in by_bucket.items()}
-            mf.commit_epoch(self.lake_dir, k, schema, partitions,
-                            self.num_partitions, mode="direct",
-                            num_buckets=self.num_buckets)
+        mf.commit_entry_rows(self.lake_dir, epochs, entries, schema,
+                             self.num_partitions, self.num_buckets)
         if self.auto_compact:
             counts = mf.live_file_counts(self.lake_dir)
             over = [p for p, v in counts.items() if v > self.auto_compact]

@@ -11,16 +11,14 @@ downstream engine can read it without this library. Two properties the
   file already exists — a crashed export re-run redoes only the
   missing buckets; the ``_SUCCESS`` marker (with row counts) is
   written last, only after every bucket landed.
-* **Pruned + salt-correct**: each bucket task reads only the manifest
-  entries covering its bucket PLUS the adjacent entry keys its keys'
-  hot-key-salted rows can live under (the same salt-span closure
-  ``lookup()`` uses; a salted key's max-lsn row may sit in a
-  neighbouring entry), filters to rows whose NATURAL bucket is its
-  own, and resolves max-lsn per key — no full-lake read per task, no
-  shuffle at all.
+* **Pruned**: every row of a key lives in its bucket
+  (``merge.bucket_of``), so each bucket task reads only its bucket's
+  visible files, keeps the rows routed to its bucket (a range fragment
+  can serve several buckets), and resolves max-lsn per key — no
+  full-lake read per task, no shuffle at all.
 
-Row-set equality with ``read_lake()`` is pinned by tests, including an
-engineered salted-hot-key lake.
+Row-set equality with ``read_lake()`` is pinned by tests, including a
+hot-key lake.
 """
 
 from __future__ import annotations
@@ -37,57 +35,15 @@ import ray
 
 from etl_ray.state import manifest as mf
 from etl_ray.state import schema as schema_mod
+from etl_ray.state.merge import KEY_COLS, bucket_of
 from etl_ray.util import key_hash64, lww_keep_indices, take_runs
-
-KEY_COLS = ["repo", "path"]
-
-
-def _natural_entry_keys(kh: np.ndarray, P: int, mode: str,
-                        num_buckets: int) -> np.ndarray:
-    pid = (kh % np.uint64(P)).astype(np.int64)
-    if mode == "direct":
-        return pid * num_buckets // P
-    return pid
-
-
-def span_keys(key: int, P: int, B: int, mode: str,
-              salt_factor: int) -> list[int]:
-    """Entry keys whose files can hold rows of keys natural to ``key``
-    (hot-key salting shifts a row's pid by < salt_factor).
-
-    The bucket of pid ``p`` is ``p*B//P``, so bucket ``key`` owns pids
-    in [ceil(key*P/B), ceil((key+1)*P/B) - 1]. The upper bound uses
-    CEILING division — floor undercounts the last natural pid whenever
-    (key+1)*P % B != 0, and the salt padding then omits the entry
-    holding a hot key's max-lsn row (ADVICE r3; latent while B divides
-    P, silently wrong for narrower bucketing). The floor lower bound is
-    kept: at worst it over-includes a neighbour's pid, which the
-    natural-bucket row filter discards. Module-level (not a closure) so
-    the bound is property-tested over non-dividing (P, B) pairs.
-    """
-    if mode == "direct":
-        lo = key * P // B
-        hi = -(-(key + 1) * P // B) - 1 + salt_factor - 1
-        return sorted({(p % P) * B // P for p in range(lo, hi + 1)})
-    return [(key + s) % P for s in range(salt_factor)]
-
-
-def reverse_span(key: int, P: int, B: int, mode: str,
-                 salt_factor: int) -> list[int]:
-    """Natural keys whose span includes ``key`` (inverse of
-    :func:`span_keys`; same ceiling-division bound)."""
-    if mode == "direct":
-        lo = key * P // B - salt_factor + 1
-        hi = -(-(key + 1) * P // B) - 1
-        return sorted({((p + P) % P) * B // P for p in range(lo, hi + 1)})
-    return [(key - s) % P for s in range(salt_factor)]
 
 
 @ray.remote
 def _export_bucket(files: list[str], out_path: str, schema_b64: str,
-                   key: int, P: int, mode: str, num_buckets: int) -> dict:
-    """Read one bucket's candidate files, keep its natural rows,
-    resolve LWW, write one Parquet file (atomic, skip-if-exists)."""
+                   key: int, P: int, num_buckets: int) -> dict:
+    """Read one bucket's files, keep the bucket's rows, resolve LWW,
+    write one Parquet file (atomic, skip-if-exists)."""
     if os.path.exists(out_path):
         return {"key": key, "n_rows": pq.read_metadata(out_path).num_rows,
                 "skipped": True}
@@ -100,8 +56,7 @@ def _export_bucket(files: list[str], out_path: str, schema_b64: str,
     for f in files:
         t = pq.read_table(f)
         t = schema_mod.conform(t, full)
-        kh = key_hash64(t, KEY_COLS)
-        keep = _natural_entry_keys(kh, P, mode, num_buckets) == key
+        keep = bucket_of(key_hash64(t, KEY_COLS), P, num_buckets) == key
         if keep.any():
             parts.append(t.filter(pa.array(keep)))
     os.makedirs(os.path.dirname(out_path), exist_ok=True)
@@ -133,47 +88,27 @@ def export_snapshot(lake_dir: str, out_dir: str,
     """Export the converged (or time-travelled) lake state to
     ``out_dir/bucket=K/part-e<epoch>.parquet``; returns a summary.
     Re-running after a crash skips finished buckets (see module doc)."""
-    from etl_ray.state.merge import SALT_FACTOR
-
     man = (mf.last_manifest(lake_dir) if as_of_epoch is None
            else mf.manifest_as_of(lake_dir, as_of_epoch))
     if man is None:
         raise FileNotFoundError(f"no committed manifest in {lake_dir}")
-    # span pruning + natural-bucket filters recompute the key hash; a
-    # lake persisted under another hash version would export stale or
+    # the per-bucket row filter recomputes the key hash; a lake
+    # persisted under another hash version would export stale or
     # missing rows with no error — fence at read time (ADVICE r3)
     mf.check_key_hash(lake_dir)
     epoch = (mf.last_wal_epoch(lake_dir) if as_of_epoch is None
              else as_of_epoch)
-    P = man["num_partitions"]
-    mode = mf.lake_mode(lake_dir) or "sorted"
-    B = man.get("num_buckets") or max(1, P // 8) if mode == "direct" else P
+    P, B = man["num_partitions"], man["num_buckets"]
     vis = mf.visible_entry_files(lake_dir, as_of_epoch=as_of_epoch)
-
-    def _span_keys(key: int) -> list[int]:
-        return span_keys(key, P, B, mode, SALT_FACTOR)
-
-    def _reverse_span(key: int) -> list[int]:
-        return reverse_span(key, P, B, mode, SALT_FACTOR)
-
-    # export keys = every natural key whose salt span touches a visible
-    # entry — NOT just the visible keys: a hot key whose surviving
-    # events were all salted away (no lsn ≡ 0 mod SALT_FACTOR among
-    # them) can leave its natural entry empty while its rows sit only
-    # under salted neighbours; without the reverse span that key would
-    # silently vanish from the snapshot
-    export_keys = sorted({k for kk in vis for k in _reverse_span(kk)})
     refs = []
-    schema_b64 = man["schema_b64"]
-    for k in export_keys:
-        files = list(dict.fromkeys(
-            f for kk in _span_keys(k) for f in vis.get(kk, [])))
+    for k, files in sorted(vis.items()):
         if not files:
             continue
         out_path = os.path.join(out_dir, f"bucket={k}",
                                 f"part-e{epoch}.parquet")
         refs.append(_export_bucket.remote(
-            files, out_path, schema_b64, k, P, mode, B))
+            list(dict.fromkeys(files)), out_path, man["schema_b64"], k,
+            P, B))
     results = ray.get(refs)
     summary = {"lake": lake_dir, "out_dir": out_dir, "epoch": int(epoch),
                "n_buckets": len(results),

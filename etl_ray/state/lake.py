@@ -1,20 +1,20 @@
 """Merge-on-read lake scan + compaction (SURVEY.md §2.1 S4).
 
-The lake's committed state is the set of delta files listed in committed
-manifests. A scan resolves last-writer-wins per key across all deltas:
-group rows by (unsalted) key-hash partition and keep, per (repo, path),
-the row with the max lsn, dropping delete tombstones.
+The lake's committed state is the set of fragment files listed in
+committed manifests. A scan resolves last-writer-wins per key across
+all of them: group rows by key-hash partition (a recomputed
+``upid = hash64(repo,path) % P``) and keep, per (repo, path), the row
+with the max lsn, dropping delete tombstones. The shuffle moves each
+file's rows once.
 
-Partitioning note (documented assumption): the resolve groupby uses a
-recomputed ``upid = hash64(repo,path) % P`` — *unsalted*, so a key whose
-epoch writes were salted across partitions still lands in exactly one
-resolve group. The shuffle moves each delta file's rows once.
+Every row of a key lives in one bucket (``merge.bucket_of``), so a
+point lookup reads one bucket's files, and compacting a set of buckets
+needs no rows from any other bucket.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -22,7 +22,7 @@ import ray.data
 
 from etl_ray.state import manifest as mf
 from etl_ray.state import schema as schema_mod
-from etl_ray.state.merge import KEY_COLS
+from etl_ray.state.merge import KEY_COLS, bucket_of
 from etl_ray.util import (add_pid_column, key_hash64, lww_keep_indices,
                           take_runs)
 
@@ -54,8 +54,7 @@ def read_lake(lake_dir: str, num_partitions: int | None = None,
               keep_sha: bool = True,
               columns: list[str] | None = None,
               as_of_epoch: int | None = None,
-              _files: list[str] | None = None,
-              _keep_deletes: bool = False) -> "ray.data.Dataset":
+              _files: list[str] | None = None) -> "ray.data.Dataset":
     """Scan the converged state of the lake (merge-on-read).
 
     ``columns`` prunes the payload at the Parquet read — only the
@@ -113,9 +112,8 @@ def read_lake(lake_dir: str, num_partitions: int | None = None,
                              (read_cols if read_cols is not None else by_name)])
     ds = ray.data.read_parquet(files, columns=read_cols, schema=read_schema)
     ds = ds.map_batches(_conform, batch_format="pyarrow")
-    out = ds.groupby("upid").map_groups(
-        lambda g: _resolve_group(g, keep_deletes=_keep_deletes),
-        batch_format="pyarrow")
+    out = ds.groupby("upid").map_groups(_resolve_group,
+                                        batch_format="pyarrow")
     if not keep_sha:
         out = out.drop_columns(["content_sha256"])
     return out
@@ -124,11 +122,11 @@ def read_lake(lake_dir: str, num_partitions: int | None = None,
 def lookup(lake_dir: str, repo: str, path: str) -> dict | None:
     """POINT LOOKUP of one (repo, path) key — no lake scan.
 
-    The manifest prunes the file set: the key's bucket plus its salt
-    span (same hash routing the writers used) selects only the entries
-    covering those buckets. The data read then costs
+    The manifest prunes the file set to the visible files of the key's
+    one bucket (``merge.bucket_of``, the writers' routing). The data
+    read then costs
 
-    1. ONE key-column scan of all candidate files: a single
+    1. ONE key-column scan of the bucket's files: a single
        ``pyarrow.dataset`` scan reads only ``repo, path, lsn, op``,
        filters on the key, and keeps the max-lsn version and the file
        holding it. It opens every candidate file but decodes no
@@ -147,31 +145,20 @@ def lookup(lake_dir: str, repo: str, path: str) -> dict | None:
     import pyarrow.dataset as pds
     import pyarrow.parquet as pq
 
-    from etl_ray.state.merge import SALT_FACTOR
-
     man = mf.last_manifest(lake_dir)
     if man is None:
         return None
-    # the candidate-bucket probe below replays PERSISTED routing — a
-    # lake written under another key-hash version would silently return
-    # None / stale rows, so fence at read time too (ADVICE r3)
+    # the bucket probe below replays PERSISTED routing — a lake written
+    # under another key-hash version would silently return None / stale
+    # rows, so fence at read time too (ADVICE r3)
     mf.check_key_hash(lake_dir)
-    P = man["num_partitions"]
-    mode = mf.lake_mode(lake_dir) or "sorted"
-    kh = int(key_hash64(pa.table({"repo": pa.array([repo]),
-                                  "path": pa.array([path])}), KEY_COLS)[0])
-    # candidate partition keys: the key's own pid PLUS its salt span (a
-    # hot epoch may have routed some of its events to salted pids)
-    cand = {(kh + s) % P for s in range(SALT_FACTOR)}
-    if mode == "direct":
-        nb = man.get("num_buckets", max(1, P // 8))
-        cand = {p * nb // P for p in cand}
-
-    # manifest-pruned file set: only files visible for candidate keys
+    kh = key_hash64(pa.table({"repo": pa.array([repo]),
+                              "path": pa.array([path])}), KEY_COLS)
+    bucket = int(bucket_of(kh, man["num_partitions"], man["num_buckets"])[0])
+    # manifest-pruned file set: the bucket's visible files
     # (visible_entry_files handles full AND partial compaction bases)
     vis = mf.visible_entry_files(lake_dir)
-    files = list(dict.fromkeys(
-        f for k in sorted(cand) for f in vis.get(k, [])))
+    files = list(dict.fromkeys(vis.get(bucket, [])))
 
     # step 1: winning version (lsn, op, file) from the key columns only
     key_schema = pa.schema([("repo", pa.string()), ("path", pa.string()),
@@ -247,13 +234,13 @@ def audit_lake(lake_dir: str, verify_content: bool = False) -> dict:
     bytes actually on disk (the eemeter-style audit step, turned on the
     lake itself).
 
-    A distributed re-read of every visible delta file recomputes the
+    A distributed re-read of every visible data file recomputes the
     GLOBAL xor of content-sha256 prefixes and the total row count and
     compares them against the same quantities folded from the committed
-    manifest entries (xor is position-invariant, so hot-key salting —
-    which makes a row's written bucket non-recomputable from its key —
-    cannot blind the check; any bit rot, truncation or tampering flips
-    the global xor). With ``verify_content=True`` the scan also
+    per-bucket manifest entries (xor is position-invariant, so a range
+    fragment serving several bucket entries is read once and still
+    checks against all of them; any bit rot, truncation or tampering
+    flips the global xor). With ``verify_content=True`` the scan also
     re-hashes ``content`` and counts rows whose stored
     ``content_sha256`` no longer matches (a full integrity pass instead
     of trusting stored hashes).
@@ -359,35 +346,20 @@ def vacuum(lake_dir: str) -> dict:
 
 
 def compact(lake_dir: str, buckets: list[int] | None = None) -> int:
-    """Rewrite lake data to one resolved base file per partition key.
+    """Rewrite lake data to one resolved base file per bucket.
 
     ``buckets=None`` compacts the whole lake (FULL base manifest:
-    readers then ignore all earlier manifests); base rows carry lsn=0 /
-    op="I" (everything else is reset, so any later event out-lives them
-    under LWW) and tombstones are dropped. ``buckets=[...]`` compacts
-    only those keys (PARTIAL base), with the target set CLOSED twice
-    before anything is rewritten:
+    readers then ignore all earlier manifests). ``buckets=[...]``
+    compacts only those buckets (PARTIAL base), with the target set
+    first CLOSED over shared range-fragment files: a file is rewritten
+    only if every bucket it serves is being compacted. Every row of a
+    key lives in its bucket, so the closed set's files hold every
+    version of every key they touch.
 
-    1. over shared range-fragment files (a file is rewritten only if
-       every key it serves is being compacted), and
-    2. over the NATURAL bucket of every row found in those files — a
-       hot-key-salted event lives under bucket(hash+salt) but its base
-       row must land in (and therefore reset) bucket(hash); without
-       this closure a partial base for a salted bucket would reset a
-       bucket whose deltas were never read, silently losing every
-       other key in it (a cheap key-columns-only distributed scan of
-       the candidate files drives the expansion to a fixpoint).
-
-    Partial-base rows additionally keep their REAL lsn/op — including
-    delete tombstones: a compacted key may still have salted rows in
-    un-compacted buckets, and only true lsns let merge-on-read resolve
-    those leftovers correctly (lsn=0 would resurrect them; a dropped
-    tombstone would resurrect an older salted upsert).
-
-    Either way the base PRESERVES the lake's ingest keying (bucket-
-    keyed for direct, pid-keyed for sorted) and n_events=0 (rewrites,
-    not WAL events — lineage event sums stay equal to the WAL count).
-    Returns the compacted live-row count.
+    Either way base rows carry lsn=0 / op="I" (any later event
+    out-lives them under LWW), tombstones are dropped, and entries
+    carry n_events=0 (rewrites, not WAL events — lineage event sums
+    stay equal to the WAL count). Returns the compacted live-row count.
     """
     import os
 
@@ -395,37 +367,17 @@ def compact(lake_dir: str, buckets: list[int] | None = None) -> int:
     if man is None:
         return 0
     # compaction re-buckets rows with THIS build's key hash and carries
-    # hwm/covered keys from the persisted manifests — version-mixed
+    # hwm/covered buckets from the persisted manifests — version-mixed
     # routing would commit a base that loses keys; fence first
     mf.check_key_hash(lake_dir)
     schema = mf.current_schema(lake_dir)
-    P = man["num_partitions"]
-    mode = mf.lake_mode(lake_dir) or "sorted"
-    num_buckets = man.get("num_buckets")
+    P, num_buckets = man["num_partitions"], man["num_buckets"]
     seq = mf.last_committed(lake_dir) + 1
     schema_b64 = schema_mod.to_b64(schema)
 
     def _bkey(t: pa.Table) -> pa.Table:
-        t = add_pid_column(t, KEY_COLS, P, pid_col="_bkey")
-        if mode == "direct" and num_buckets:
-            b = (t["_bkey"].to_numpy().astype(np.int64)
-                 * num_buckets // P).astype(np.int32)
-            t = t.set_column(t.schema.get_field_index("_bkey"), "_bkey",
-                             pa.array(b, pa.int32()))
-        return t
-
-    def _natural_keys(files: list[str]) -> set[int]:
-        """Distinct natural entry-keys of the rows in ``files`` — a
-        key-columns-only distributed scan (per-block distinct, tiny
-        driver merge)."""
-
-        def _d(t: pa.Table) -> pa.Table:
-            b = _bkey(t)["_bkey"].to_numpy()
-            return pa.table({"k": pa.array(np.unique(b), pa.int32())})
-
-        ds = ray.data.read_parquet(files, columns=list(KEY_COLS))
-        return {r["k"] for r in
-                ds.map_batches(_d, batch_format="pyarrow").take_all()}
+        b = bucket_of(key_hash64(t, KEY_COLS), P, num_buckets)
+        return t.append_column("_bkey", pa.array(b, pa.int32()))
 
     subset_files: list[str] | None = None
     targets: set[int] | None = None
@@ -436,53 +388,32 @@ def compact(lake_dir: str, buckets: list[int] | None = None) -> int:
             for f in fs:
                 owners.setdefault(f, set()).add(k)
         targets = set(buckets)
-        while True:
-            while True:  # closure 1: shared range-fragment files
-                grown = set().union(*(owners[f] for k in targets
-                                      for f in vis.get(k, [])), targets) \
-                    if any(vis.get(k) for k in targets) else targets
-                if grown == targets:
-                    break
-                targets = grown
-            subset_files = list(dict.fromkeys(
-                f for k in sorted(targets) for f in vis.get(k, [])))
-            if not subset_files:
-                return 0
-            # closure 2: natural buckets of salted rows (see docstring)
-            extra = _natural_keys(subset_files) - targets
-            if not extra:
+        while True:  # closure over shared range-fragment files
+            grown = set().union(targets, *(owners[f] for k in targets
+                                           for f in vis.get(k, [])))
+            if grown == targets:
                 break
-            targets |= extra
-
-    is_partial = targets is not None
+            targets = grown
+        subset_files = list(dict.fromkeys(
+            f for k in sorted(targets) for f in vis.get(k, [])))
+        if not subset_files:
+            return 0
 
     def _write_base(group: pa.Table) -> pa.Table:
         schema_l = schema_mod.from_b64(schema_b64)
         key = int(group["_bkey"][0].as_py())
-        g0 = group.drop_columns(["_bkey"])
-        if is_partial:  # real lsn/op survive the conform, re-appended
-            lsn_arr = g0["lsn"].combine_chunks()
-            op_arr = g0["op"].combine_chunks()
         g = schema_mod.conform(
-            g0.drop_columns([c for c in g0.column_names
-                             if c not in schema_l.names
-                             and c != "content_sha256"]), schema_l)
-        if is_partial:
-            g = g.append_column("lsn", lsn_arr)
-            g = g.append_column("op", op_arr)
-        else:
-            g = g.append_column("lsn", pa.array(np.zeros(len(g), np.int64)))
-            g = g.append_column("op", pa.array(["I"] * len(g), pa.string()))
+            group.drop_columns([c for c in group.column_names
+                                if c not in schema_l.names]), schema_l)
+        g = g.append_column("lsn", pa.array(np.zeros(len(g), np.int64)))
+        g = g.append_column("op", pa.array(["I"] * len(g), pa.string()))
         g = g.append_column("content_sha256", group["content_sha256"])
         checksum = 0
         for sh in g["content_sha256"].to_pylist():
             if sh is not None:
                 checksum ^= int(sh[:16], 16)
-        lsn_np = g["lsn"].to_numpy()
-        n_tomb = int(pc.sum(pc.cast(pc.equal(g["op"], "D"),
-                                    pa.int64())).as_py() or 0)
-        sub = f"bucket={key}" if mode == "direct" else f"pid={key}"
-        rel = os.path.join(mf.DATA_DIR, sub, f"base-{seq}.parquet")
+        rel = os.path.join(mf.DATA_DIR, f"bucket={key}",
+                           f"base-{seq}.parquet")
         path = os.path.join(lake_dir, rel)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         from etl_ray.state.merge import _atomic_write
@@ -491,21 +422,18 @@ def compact(lake_dir: str, buckets: list[int] | None = None) -> int:
         return pa.table({
             "pid": pa.array([key], pa.int32()),
             "files": pa.array([[rel]], pa.list_(pa.string())),
-            "lsn_min": pa.array([int(lsn_np.min())], pa.int64()),
-            "lsn_max": pa.array([int(lsn_np.max())], pa.int64()),
+            "lsn_min": pa.array([0], pa.int64()),
+            "lsn_max": pa.array([0], pa.int64()),
             "n_events": pa.array([0], pa.int64()),
             "n_upserts": pa.array([0], pa.int64()),
-            # retained tombstones (partial bases only; lineage-neutral
-            # like the rest of the rewrite counts)
-            "n_deletes": pa.array([n_tomb], pa.int64()),
+            "n_deletes": pa.array([0], pa.int64()),
             "n_rows": pa.array([len(g)], pa.int64()),
             "n_quarantined": pa.array([0], pa.int64()),
             "checksum": pa.array([f"{checksum:016x}"], pa.string()),
             "hwm": pa.array([-1], pa.int64()),
         })
 
-    resolved = read_lake(lake_dir, _files=subset_files,
-                         _keep_deletes=is_partial)
+    resolved = read_lake(lake_dir, _files=subset_files)
     entries = (resolved.map_batches(_bkey, batch_format="pyarrow")
                .groupby("_bkey").map_groups(_write_base,
                                             batch_format="pyarrow"))
@@ -514,18 +442,18 @@ def compact(lake_dir: str, buckets: list[int] | None = None) -> int:
                   for r in rows}
     if targets is not None:
         stray = set(partitions) - targets
-        if stray:  # closure 2 guarantees this never happens
+        if stray:  # one bucket per key guarantees this never happens
             raise RuntimeError(
-                "partial compaction produced base entries for keys "
+                "partial compaction produced base entries for buckets "
                 f"{sorted(stray)} outside the closed target set "
                 f"{sorted(targets)} — committing would reset un-rewritten "
                 "buckets and lose their deltas")
-    n_live = sum(e["n_rows"] - e["n_deletes"] for e in partitions.values())
+    n_live = sum(e["n_rows"] for e in partitions.values())
     # carry forward high-watermarks so resume-after-compact still fences
     hwm = mf.high_watermarks(lake_dir)
     for p, e in partitions.items():
         e["hwm"] = max(e["hwm"], hwm.get(p, -1))
-    # covered keys that became empty (all rows deleted or no rows in
+    # covered buckets that became empty (all rows deleted or no rows in
     # the subset) still need their hwm carried / files reset
     covered = (set(hwm) if targets is None else targets)
     for p in covered:
@@ -536,6 +464,6 @@ def compact(lake_dir: str, buckets: list[int] | None = None) -> int:
                 "n_quarantined": 0, "checksum": "0" * 16,
                 "hwm": hwm.get(p, -1),
             }
-    mf.commit_base(lake_dir, schema, partitions, P, mode, num_buckets,
+    mf.commit_base(lake_dir, schema, partitions, P, num_buckets,
                    partial=targets is not None)
     return int(n_live)

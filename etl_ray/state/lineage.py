@@ -1,7 +1,7 @@
 """Lineage / metrics sink (SURVEY.md §2.1 S7, BASELINE.json:6).
 
-Per-(epoch, partition) lineage records — event offset (lsn) ranges, row
-counts, checksums — are produced by the merge appliers as manifest
+Per-(epoch, bucket) lineage records — event offset (lsn) ranges, row
+counts, checksums — are produced by the fragment writers as manifest
 entries; this module flattens the committed manifest log into a small
 Parquet table for downstream metrics consumers.
 """
@@ -14,9 +14,6 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from etl_ray.state import manifest as mf
-
-LINEAGE_COLS = ["epoch", "pid", "file", "lsn_min", "lsn_max", "n_events",
-                "n_upserts", "n_deletes", "n_rows", "n_quarantined", "checksum", "hwm"]
 
 
 def lineage_table(lake_dir: str) -> pa.Table:

@@ -5,21 +5,23 @@ monotonic epoch fencing"; design after the Delta Lake transaction log,
 PAPERS.md):
 
     lake_dir/
-      data/pid=<p>/epoch=<k>.parquet    delta files (written first, phase 1)
+      data/bucket=<b>/epoch=<k>-b<lo>-<hi>-<digest>.parquet
+                                        fragment files (phase 1); one
+                                        file may serve buckets lo..hi
+      data/bucket=<b>/base-<n>.parquet  compaction base of bucket b
       _manifests/epoch=<n>.json         commit records (phase 2, atomic)
 
-A manifest records, per partition: the delta file(s), lsn offset range,
+A manifest records, per bucket: the fragment files, lsn offset range,
 row/upsert/delete counts, a checksum (xor of row content-sha256
-prefixes) and the partition's new lsn high-watermark — the lineage
+prefixes) and the bucket's new lsn high-watermark — the lineage
 record mandated by BASELINE.json:6. The commit is a single
 ``os.replace`` of a temp file → atomic on POSIX.
 
 Manifest SEQUENCE (the ``epoch=<n>`` in the filename) is decoupled from
 the WAL epoch a manifest commits: WAL commits and compaction BASE
 manifests share one monotonic log, and every doc carries ``epoch`` (the
-WAL epoch it covers — a base carries the last WAL epoch forward) plus
-``mode`` (ingest keying: "sorted" pid-keyed / "direct" bucket-keyed)
-and, for direct mode, ``num_buckets``. Resume therefore reads
+WAL epoch it covers — a base carries the last WAL epoch forward),
+``num_partitions`` and ``num_buckets``. Resume therefore reads
 ``last_wal_epoch``, never the raw sequence.
 
 Fencing rules:
@@ -58,10 +60,6 @@ def manifest_path(lake_dir: str, epoch: int) -> str:
     return os.path.join(_mdir(lake_dir), f"epoch={epoch}.json")
 
 
-def data_file(lake_dir: str, pid: int, epoch: int) -> str:
-    return os.path.join(lake_dir, DATA_DIR, f"pid={pid}", f"epoch={epoch}.parquet")
-
-
 def committed_epochs(lake_dir: str) -> list[int]:
     d = _mdir(lake_dir)
     if not os.path.isdir(d):
@@ -97,19 +95,9 @@ def last_wal_epoch(lake_dir: str) -> int:
 
 
 def lake_mode(lake_dir: str) -> str | None:
-    """Ingest keying of the lake: "direct" (bucket-keyed fragments) or
-    "sorted" (pid-keyed deltas). Reads the recorded ``mode`` field,
-    walking back past manifests that predate it or committed an empty
-    epoch; falls back to inspecting a partition entry's file key shape.
-    A resumed replay must keep the original mode or the broadcast hwm
-    index would be misinterpreted."""
-    for seq in reversed(committed_epochs(lake_dir)):
-        man = read_manifest(lake_dir, seq)
-        if man.get("mode"):
-            return man["mode"]
-        for entry in man["partitions"].values():
-            return "direct" if "files" in entry else "sorted"
-    return None
+    """Ingest keying of the lake: always "direct" (bucket-keyed
+    fragments), or None before the first commit."""
+    return None if last_manifest(lake_dir) is None else "direct"
 
 
 def current_schema(lake_dir: str) -> pa.Schema | None:
@@ -131,10 +119,8 @@ def manifest_as_of(lake_dir: str, epoch: int) -> dict | None:
 
 
 def high_watermarks(lake_dir: str) -> dict[int, int]:
-    """partition-key → max committed lsn across all committed manifests
-    (A3 dedup index). Keys are pids in sorted mode, buckets in direct
-    mode — consistent across bases because compaction preserves the
-    lake's keying."""
+    """bucket → max committed lsn across all committed manifests
+    (A3 dedup index; bases carry each bucket's watermark forward)."""
     hwm: dict[int, int] = {}
     for ep in committed_epochs(lake_dir):
         for pid_s, entry in read_manifest(lake_dir, ep)["partitions"].items():
@@ -144,14 +130,14 @@ def high_watermarks(lake_dir: str) -> dict[int, int]:
 
 
 def live_file_counts(lake_dir: str) -> dict[int, int]:
-    """partition-key → number of distinct data files a reader must
-    merge — the read-amplification signal that schedules compaction."""
+    """bucket → number of distinct data files a reader must merge —
+    the read-amplification signal that schedules compaction."""
     return {k: len(dict.fromkeys(fs)) for k, fs in
             visible_entry_files(lake_dir).items() if fs}
 
 
 def merge_entry_rows(rows: list[dict]) -> dict:
-    """Combine several fragment-writer entry rows for one (epoch, key)
+    """Combine several fragment-writer entry rows for one (epoch, bucket)
     into a single manifest partition entry (files concat, lsn range
     union, count sums, checksum xor)."""
     out = {
@@ -185,7 +171,7 @@ def _write_doc(lake_dir: str, seq: int, doc: dict) -> None:
 
 def commit_epoch(lake_dir: str, epoch: int, schema: pa.Schema,
                  partitions: dict[int, dict], num_partitions: int,
-                 mode: str = "sorted", num_buckets: int | None = None) -> bool:
+                 num_buckets: int | None = None) -> bool:
     """Phase-2 commit of one WAL epoch. Returns True if committed,
     False if it already was.
 
@@ -203,15 +189,33 @@ def commit_epoch(lake_dir: str, epoch: int, schema: pa.Schema,
     doc = {
         "epoch": epoch,
         "num_partitions": num_partitions,
-        "mode": mode,
+        "num_buckets": num_buckets,
         "key_hash_version": KEY_HASH_VERSION,
         "schema_b64": schema_mod.to_b64(schema),
         "partitions": {str(p): e for p, e in sorted(partitions.items())},
     }
-    if num_buckets is not None:
-        doc["num_buckets"] = num_buckets
     _write_doc(lake_dir, last_committed(lake_dir) + 1, doc)
     return True
+
+
+def commit_entry_rows(lake_dir: str, epochs: list[int], rows: list[dict],
+                      schema: pa.Schema, num_partitions: int,
+                      num_buckets: int) -> dict[int, dict[int, dict]]:
+    """Phase-2 commit of fragment-writer entry rows: for each epoch in
+    ascending order, merge each bucket's rows into one partition entry
+    and commit the epoch (fenced; an epoch without rows commits empty).
+    Returns epoch → the partitions it committed, in commit order."""
+    out = {}
+    for k in sorted(epochs):
+        by_bucket: dict[int, list[dict]] = {}
+        for r in rows:
+            if int(r["epoch"]) == k:
+                by_bucket.setdefault(int(r["pid"]), []).append(r)
+        partitions = {b: merge_entry_rows(rs) for b, rs in by_bucket.items()}
+        commit_epoch(lake_dir, k, schema, partitions, num_partitions,
+                     num_buckets)
+        out[k] = partitions
+    return out
 
 
 def check_key_hash(lake_dir: str) -> None:
@@ -219,11 +223,13 @@ def check_key_hash(lake_dir: str) -> None:
     manifest log; mixing manifests written under different key-hash
     functions silently misroutes keys, so refuse loudly. Enforced on
     BOTH sides: commits (commit_epoch / commit_base) and every read
-    path that consumes persisted routing — lookup's candidate-bucket
-    probe, export's salt-span pruning, partial compaction's target
-    closure, and the change feed (defensively; its resolve recomputes
-    hashes and is version-independent, but a version-mixed lake is
-    already corrupt-adjacent and should fail fast everywhere)."""
+    path that consumes persisted routing — lookup's bucket probe,
+    export's per-bucket reads, partial compaction's target set, and the
+    change feed (defensively; its resolve recomputes hashes and is
+    version-independent, but a version-mixed lake is already
+    corrupt-adjacent and should fail fast everywhere). The version also
+    fences layout changes: lakes written before v3 may hold hot-key
+    rows outside their key's bucket."""
     man = last_manifest(lake_dir)
     if man is None:
         return
@@ -236,20 +242,19 @@ def check_key_hash(lake_dir: str) -> None:
 
 
 def commit_base(lake_dir: str, schema: pa.Schema, partitions: dict[int, dict],
-                num_partitions: int, mode: str,
-                num_buckets: int | None = None,
+                num_partitions: int, num_buckets: int,
                 partial: bool = False) -> int:
     """Commit a compaction BASE manifest. A full base replaces all
     earlier manifests for readers; a PARTIAL base replaces only the
-    visible files of the keys it covers (bucket-subset compaction).
-    Carries the last WAL epoch (and the lake's keying mode) forward so
-    resume and fencing are unaffected. Returns its sequence."""
+    visible files of the buckets it covers (bucket-subset compaction).
+    Carries the last WAL epoch forward so resume and fencing are
+    unaffected. Returns its sequence."""
     check_key_hash(lake_dir)
     seq = last_committed(lake_dir) + 1
     doc = {
         "epoch": last_wal_epoch(lake_dir),
         "num_partitions": num_partitions,
-        "mode": mode,
+        "num_buckets": num_buckets,
         "base": True,
         "key_hash_version": KEY_HASH_VERSION,
         "schema_b64": schema_mod.to_b64(schema),
@@ -257,8 +262,6 @@ def commit_base(lake_dir: str, schema: pa.Schema, partitions: dict[int, dict],
     }
     if partial:
         doc["partial"] = True
-    if num_buckets is not None:
-        doc["num_buckets"] = num_buckets
     _write_doc(lake_dir, seq, doc)
     return seq
 
@@ -266,15 +269,13 @@ def commit_base(lake_dir: str, schema: pa.Schema, partitions: dict[int, dict],
 def _entry_files(lake_dir: str, entry: dict) -> list[str]:
     if entry["n_rows"] <= 0:
         return []
-    # sorted mode: one "file"; direct mode: "files" fragments
-    return [os.path.join(lake_dir, rel)
-            for rel in entry.get("files") or [entry["file"]]]
+    return [os.path.join(lake_dir, rel) for rel in entry["files"]]
 
 
 def visible_entry_files(lake_dir: str,
                         as_of_epoch: int | None = None
                         ) -> dict[int, list[str]]:
-    """Per partition-key lists of data files a reader must merge.
+    """Per-bucket lists of data files a reader must merge.
 
     Replays the manifest log: a FULL base (``base: true``) resets every
     key's visible set to the base's own files; a PARTIAL base

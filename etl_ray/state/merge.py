@@ -1,19 +1,23 @@
-"""CDC merge stage: event prep (audit/hash/partition) + LWW merge applier.
+"""CDC merge stage: event prep (audit, key hash) + the fragment writer.
 
-The merge applier is the stateful actor-pool stage of the pipeline
-(BASELINE.json:6 "stateful actor-pool stages apply them via
-hash-partitioned last-writer-wins merge-on-read upserts"): it runs as a
-callable class inside ``groupby("pid").map_groups(MergeApplier, ...,
-concurrency=N)`` so each hash partition's events for the epoch arrive as
-one Arrow group. Phase-1 of the two-phase commit happens here (delta
-file written to a temp name, ``os.replace``d to its deterministic final
-path so task retries are idempotent); phase-2 (manifest commit) is the
-driver's, in ``etl_ray.state.manifest.commit_epoch``.
+Ingest has one path. ``prepare_events`` audits each event and hashes
+its key; ``make_fragment_writer`` reduces each task's batch to the
+max-lsn event per (epoch, key) and writes the survivors straight into
+bucket-partitioned fragment files (phase 1 of the two-phase commit:
+temp file, then ``os.replace`` to a content-addressed final name, so
+task retries are idempotent). Phase 2, the manifest commit, is the
+driver's (``etl_ray.state.manifest.commit_entry_rows``).
 
-Cross-epoch state (per-partition lsn high-watermarks = the idempotency /
-dedup index, A3) is persisted in the manifests and broadcast to the pool
-via ``ray.put`` at epoch start, so actors are disposable — a retried or
-rescheduled actor reconstructs identical output.
+Every row of a key lives in one bucket, ``bucket_of(hash64(key), P,
+B)``; the writer, ``lake.lookup``, ``lake.compact`` and
+``export.export_snapshot`` all route with that one function. The
+writer's per-batch LWW reduce is also the skew bound: a hot key costs
+at most one row per (task, epoch), whatever its event count.
+
+Cross-epoch state (per-bucket lsn high-watermarks = the idempotency /
+dedup index, A3) is persisted in the manifests and broadcast to the
+write tasks via ``ray.put`` at window start, so tasks are disposable:
+a retried task reconstructs identical output.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -30,25 +33,14 @@ import ray
 
 from etl_ray.state import manifest as mf
 from etl_ray.state import schema as schema_mod
-from etl_ray.util import (add_pid_column, key_hash64, lww_keep_indices,
+from etl_ray.util import (key_hash64, lww_keep_indices,
                           sha256_hex_with_prefix, take_runs)
 
 KEY_COLS = ["repo", "path"]
 META_COLS = ["lsn", "epoch", "op"]
 VALID_OPS = ("I", "U", "D")
-# hot-key salting thresholds. A key is salted when its per-batch event
-# count exceeds max(SALT_MIN, SALT_REL × batch_rows / num_partitions):
-# RELATIVE to partition balance, not absolute — an absolute-only
-# threshold misses a hot key diluted across many read blocks (each
-# batch sees only batch_rows/blocks of it) while every one of those
-# slices still routes to the same partition. SALT_MIN keeps genuinely
-# small keys unsalted (salting costs read-side resolve work).
-SALT_MIN = 256
-SALT_REL = 4
-SALT_THRESHOLD = 4096  # legacy absolute cap — still salts above this
-SALT_FACTOR = 8
-# direct mode: pids per fragment bucket (bounds fragment-file count:
-# each map task writes ≤ num_partitions / BUCKET_SPAN files per batch)
+# pids per fragment bucket (bounds fragment-file count: each map task
+# writes ≤ num_partitions / BUCKET_SPAN files per batch)
 BUCKET_SPAN = 8
 # minimum rows per fragment FILE: a task packs contiguous buckets into
 # one file until it holds at least this many rows (manifest entries
@@ -65,17 +57,21 @@ def payload_schema(wal_schema: pa.Schema) -> pa.Schema:
     return pa.schema(fields)
 
 
+def bucket_of(kh, num_partitions: int, num_buckets: int) -> np.ndarray:
+    """The lake's routing rule: key hash(es) → bucket,
+    ``(kh % P) * B // P``. Every row of a key lives in this bucket."""
+    pid = np.asarray(kh, dtype=np.uint64) % np.uint64(num_partitions)
+    return pid.astype(np.int64) * num_buckets // num_partitions
+
+
 def prepare_events(num_partitions: int):
-    """Stateless map_batches stage: audit + content sha256 + partition id.
+    """Stateless map_batches stage: audit + key hash + partition id.
 
     Audit (M9, the eemeter-style "audit" step): op ∈ {I,U,D}, key non-null,
     content present unless delete. Bad rows are flagged, not dropped —
-    the merge applier quarantines and counts them per partition.
-
-    Salting: a key with > SALT_THRESHOLD events in one batch is split
-    across SALT_FACTOR partitions by ``lsn % SALT_FACTOR`` (hot-repo skew
-    bound, BASELINE.json:6). Correct under merge-on-read because the read
-    path resolves max-lsn per *key* across all partitions.
+    the fragment writer quarantines and counts them per bucket. ``pid``
+    is the key's hash partition ``kh % P``; it rides into quarantine
+    side files, while the writer routes rows with :func:`bucket_of`.
     """
 
     def _prep(t: pa.Table) -> pa.Table:
@@ -89,132 +85,19 @@ def prepare_events(num_partitions: int):
                             pa.scalar("audit_failed"))
         t = t.append_column("audit_ok", ok)
         t = t.append_column("audit_reason", reason)
-        # content_sha256 is computed POST-reduce in the merge stage: only
+        # content_sha256 is computed POST-reduce in the writer: only
         # rows that survive the partial LWW reduce are written, so
-        # hashing here would waste ~40% of the sha work and (sorted
-        # mode) ship 64 hex chars/row through the shuffle.
-        # key hash computed ONCE; pid, salting and the downstream LWW
-        # reduce all reuse it (the string keys are only re-touched to
-        # verify hash-adjacent equality). Buffer-level row hash — no
+        # hashing here would waste ~40% of the sha work.
+        # key hash computed ONCE; routing and the downstream LWW reduce
+        # both reuse it (the string keys are only re-touched to verify
+        # hash-adjacent equality). Buffer-level row hash — no
         # concatenated key string, no per-row Python objects.
         kh = key_hash64(t, KEY_COLS)
         t = t.append_column("_kh", pa.array(kh, pa.uint64()))
         pid = (kh % np.uint64(num_partitions)).astype(np.int32)
-        # hot-key salting (per-batch detection on the hash — stateless,
-        # shuffle-free; a hash collision only merges two keys' counts,
-        # harmless for a skew heuristic). Threshold is RELATIVE to the
-        # batch's fair per-partition share (see SALT_MIN/SALT_REL note).
-        _, inv, cnt = np.unique(kh, return_inverse=True, return_counts=True)
-        thr = min(SALT_THRESHOLD,
-                  max(SALT_MIN, SALT_REL * len(t) // num_partitions))
-        hot = cnt[inv] > thr
-        if hot.any():
-            salt = (t["lsn"].to_numpy() % SALT_FACTOR).astype(np.uint64)
-            pid = pid.copy()
-            pid[hot] = ((kh[hot] + salt[hot])
-                        % np.uint64(num_partitions)).astype(np.int32)
         return t.append_column("pid", pa.array(pid, pa.int32()))
 
     return _prep
-
-
-class MergeApplier:
-    """Per-partition LWW upsert applier (A1/A3/A4) — one group == one pid.
-
-    Writes the partition's epoch delta file (phase 1) and returns a
-    one-row manifest-entry table. Reduction inside the epoch keeps, per
-    key, only the max-lsn event (upsert after-image or delete
-    tombstone); cross-epoch resolution is merge-on-read at scan time.
-    """
-
-    def __init__(self, lake_dir: str, epoch: int, schema_b64: str, hwm_ref):
-        self.lake_dir = lake_dir
-        self.epoch = epoch
-        self.schema = schema_mod.from_b64(schema_b64)
-        self.hwm = ray.get(hwm_ref) if hwm_ref is not None else {}
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        pid = int(group["pid"][0].as_py())
-        # windowed replay groups by (epoch, pid): the group's epoch wins
-        # over the constructor's (which then just tags the window)
-        epoch = (int(group["epoch"][0].as_py())
-                 if "epoch" in group.column_names else self.epoch)
-        n_in = len(group)
-
-        # A3 idempotency: drop events at or below the committed high-watermark
-        hwm_prev = self.hwm.get(pid, -1)
-        if hwm_prev >= 0:
-            group = group.filter(pc.greater(group["lsn"], pa.scalar(hwm_prev)))
-
-        # quarantine audit failures (M9): count + side-file, keep good rows
-        bad = group.filter(pc.equal(group["audit_ok"], False))
-        n_quarantined = len(bad)
-        if n_quarantined:
-            qpath = os.path.join(self.lake_dir, "_quarantine",
-                                 f"pid={pid}", f"epoch={epoch}.parquet")
-            os.makedirs(os.path.dirname(qpath), exist_ok=True)
-            _atomic_write(bad, qpath)
-        group = group.filter(pc.equal(group["audit_ok"], True))
-
-        n_events = len(group)
-        if n_events:
-            lsn = group["lsn"].to_numpy()
-            lsn_min, lsn_max = int(lsn.min()), int(lsn.max())
-            # LWW reduce: keep the max-lsn event per (repo, path) —
-            # hash-keyed with exact adjacent verification; extra rows
-            # from pathological hash collisions resolve at merge-on-read
-            if "_kh" in group.column_names:
-                keep, _ = lww_keep_indices(group["_kh"].to_numpy(), lsn,
-                                           group.select(KEY_COLS))
-            else:  # compaction path feeds pre-resolved rows without _kh
-                kh = key_hash64(group, KEY_COLS)
-                keep, _ = lww_keep_indices(kh, lsn, group.select(KEY_COLS))
-            # single take: dedup + deterministic lsn order for
-            # idempotent retries
-            fin = keep[np.argsort(lsn[keep], kind="stable")]
-            reduced = take_runs(group, fin)
-        else:
-            lsn_min, lsn_max = -1, -1
-            reduced = group
-
-        n_upserts = int(pc.sum(pc.cast(pc.not_equal(reduced["op"], "D"),
-                                       pa.int64())).as_py() or 0)
-        n_deletes = len(reduced) - n_upserts
-
-        # conform payload to the epoch's unified schema; keep merge
-        # metadata. content_sha256 is computed here, post-reduce, on the
-        # rows actually written (see prepare_events).
-        delta = schema_mod.conform(
-            reduced.drop_columns([c for c in reduced.column_names
-                                  if c not in self.schema.names]),
-            self.schema)
-        for c in ("lsn", "op"):
-            if c not in delta.column_names and c in reduced.column_names:
-                delta = delta.append_column(c, reduced[c])
-        sha, shp = sha256_hex_with_prefix(reduced["content"])
-        delta = delta.append_column("content_sha256", sha)
-        checksum = int(np.bitwise_xor.reduce(shp.astype(np.uint64))) \
-            if len(shp) else 0
-
-        path = mf.data_file(self.lake_dir, pid, epoch)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        _atomic_write(delta, path)
-
-        rel = os.path.relpath(path, self.lake_dir)
-        return pa.table({
-            "epoch": pa.array([epoch], pa.int32()),
-            "pid": pa.array([pid], pa.int32()),
-            "file": pa.array([rel], pa.string()),
-            "lsn_min": pa.array([lsn_min], pa.int64()),
-            "lsn_max": pa.array([lsn_max], pa.int64()),
-            "n_events": pa.array([n_events], pa.int64()),
-            "n_upserts": pa.array([n_upserts], pa.int64()),
-            "n_deletes": pa.array([n_deletes], pa.int64()),
-            "n_rows": pa.array([len(delta)], pa.int64()),
-            "n_quarantined": pa.array([n_quarantined], pa.int64()),
-            "checksum": pa.array([f"{checksum:016x}"], pa.string()),
-            "hwm": pa.array([max(lsn_max, hwm_prev)], pa.int64()),
-        })
 
 
 # per-WORKER memo of deserialized high-watermark index arrays, keyed by
@@ -243,20 +126,15 @@ def _hwm_index(hwm_ref, num_buckets: int) -> np.ndarray:
 
 def make_fragment_writer(lake_dir: str, schema_b64: str, hwm_ref,
                          num_partitions: int, num_buckets: int):
-    """Direct-write ingest stage (map_batches over prepared events).
+    """The ingest write stage (map_batches over prepared events).
 
-    The scale path for the merge: instead of an in-memory all-to-all
-    (groupby pid) before writing one delta per partition, each task
-    partially LWW-reduces its batch and writes its rows straight into
-    key-bucket-partitioned fragment files
-    (``data/bucket=<b>/epoch=<k>-<digest>.parquet``). The
-    repartition-by-key is thus performed by the partitioned file layout
-    (Hive/Hudi merge-on-read style); the per-key max-lsn resolution
-    that the shuffle used to finalize is exactly what the merge-on-read
-    scan (state.lake.read_lake) and compaction already do across
-    epochs. Measured on the bench WAL the sort-shuffle was the one
-    stage that got SLOWER with more CPUs (raylet/object-store IPC
-    bound); this path keeps ingest embarrassingly parallel.
+    Each task partially LWW-reduces its batch and writes its rows
+    straight into bucket-partitioned fragment files
+    (``data/bucket=<b>/epoch=<k>-b<lo>-<hi>-<digest>.parquet``), with no
+    shuffle before the write: the repartition-by-key is the partitioned
+    file layout (Hive/Hudi merge-on-read style), and the per-key
+    max-lsn resolution across tasks and epochs is what the
+    merge-on-read scan (state.lake.read_lake) and compaction do.
 
     Idempotency: fragment names are content-addressed (digest over
     epoch, bucket, row count, lsn range, checksum), so a retried task
@@ -285,8 +163,8 @@ def make_fragment_writer(lake_dir: str, schema_b64: str, hwm_ref,
             return empty
         lsn = batch["lsn"].to_numpy()
         epochs = batch["epoch"].to_numpy().astype(np.int64)
-        bucket = (batch["pid"].to_numpy().astype(np.int64)
-                  * num_buckets // num_partitions)
+        kh = batch["_kh"].to_numpy()
+        bucket = bucket_of(kh, num_partitions, num_buckets)
 
         # A3 idempotency: vectorized per-bucket high-watermark filter
         # (index deserialized + built once per worker per window)
@@ -322,7 +200,6 @@ def make_fragment_writer(lake_dir: str, schema_b64: str, hwm_ref,
             # cross-epoch duplicates resolve at merge-on-read (max lsn).
             # Scoped per epoch so every epoch's delta stays complete for
             # crash-consistent per-epoch commits.
-            kh = batch["_kh"].to_numpy()
             keep_g, _ = lww_keep_indices(
                 kh[gi], lsn[gi],
                 take_runs(batch.select(KEY_COLS), gi),
@@ -427,25 +304,6 @@ def _entry_digest(epoch: int, bucket: int, n: int, lsn_min: int,
     return hashlib.sha1(
         f"{epoch}:{bucket}:{n}:{lsn_min}:{lsn_max}:{checksum}".encode()
     ).hexdigest()[:12]
-
-
-def make_merge_fn(lake_dir: str, epoch: int, schema_b64: str, hwm_ref):
-    """Task-mode wrapper: the merge stage as a plain ``map_groups`` fn.
-
-    Semantically identical to the actor-pool mode (state — the lsn
-    high-watermark index and unified schema — is broadcast via ray.put
-    and shared zero-copy either way), but runs as stateless tasks on
-    warm workers: for short epochs the per-epoch actor-pool spin-up
-    (concurrency × epochs actor starts) otherwise dominates wall time.
-    Construction cost per task is one schema parse + one (plasma-cached)
-    ray.get. Use the actor pool (``concurrency=N``) when the applier
-    carries genuinely heavy per-actor state.
-    """
-
-    def _apply(group: pa.Table) -> pa.Table:
-        return MergeApplier(lake_dir, epoch, schema_b64, hwm_ref)(group)
-
-    return _apply
 
 
 def _atomic_write(table: pa.Table, path: str) -> None:

@@ -78,7 +78,8 @@ if _pool == "system-retain":
 #   v2: polars row hash over Arrow buffers (no per-row Python string
 #       materialization — the v1 path built tens of millions of
 #       transient PyObjects per bench replay and dominated DRAM traffic)
-KEY_HASH_VERSION = 2
+#   v3: same hash, no hot-key salting
+KEY_HASH_VERSION = 3
 
 
 def sha256_hex_array(col: pa.ChunkedArray | pa.Array) -> pa.Array:

@@ -110,34 +110,12 @@ def test_compaction_preserves_state(wal_dir, ref_state, tmp_path):
     assert len(mf.committed_files(lake)) <= P
 
 
-def test_direct_and_sorted_modes_converge_identically(wal_dir, ref_state,
-                                                      tmp_path):
-    """The shuffle-free direct-write ingest and the sorted per-partition
-    merge must produce the same final table (and match the reference)."""
-    ld, ls = str(tmp_path / "ld"), str(tmp_path / "ls")
-    replay(wal_dir, ld, N_EPOCHS, num_partitions=P, mode="direct")
-    replay(wal_dir, ls, N_EPOCHS, num_partitions=P, mode="sorted")
-    assert lake_shas(ld) == lake_shas(ls) == ref_shas(ref_state)
-
-
-def test_resumed_lake_keeps_its_mode(wal_dir, tmp_path):
-    """A lake started in sorted mode must resume in sorted mode (the
-    manifest watermark index is keyed differently per mode)."""
-    lake = str(tmp_path / "lake")
-    replay(wal_dir, lake, N_EPOCHS, num_partitions=P, stop_after=2,
-           mode="sorted")
-    assert mf.lake_mode(lake) == "sorted"
-    replay(wal_dir, lake, N_EPOCHS, num_partitions=P, mode="direct")
-    assert mf.lake_mode(lake) == "sorted"  # direct request was overridden
-
-
 def test_compaction_preserves_mode_and_resume(wal_dir, ref_state, tmp_path):
-    """Compacting a direct-mode lake mid-stream must keep the lake in
-    direct mode (bucket-keyed watermarks) and replay must resume from
-    the correct WAL epoch past the base manifest."""
+    """Compacting a lake mid-stream must keep its bucket keying
+    (bucket-keyed watermarks) and replay must resume from the correct
+    WAL epoch past the base manifest."""
     lake = str(tmp_path / "lake")
-    replay(wal_dir, lake, N_EPOCHS, num_partitions=P, stop_after=2,
-           mode="direct")
+    replay(wal_dir, lake, N_EPOCHS, num_partitions=P, stop_after=2)
     compact(lake)
     assert mf.lake_mode(lake) == "direct"
     assert mf.last_wal_epoch(lake) == 1  # base carries the WAL epoch forward
@@ -184,37 +162,116 @@ def test_pruned_read_across_schema_evolution(wal_dir, tmp_path):
         read_lake(lake, columns=["no_such_column"])
 
 
-def test_partial_compaction(wal_dir, ref_state, tmp_path):
-    """Bucket-subset compaction rewrites only the targeted keys' files
-    (closed over shared fragments), leaves other keys' deltas alone,
-    keeps every read surface correct, and composes with vacuum."""
-    from etl_ray.state.lake import lookup, vacuum
+def _bucket(repo, path, P, B):
+    import pyarrow as pa
+
+    from etl_ray.state.merge import bucket_of
+    from etl_ray.util import key_hash64
+
+    kh = key_hash64(pa.table({"repo": pa.array([repo]),
+                              "path": pa.array([path])}), ["repo", "path"])
+    return int(bucket_of(kh, P, B)[0])
+
+
+def test_partial_compaction(wal_dir, tmp_path):
+    """Bucket-subset compaction on a fully compacted lake: a
+    hand-written epoch (an update, a delete and an insert, keys in two
+    buckets, rows interleaved so every write task's range fragment
+    serves both) makes the shared-file closure exactly those two
+    buckets. Every other bucket keeps its base file; state, lookup,
+    audit, vacuum, resume and the vacuumed change feed stay correct."""
+    import os
+
+    import pyarrow as pa
+
+    from etl_ray.state.lake import (audit_lake, changes_between, lookup,
+                                    vacuum)
+
+    P2, B = 64, 8
+    wal = str(tmp_path / "wal")
+    for k in range(N_EPOCHS - 1):
+        shutil.copytree(f"{wal_dir}/epoch={k}", f"{wal}/epoch={k}")
+    prev = reference_replay(wal, N_EPOCHS - 1)
+    by_bucket = {}
+    for repo, path in sorted(prev):
+        by_bucket.setdefault(_bucket(repo, path, P2, B), []).append(
+            (repo, path))
+    b1, b2 = sorted(by_bucket, key=lambda b: -len(by_bucket[b]))[:2]
+    new_key = next((f"org/new{i}", "n.py") for i in range(10000)
+                   if _bucket(f"org/new{i}", "n.py", P2, B) == b1)
+    deleted = by_bucket[b2][0]
+    lsn = 1 + max(pq.read_table(f"{wal}/epoch={k}", columns=["lsn"])
+                  ["lsn"].to_numpy().max() for k in range(N_EPOCHS - 1))
+    schema = pq.read_schema(
+        f"{wal}/epoch={N_EPOCHS - 2}/"
+        + sorted(os.listdir(f"{wal}/epoch={N_EPOCHS - 2}"))[0])
+
+    def ev(lsn, epoch, op, key, content):
+        return {"lsn": lsn, "epoch": epoch, "op": op, "repo": key[0],
+                "path": key[1], "commit": f"c{lsn}", "lang": "py",
+                "content": content, "size": 7, "stars": 3}
+
+    def write_epoch(k, rows):
+        os.makedirs(f"{wal}/epoch={k}")
+        pq.write_table(pa.Table.from_pylist(rows, schema=schema),
+                       f"{wal}/epoch={k}/part-0.parquet")
+
+    e = []
+    for i, pair in enumerate(zip(by_bucket[b1][:16], by_bucket[b2][1:17])):
+        for j, key in enumerate(pair):  # b1, b2, b1, b2, ... updates
+            e.append(ev(lsn + 2 * i + j, N_EPOCHS - 1, "U", key,
+                        f"upd-{key[0]}-{key[1]}"))
+    e.append(ev(lsn + 100, N_EPOCHS - 1, "D", deleted, None))
+    e.append(ev(lsn + 101, N_EPOCHS - 1, "I", new_key, "inserted"))
+    write_epoch(N_EPOCHS - 1, e)
+    # the next epoch re-inserts the deleted key and updates the new one
+    write_epoch(N_EPOCHS, [ev(lsn + 200, N_EPOCHS, "I", deleted, "back"),
+                           ev(lsn + 201, N_EPOCHS, "U", new_key, "v2")])
+
+    def shas(n_epochs):
+        ref = reference_replay(wal, n_epochs)
+        return sorted(hashlib.sha256(v["content"].encode()).hexdigest()
+                      for v in ref.values())
 
     lake = str(tmp_path / "lake")
-    # sorted mode: delta files are pid-pure, so the shared-file closure
-    # is trivial and bucket-subset semantics are observable at this
-    # scale (direct-mode range fragments at tiny scale share one file
-    # per task across all buckets → closure rightly degenerates to full)
-    replay(wal_dir, lake, N_EPOCHS, num_partitions=P, mode="sorted")
-    before_counts = mf.live_file_counts(lake)
-    hot = max(before_counts, key=before_counts.get)
-    n = compact(lake, buckets=[hot])
-    assert n > 0
-    after = mf.live_file_counts(lake)
-    assert after[hot] <= 1  # hot key now reads one base file
-    # untouched keys outside the closure keep their delta counts
+    replay(wal, lake, N_EPOCHS - 1, num_partitions=P2)
+    compact(lake)
+    bases = mf.visible_entry_files(lake)
+    assert all(len(fs) == 1 and "base-" in fs[0] for fs in bases.values())
+    replay(wal, lake, N_EPOCHS, num_partitions=P2)
+
+    compact(lake, buckets=[b1])
+    man = mf.last_manifest(lake)
+    assert man["partial"] and set(map(int, man["partitions"])) == {b1, b2}
     vis = mf.visible_entry_files(lake)
-    untouched = [k for k in before_counts
-                 if k != hot and after.get(k) == before_counts[k]]
-    assert untouched  # the partial base did NOT reset the whole lake
-    # full state still equals the reference
-    assert lake_shas(lake) == ref_shas(ref_state)
-    # point lookups stay correct after vacuum removes replaced files
+    for k, fs in bases.items():
+        if k not in (b1, b2):
+            assert vis[k] == fs, k  # untouched: still its full base
+    for k in (b1, b2):  # a partial base follows the full-base rule
+        t = pq.read_table(vis[k][0], columns=["lsn", "op"])
+        assert len(vis[k]) == 1 and set(t["op"].to_pylist()) == {"I"}
+        assert set(t["lsn"].to_pylist()) == {0}
+    assert lake_shas(lake) == shas(N_EPOCHS)
+
     vacuum(lake)
-    assert lake_shas(lake) == ref_shas(ref_state)
-    (repo, path), want = next(iter(ref_state.items()))
-    got = lookup(lake, repo, path)
-    assert got is not None and got["commit"] == want["commit"]
+    assert lake_shas(lake) == shas(N_EPOCHS)
+    assert lookup(lake, *deleted) is None
+    live = read_lake(lake).to_pandas()
+    assert deleted not in set(zip(live.repo, live.path))
+    assert lookup(lake, *new_key)["content"] == "inserted"
+    upd = by_bucket[b2][1]
+    assert lookup(lake, *upd)["content"] == f"upd-{upd[0]}-{upd[1]}"
+    assert audit_lake(lake)["checksum_ok"]
+
+    s = replay(wal, lake, N_EPOCHS + 1, num_partitions=P2)
+    assert s["first_epoch"] == N_EPOCHS
+    assert lake_shas(lake) == shas(N_EPOCHS + 1)
+    assert lookup(lake, *deleted)["content"] == "back"
+    assert lookup(lake, *new_key)["content"] == "v2"
+
+    # vacuumed change-feed history now fails loudly, not mid-scan
+    with pytest.raises(FileNotFoundError, match="vacuum"):
+        changes_between(lake, -1, 0)
 
 
 def test_point_lookup(wal_dir, ref_state, tmp_path):
@@ -252,32 +309,19 @@ def test_point_lookup(wal_dir, ref_state, tmp_path):
 
 def test_lookup_row_equals_read_lake_row(tmp_path):
     """lookup() returns exactly the key's read_lake row (every column,
-    current schema) on a direct-mode lake replayed in two calls across
-    the schema evolution, with a salted hot key whose winning version
-    sits in a salt-span bucket — before and after partial compaction
-    + vacuum. Keys last written before the evolution must come back
-    with the evolved columns (``stars`` null), not their file's."""
+    current schema) on a lake replayed in two calls across the schema
+    evolution, with a hot key updated 3,200 times in one epoch —
+    before and after partial compaction + vacuum. Keys last written
+    before the evolution must come back with the evolved columns
+    (``stars`` null), not their file's."""
     import os
 
     import pyarrow as pa
 
     from etl_ray.state.lake import lookup, vacuum
-    from etl_ray.state.lineage import lineage_table
-    from etl_ray.state.merge import SALT_FACTOR
-    from etl_ray.util import key_hash64
 
-    P = 64  # direct mode: 8 buckets of 8 pids
-
-    def pid_of(repo):
-        return int(key_hash64(pa.table(
-            {"repo": pa.array([repo]), "path": pa.array(["x.py"])}),
-            ["repo", "path"])[0]) % P
-
-    # a hot key whose natural pid ends a bucket: every non-zero salt
-    # routes its events to the NEXT bucket
-    hot = next(f"org/hot{i}" for i in range(10000)
-               if pid_of(f"org/hot{i}") % 8 == 7
-               and pid_of(f"org/hot{i}") < P - 1)
+    P = 64  # 8 buckets of 8 pids
+    hot = "org/hot0"
 
     def ev(lsn, epoch, op, repo, v, stars=None):
         r = {"lsn": lsn, "epoch": epoch, "op": op, "repo": repo,
@@ -290,13 +334,10 @@ def test_lookup_row_equals_read_lake_row(tmp_path):
 
     cold = [f"org/c{j}" for j in range(30)]
     e0 = [ev(j, 0, "I", k, 0) for j, k in enumerate(cold)]
-    # 3200 events: the replay splits the epoch into 8 blocks, each
-    # holding more hot events than the per-batch salting threshold;
-    # the last one has lsn % SALT_FACTOR == 3, so it is written under
-    # a salted bucket
+    # 3200 events: every read block the replay splits the epoch into
+    # writes its own version of the hot key
     e0 += [ev(100 + j, 0, "I" if j == 0 else "U", hot, j)
            for j in range(3200)]
-    assert e0[-1]["lsn"] % SALT_FACTOR == 3
     e1 = [ev(5000 + j, 1, "U", cold[j], 1, stars=j if j % 2 else None)
           for j in range(8)]
     e1 += [ev(5100, 1, "D", cold[8], 1), ev(5101, 1, "I", "org/new", 1, 5)]
@@ -316,14 +357,8 @@ def test_lookup_row_equals_read_lake_row(tmp_path):
                        f"{wal}/epoch={k}/part-0.parquet")
 
     lake = str(tmp_path / "lake")
-    replay(wal, lake, 1, num_partitions=P, mode="direct")
-    # salting precondition: the hot key's salted events (7 of every 8)
-    # were counted under the bucket after its natural one, which holds
-    # only a few cold keys otherwise
-    hot_bucket = pid_of(hot) * 8 // P
-    lin = lineage_table(lake).to_pandas()
-    assert lin[lin.pid == hot_bucket + 1].n_events.sum() >= 525
-    replay(wal, lake, 2, num_partitions=P, mode="direct")
+    replay(wal, lake, 1, num_partitions=P)
+    replay(wal, lake, 2, num_partitions=P)
     assert mf.current_schema(lake).field("size").type == pa.int64()
 
     def check(stage):
@@ -341,24 +376,26 @@ def test_lookup_row_equals_read_lake_row(tmp_path):
         assert lookup(lake, "no/such", "x.py") is None, stage
 
     check("after replay")
-    compact(lake, buckets=[hot_bucket])
+    compact(lake, buckets=[_bucket(hot, "x.py", P, 8)])
     assert mf.last_manifest(lake)["partial"]
     vacuum(lake)
     check("after partial compact + vacuum")
 
 
-def test_single_hot_key_salting_spreads_partitions(tmp_path):
-    """ONE key carrying more events than SALT_THRESHOLD in a batch must
-    be salted across several merge partitions (the sorted-mode skew
-    bound) while LWW still converges to that key's max-lsn event."""
+def test_single_hot_key_skew_bounded(tmp_path, monkeypatch):
+    """ONE key carrying ~8k updates in one epoch (plus a cold tail):
+    the per-task LWW reduce bounds its skew to at most one row per
+    write block, LWW yields its max-lsn row, lineage still counts every
+    WAL event, and lookup opens only the key's bucket's files."""
     import os
 
     import pyarrow as pa
+    import pyarrow.dataset as pds
 
+    from etl_ray.state import lake as lake_mod
     from etl_ray.state.lineage import lineage_table
-    from etl_ray.state.merge import SALT_THRESHOLD
 
-    n_hot = SALT_THRESHOLD * 2
+    n_hot = 8192
     rows = []
     for lsn in range(n_hot):  # the hot key: every event updates it
         rows.append({
@@ -384,18 +421,43 @@ def test_single_hot_key_salting_spreads_partitions(tmp_path):
     pq.write_table(pa.Table.from_pylist(rows, schema=schema),
                    f"{wal}/epoch=0/part-0.parquet")
 
+    P2 = 64
     lake = str(tmp_path / "lake_hot")
-    replay(wal, lake, 1, num_partitions=16, mode="sorted")
+    replay(wal, lake, 1, num_partitions=P2)
     lin = lineage_table(lake).to_pandas()
-    # the hot key's events were salted across >= 4 merge partitions
-    # (unsalted routing would put all 8192+ events on ONE pid)
-    assert (lin.n_events >= SALT_THRESHOLD // 8).sum() >= 4
-    # and LWW across the salted partitions still yields the max-lsn row
+    assert lin.n_events.sum() == len(rows)
+    # at most one stored row of the hot key per write block: every
+    # fragment file holds rows of one writer call
+    per_file = [pq.read_table(f, columns=["repo"])["repo"].to_pylist()
+                .count("org0/hot") for f in mf.committed_files(lake)]
+    assert max(per_file) == 1
     final = read_lake(lake).to_pandas()
     hot = final[final.repo == "org0/hot"]
     assert len(hot) == 1
     assert hot.iloc[0].content == f"hot-v{n_hot - 1}"
     assert len(final) == 51
+
+    # lookup reads exactly the key's bucket: before compaction (range
+    # fragments may serve every bucket) and after it (one base file
+    # per bucket, so any other bucket's file would show)
+    real = pds.dataset
+    for stage in ("fragments", "compacted"):
+        if stage == "compacted":
+            compact(lake)
+        want = set(mf.visible_entry_files(lake)[
+            _bucket("org0/hot", "src/h.py", P2, 8)])
+        opened = []
+
+        def spy(source, *a, **kw):
+            opened.append(set(source))
+            return real(source, *a, **kw)
+
+        monkeypatch.setattr(pds, "dataset", spy)
+        got = lake_mod.lookup(lake, "org0/hot", "src/h.py")
+        monkeypatch.setattr(pds, "dataset", real)
+        assert got["content"] == f"hot-v{n_hot - 1}", stage
+        assert opened == [want], stage
+    assert len(want) == 1 < len(mf.committed_files(lake))
 
 
 def test_time_travel_and_change_feed(wal_dir, ref_state, tmp_path):
@@ -675,131 +737,6 @@ def test_lineage_counts(wal_dir, tmp_path):
     assert (lin["lsn_max"] >= lin["lsn_min"]).all()
 
 
-def test_partial_compact_salted_hot_keys_and_vacuum(tmp_path):
-    """The hot-key-salting × partial-compaction interaction (sorted
-    mode, pid-level entries so the scenarios stay isolated):
-
-    1. compacting a SPILL pid (one a hot key's salted events landed on)
-       must expand the target set to the key's natural pid — otherwise
-       the partial base resets a pid whose deltas were never read and
-       vacuum permanently deletes every other key in it;
-    2. a partial base must keep REAL lsns — a lsn=0 base row for a hot
-       key loses to the key's older salted rows left in un-compacted
-       pids (stale resurrection);
-    3. a partial base must keep delete TOMBSTONES — dropping one
-       resurrects an older salted upsert from an un-compacted pid.
-    """
-    import os
-
-    import pyarrow as pa
-
-    from etl_ray.state.lake import (audit_lake, changes_between, lookup,
-                                    vacuum)
-    from etl_ray.util import key_hash64
-
-    P = 64
-
-    def pid_of(repo, path):
-        # int() BEFORE the modulus: np.uint64 % python-int promotes to
-        # float64 and mangles the low bits
-        return int(key_hash64(pa.table(
-            {"repo": pa.array([repo]), "path": pa.array([path])}),
-            ["repo", "path"])[0]) % P
-
-    # deterministic search: two hot keys whose natural pids sit mid-
-    # bucket (salt span q..q+7 doesn't wrap) with disjoint spans
-    hot = []
-    i = 0
-    while len(hot) < 2 and i < 10000:
-        name = f"org/h{i}"
-        q = pid_of(name, "x.py")
-        if q <= 48 and all(abs(q - q0) > 8 for _, q0 in hot):
-            hot.append((name, q))
-        i += 1
-    (k1, q1), (k2, q2) = hot
-
-    rows = []
-    # K1: 8193 updates, lsns 0..8192. max lsn 8192 ≡ 0 (mod 8) → salt 0
-    # → natural pid q1; lsns ≡ 7 salt to q1+7.
-    for lsn in range(8193):
-        rows.append({"lsn": lsn, "epoch": 0,
-                     "op": "I" if lsn == 0 else "U", "repo": k1,
-                     "path": "x.py", "commit": f"c{lsn}", "lang": "py",
-                     "content": f"h1-v{lsn}", "size": 1})
-    # K2: 4096 upserts at lsns ≡ 7 (mod 8) → all salt to q2+7, then a
-    # DELETE at lsn 60000 ≡ 0 → salt 0 → natural pid q2.
-    for j in range(4096):
-        lsn = 10007 + 8 * j
-        rows.append({"lsn": lsn, "epoch": 0,
-                     "op": "I" if j == 0 else "U", "repo": k2,
-                     "path": "x.py", "commit": f"d{lsn}", "lang": "py",
-                     "content": f"h2-v{lsn}", "size": 1})
-    rows.append({"lsn": 60000, "epoch": 0, "op": "D", "repo": k2,
-                 "path": "x.py", "commit": "del", "lang": "py",
-                 "content": None, "size": 1})
-    # cold tail: 400 keys spread over all pids (the data the pre-fix
-    # partial base silently loses)
-    cold_pids = {}
-    for j in range(400):
-        name = f"org/c{j}"
-        rows.append({"lsn": 70000 + j, "epoch": 0, "op": "I",
-                     "repo": name, "path": "c.py", "commit": f"k{j}",
-                     "lang": "py", "content": f"cold-{j}", "size": 1})
-        cold_pids.setdefault(pid_of(name, "c.py"), name)
-    # scenario preconditions: colds exist in every pid we compact/reset
-    assert q1 in cold_pids and q2 in cold_pids
-
-    schema = pa.schema([
-        ("lsn", pa.int64()), ("epoch", pa.int32()), ("op", pa.string()),
-        ("repo", pa.string()), ("path", pa.string()),
-        ("commit", pa.string()), ("lang", pa.string()),
-        ("content", pa.string()), ("size", pa.int64()),
-    ])
-    wal = str(tmp_path / "wal_pc")
-    os.makedirs(f"{wal}/epoch=0")
-    pq.write_table(pa.Table.from_pylist(rows, schema=schema),
-                   f"{wal}/epoch=0/part-0.parquet")
-    lake = str(tmp_path / "lake_pc")
-    replay(wal, lake, 1, num_partitions=P, mode="sorted",
-           auto_compact=None)
-
-    # precondition: salting actually spilled K1 to q1+7 and K2 to q2+7
-    vis = mf.visible_entry_files(lake)
-    for spill, key in ((q1 + 7, k1), (q2 + 7, k2)):
-        got = set()
-        for f in vis.get(spill, []):
-            got |= set(pq.read_table(f, columns=["repo"])["repo"].to_pylist())
-        assert key in got, "salting precondition not met"
-
-    def check_state(stage):
-        final = read_lake(lake).to_pandas()
-        by_key = dict(zip(final.repo, final.content))
-        assert by_key.get(k1) == "h1-v8192", stage       # scenario 2
-        assert k2 not in by_key, stage                   # scenario 3
-        assert sum(r.startswith("org/c") for r in by_key) == 400, stage
-        assert len(final) == 401, stage                  # scenario 1
-
-    # stage 1: compact a spill pid of K1 → closure must pull in q1
-    compact(lake, buckets=[q1 + 7])
-    man = mf.last_manifest(lake)
-    assert man["partial"] and str(q1) in man["partitions"]
-    vacuum(lake)
-    check_state("after spill-pid compact + vacuum")
-
-    # stage 2: compact K2's natural pid → tombstone must survive
-    compact(lake, buckets=[q2])
-    vacuum(lake)
-    check_state("after tombstone-pid compact + vacuum")
-
-    assert lookup(lake, k1, "x.py")["content"] == "h1-v8192"
-    assert lookup(lake, k2, "x.py") is None
-    assert audit_lake(lake)["checksum_ok"]
-
-    # vacuumed change-feed history now fails loudly, not mid-scan
-    with pytest.raises(FileNotFoundError, match="vacuum"):
-        changes_between(lake, -1, 0)
-
-
 def test_lake_datasink_mid_dataset_evolution_single_write(tmp_path):
     """ONE sink write (schema=None) over a dataset whose blocks straddle
     an add-column evolution must commit the widened union — the evolved
@@ -889,16 +826,14 @@ def test_export_snapshot_resumable_and_salt_correct(wal_dir, ref_state,
     """Snapshot export == read_lake row set (sha multiset vs the
     reference interpreter), a re-run after deleting _SUCCESS skips
     every finished bucket, a deleted bucket file is re-exported without
-    touching the others, and an engineered salted hot key (its max-lsn
-    row living under a salted pid, not its natural one) exports its
-    newest value — the salt-span closure at work."""
+    touching the others, and a hot key (one version per write block)
+    exports its newest value under its own bucket."""
     import glob
     import os
 
     import pyarrow as pa
 
     from etl_ray.state.export import export_snapshot
-    from etl_ray.util import key_hash64
 
     lake = str(tmp_path / "lake")
     replay(wal_dir, lake, N_EPOCHS, num_partitions=64)  # B=8 buckets
@@ -923,9 +858,7 @@ def test_export_snapshot_resumable_and_salt_correct(wal_dir, ref_state,
     assert os.path.exists(victim)
     assert all(os.path.getmtime(f) == t for f, t in mtimes.items())
 
-    # salted hot key: 8193 updates in one epoch salt across pids
-    # q..q+7; the max-lsn event (lsn 8192 ≡ 0 mod 8) stays on the
-    # natural pid but lsn 8191 lands on q+7 — export must not pick it
+    # hot key: 8193 updates in one epoch, several stored versions
     P2 = 64
     rows = [{"lsn": i, "epoch": 0, "op": "I" if i == 0 else "U",
              "repo": "org/hot", "path": "x.py", "commit": f"c{i}",
@@ -948,81 +881,39 @@ def test_export_snapshot_resumable_and_salt_correct(wal_dir, ref_state,
     hot = snap[snap.repo == "org/hot"]
     assert len(hot) == 1 and hot.iloc[0]["content"] == "v8192"
     assert len(snap) == 51
-    # and the hot row's bucket is its NATURAL bucket
-    kh = int(key_hash64(pa.table({"repo": pa.array(["org/hot"]),
-                                  "path": pa.array(["x.py"])}),
-                        ["repo", "path"])[0])
-    nat_bucket = (kh % P2) * (P2 // 8) // P2
-    bf = glob.glob(f"{out2}/bucket={nat_bucket}/*.parquet")
+    # and the hot row sits under its own bucket
+    bf = glob.glob(f"{out2}/bucket={_bucket('org/hot', 'x.py', P2, 8)}/"
+                   "*.parquet")
     assert any("v8192" in pq.read_table(f)["content"].to_pylist()
                for f in bf)
 
 
-def test_export_fully_salted_key_not_lost(tmp_path):
-    """A hot key whose every surviving event salted AWAY from its
-    natural pid (all lsns ≡ 7 mod SALT_FACTOR) leaves its natural
-    entry empty — the export must still emit it, under its natural
-    bucket, via the reverse salt span (regression: export used to
-    launch tasks only for entry keys with visible files)."""
-    import glob
+def test_layout_fence_refuses_older_lakes(wal_dir, tmp_path):
+    """A lake whose manifests carry an older key_hash_version (routing
+    or layout, e.g. hot-key salting) is refused by every path that
+    consumes persisted routing."""
+    import json
     import os
 
-    import pyarrow as pa
-
     from etl_ray.state.export import export_snapshot
+    from etl_ray.state.lake import lookup
 
-    P2 = 64
-    rows = [{"lsn": 7 + 8 * j, "epoch": 0, "op": "I" if j == 0 else "U",
-             "repo": "org/ghost", "path": "x.py", "commit": f"c{j}",
-             "lang": "py", "content": f"g{j}", "size": 1}
-            for j in range(4096)]
-    rows.append({"lsn": 2, "epoch": 0, "op": "I", "repo": "org/other",
-                 "path": "y.py", "commit": "k", "lang": "py",
-                 "content": "other", "size": 1})
-    wal = str(tmp_path / "wal")
-    d = os.path.join(wal, "epoch=0")
-    os.makedirs(d)
-    pq.write_table(pa.Table.from_pylist(rows), f"{d}/part-0.parquet")
     lake = str(tmp_path / "lake")
-    replay(wal, lake, 1, num_partitions=P2, mode="sorted")
-
-    out = str(tmp_path / "snap")
-    export_snapshot(lake, out)
-    snap = pa.concat_tables(
-        [pq.read_table(f) for f in glob.glob(f"{out}/bucket=*/*.parquet")]
-    ).to_pandas()
-    ghost = snap[snap.repo == "org/ghost"]
-    assert len(ghost) == 1 and ghost.iloc[0]["content"] == "g4095"
-    assert len(snap) == 2
-
-
-def test_export_salt_span_closure_any_bucketing():
-    """span_keys/reverse_span must close over every salted landing
-    bucket for ANY (P, B) pair — including B that does not divide P,
-    where the old floor-division upper bound dropped the bucket's last
-    natural pid and the closure could omit the entry holding a hot
-    key's max-lsn row (ADVICE r3)."""
-    from etl_ray.state.export import reverse_span, span_keys
-    from etl_ray.state.merge import SALT_FACTOR
-
-    for P2, B in [(64, 8), (12, 5), (13, 5), (7, 3), (96, 7),
-                  (33, 33), (10, 1), (19, 6)]:
-        for p in range(P2):
-            nat = p * B // P2
-            span = set(span_keys(nat, P2, B, "direct", SALT_FACTOR))
-            for s in range(SALT_FACTOR):
-                b_s = ((p + s) % P2) * B // P2
-                # forward closure: every bucket a salted row of a
-                # key natural to `nat` can land in is read by nat's task
-                assert b_s in span, (P2, B, p, s)
-                # reverse closure: the landing bucket's reverse span
-                # names `nat`, so nat's export task is LAUNCHED even if
-                # its natural entry is empty (fully-salted ghost key)
-                assert nat in reverse_span(b_s, P2, B, "direct",
-                                           SALT_FACTOR), (P2, B, p, s)
-    # sorted mode: pid-keyed spans are plain modular windows
-    assert span_keys(6, 8, 8, "sorted", 4) == [6, 7, 0, 1]
-    assert reverse_span(1, 8, 8, "sorted", 4) == [1, 0, 7, 6]
+    replay(wal_dir, lake, 2, num_partitions=P)
+    d = os.path.join(lake, mf.MANIFEST_DIR)
+    for name in os.listdir(d):
+        with open(os.path.join(d, name)) as f:
+            doc = json.load(f)
+        doc["key_hash_version"] = 2
+        with open(os.path.join(d, name), "w") as f:
+            json.dump(doc, f)
+    for call in (lambda: replay(wal_dir, lake, N_EPOCHS, num_partitions=P),
+                 lambda: lookup(lake, "org0/repo0", "src/a.py"),
+                 lambda: compact(lake),
+                 lambda: export_snapshot(lake, str(tmp_path / "snap"))):
+        with pytest.raises(RuntimeError, match="key_hash_version=2"):
+            call()
+    assert mf.last_wal_epoch(lake) == 1  # nothing committed past it
 
 
 def test_view_crash_between_state_files_recovers(wal_dir, tmp_path):

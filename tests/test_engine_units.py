@@ -1,6 +1,5 @@
-"""Unit tests for engine internals: hot-key salting, audit/quarantine
-routing, the Step/Pipeline extension surface, and partition-id
-determinism."""
+"""Unit tests for engine internals: audit/quarantine routing, the
+Step/Pipeline extension surface, and partition-id determinism."""
 
 import os
 
@@ -9,7 +8,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from etl_ray.state.merge import SALT_THRESHOLD, prepare_events
+from etl_ray.state.merge import prepare_events
 
 
 def _wal_table(rows):
@@ -26,20 +25,6 @@ def _ev(lsn, op="I", repo="org0/repo0", path="src/a.py", content="x = 1"):
     return {"lsn": lsn, "epoch": 0, "op": op, "repo": repo, "path": path,
             "commit": f"c{lsn}", "lang": "py", "content": content,
             "size": 5}
-
-
-def test_hot_key_salting_spreads_partitions():
-    """A key with > SALT_THRESHOLD events in one batch is salted across
-    several partitions; cold keys stay on exactly one."""
-    hot = [_ev(i) for i in range(SALT_THRESHOLD + 100)]
-    cold = [_ev(10_000_000 + i, path=f"src/cold_{i % 3}.py") for i in range(30)]
-    t = prepare_events(64)(_wal_table(hot + cold))
-    pid = t["pid"].to_numpy()
-    is_hot = np.array([p == "src/a.py" for p in t["path"].to_pylist()])
-    assert len(np.unique(pid[is_hot])) > 1        # hot key split
-    for i in range(3):
-        m = np.array([p == f"src/cold_{i}.py" for p in t["path"].to_pylist()])
-        assert len(np.unique(pid[m])) == 1        # cold keys unsalted
 
 
 def test_prepare_events_audit_flags():
@@ -122,25 +107,24 @@ def test_orc_datasource_streams_stripes(tmp_path, ray_session):
 
 def test_quarantine_routing_and_lineage(tmp_path, ray_session):
     """Bad events are quarantined (counted, side-filed), good events land
-    in the lake — across both ingest modes."""
+    in the lake."""
     from etl_ray.pipelines.cdc import replay
     from etl_ray.state.lake import read_lake
     from etl_ray.state.lineage import lineage_table
 
     rows = ([_ev(i, path=f"src/f{i}.py") for i in range(20)]
             + [_ev(100 + i, op="X", path=f"src/bad{i}.py") for i in range(5)])
-    for mode in ("direct", "sorted"):
-        wal = str(tmp_path / mode / "wal")
-        os.makedirs(f"{wal}/epoch=0")
-        pq.write_table(_wal_table(rows), f"{wal}/epoch=0/part-0.parquet")
-        lake = str(tmp_path / mode / "lake")
-        replay(wal, lake, 1, num_partitions=8, mode=mode)
-        assert read_lake(lake).count() == 20
-        lin = lineage_table(lake).to_pandas()
-        assert lin["n_quarantined"].sum() == 5
-        qdir = os.path.join(lake, "_quarantine")
-        assert any(f.endswith(".parquet")
-                   for _, _, fs in os.walk(qdir) for f in fs)
+    wal = str(tmp_path / "wal")
+    os.makedirs(f"{wal}/epoch=0")
+    pq.write_table(_wal_table(rows), f"{wal}/epoch=0/part-0.parquet")
+    lake = str(tmp_path / "lake")
+    replay(wal, lake, 1, num_partitions=8)
+    assert read_lake(lake).count() == 20
+    lin = lineage_table(lake).to_pandas()
+    assert lin["n_quarantined"].sum() == 5
+    qdir = os.path.join(lake, "_quarantine")
+    assert any(f.endswith(".parquet")
+               for _, _, fs in os.walk(qdir) for f in fs)
 
 
 def test_step_pipeline_compose(ray_session):

@@ -40,7 +40,7 @@ def main() -> None:
     from etl_ray import util
     from etl_ray.sources import wal as wal_mod
     from etl_ray.state import schema as schema_mod
-    from etl_ray.state.merge import prepare_events, payload_schema
+    from etl_ray.state.merge import bucket_of, prepare_events, payload_schema
     from etl_ray.util import take_runs, sha256_hex_with_prefix, \
         lww_keep_indices
 
@@ -93,9 +93,8 @@ def main() -> None:
         f0, t0 = flt(), time.perf_counter()
         lsn = batch["lsn"].to_numpy()
         epochs = batch["epoch"].to_numpy().astype(np.int64)
-        bucket = (batch["pid"].to_numpy().astype(np.int64)
-                  * num_buckets // bench.CDC_PARTITIONS)
         kh = batch["_kh"].to_numpy()
+        bucket = bucket_of(kh, bench.CDC_PARTITIONS, num_buckets)
         f0, t0 = step("np_cols", f0, t0)
 
         gi = np.arange(len(batch))
