@@ -382,11 +382,12 @@ def test_lookup_row_equals_read_lake_row(tmp_path):
     check("after partial compact + vacuum")
 
 
-def test_single_hot_key_skew_bounded(tmp_path, monkeypatch):
-    """ONE key carrying ~8k updates in one epoch (plus a cold tail):
-    the per-task LWW reduce bounds its skew to at most one row per
-    write block, LWW yields its max-lsn row, lineage still counts every
-    WAL event, and lookup opens only the key's bucket's files."""
+def test_single_hot_key_salting_spreads_partitions(tmp_path, monkeypatch):
+    """ONE key carrying ~8k updates in one epoch (plus a cold tail).
+    Salting is gone; the per-task LWW reduce bounds the key's skew
+    instead, to at most one row per write block. LWW yields its
+    max-lsn row, lineage still counts every WAL event, and lookup
+    opens only the key's bucket's files."""
     import os
 
     import pyarrow as pa
@@ -458,6 +459,102 @@ def test_single_hot_key_skew_bounded(tmp_path, monkeypatch):
         assert got["content"] == f"hot-v{n_hot - 1}", stage
         assert opened == [want], stage
     assert len(want) == 1 < len(mf.committed_files(lake))
+
+
+def test_partial_compact_salted_hot_keys_and_vacuum(tmp_path):
+    """Partial compaction + vacuum over hot keys whose versions are
+    spread across many write blocks' fragments (the case salting used
+    to make hard): K1 takes 8k updates, K2 4k upserts then a delete,
+    interleaved so every fragment serves both keys' buckets. Compacting
+    K1's bucket closes over K2's; the partial base must keep K1's
+    max-lsn row (no stale version resurrects), keep K2 deleted, and
+    keep every cold key of both buckets through vacuum."""
+    import os
+
+    import pyarrow as pa
+
+    from etl_ray.state.lake import (audit_lake, changes_between, lookup,
+                                    vacuum)
+
+    P2, B = 64, 8
+    k1 = next(f"org/h{i}" for i in range(10000))
+    b1 = _bucket(k1, "x.py", P2, B)
+    k2 = next(f"org/h{i}" for i in range(1, 10000)
+              if _bucket(f"org/h{i}", "x.py", P2, B) != b1)
+    b2 = _bucket(k2, "x.py", P2, B)
+
+    def ev(lsn, epoch, op, repo, content):
+        return {"lsn": lsn, "epoch": epoch, "op": op, "repo": repo,
+                "path": "x.py", "commit": f"c{lsn}", "lang": "py",
+                "content": content, "size": 1}
+
+    colds = [f"org/c{j}" for j in range(400)]
+    e0 = [ev(j, 0, "I", c, f"cold-{j}") for j, c in enumerate(colds)]
+    e0 += [ev(500, 0, "I", k1, "h1-v0"), ev(501, 0, "I", k2, "h2-v0")]
+    cold_buckets = {_bucket(c, "x.py", P2, B) for c in colds}
+    assert {b1, b2} <= cold_buckets  # colds share both hot buckets
+    e1 = []
+    lsn = 1000
+    for j in range(8192):  # K1, K2, K1, K1, K2, ... interleaved
+        e1.append(ev(lsn, 1, "U", k1, f"h1-v{lsn}"))
+        h1_last = f"h1-v{lsn}"
+        lsn += 1
+        if j % 2 == 0:
+            e1.append(ev(lsn, 1, "U", k2, f"h2-v{lsn}"))
+            lsn += 1
+    e1.append(ev(lsn, 1, "D", k2, None))
+
+    schema = pa.schema([
+        ("lsn", pa.int64()), ("epoch", pa.int32()), ("op", pa.string()),
+        ("repo", pa.string()), ("path", pa.string()),
+        ("commit", pa.string()), ("lang", pa.string()),
+        ("content", pa.string()), ("size", pa.int64()),
+    ])
+    wal = str(tmp_path / "wal_pc")
+    for k, rows in enumerate((e0, e1)):
+        os.makedirs(f"{wal}/epoch={k}")
+        pq.write_table(pa.Table.from_pylist(rows, schema=schema),
+                       f"{wal}/epoch={k}/part-0.parquet")
+    lake = str(tmp_path / "lake_pc")
+    replay(wal, lake, 1, num_partitions=P2, auto_compact=None)
+    compact(lake)
+    bases = mf.visible_entry_files(lake)
+    replay(wal, lake, 2, num_partitions=P2, auto_compact=None)
+
+    def check_state(stage):
+        final = read_lake(lake).to_pandas()
+        by_key = dict(zip(final.repo, final.content))
+        assert by_key.get(k1) == h1_last, stage   # no stale version
+        assert k2 not in by_key, stage            # delete survives
+        assert sum(r.startswith("org/c") for r in by_key) == 400, stage
+        assert len(final) == 401, stage
+
+    check_state("before compaction")
+    compact(lake, buckets=[b1])
+    man = mf.last_manifest(lake)
+    assert man["partial"] and set(map(int, man["partitions"])) == {b1, b2}
+    vis = mf.visible_entry_files(lake)
+    for k, fs in bases.items():
+        if k not in (b1, b2):
+            assert vis[k] == fs, k  # untouched: still its full base
+    vacuum(lake)
+    check_state("after partial compact + vacuum")
+    # every row of a hot key lives in its own bucket's files
+    for k, fs in vis.items():
+        repos = set()
+        for f in fs:
+            repos |= set(pq.read_table(f, columns=["repo"])["repo"]
+                         .to_pylist())
+        assert (k1 in repos) == (k == b1), k
+        assert k2 not in repos, k
+
+    assert lookup(lake, k1, "x.py")["content"] == h1_last
+    assert lookup(lake, k2, "x.py") is None
+    assert audit_lake(lake)["checksum_ok"]
+
+    # vacuumed change-feed history now fails loudly, not mid-scan
+    with pytest.raises(FileNotFoundError, match="vacuum"):
+        changes_between(lake, -1, 0)
 
 
 def test_time_travel_and_change_feed(wal_dir, ref_state, tmp_path):

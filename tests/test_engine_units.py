@@ -1,5 +1,6 @@
-"""Unit tests for engine internals: audit/quarantine routing, the
-Step/Pipeline extension surface, and partition-id determinism."""
+"""Unit tests for engine internals: the hot-key skew bound,
+audit/quarantine routing, the Step/Pipeline extension surface, and
+partition-id determinism."""
 
 import os
 
@@ -25,6 +26,46 @@ def _ev(lsn, op="I", repo="org0/repo0", path="src/a.py", content="x = 1"):
     return {"lsn": lsn, "epoch": 0, "op": op, "repo": repo, "path": path,
             "commit": f"c{lsn}", "lang": "py", "content": content,
             "size": 5}
+
+
+def test_hot_key_salting_spreads_partitions(tmp_path):
+    """A hot key is no longer salted across partitions: every one of
+    its events keeps the key's own pid, and the fragment writer's
+    per-batch LWW reduce writes ONE row for it (its max-lsn event) —
+    the skew bound that replaced salting. Cold keys stay on one pid
+    each and keep one row each; lineage counts every event."""
+    from etl_ray.state import schema as schema_mod
+    from etl_ray.state.merge import (bucket_of, make_fragment_writer,
+                                     payload_schema)
+
+    P, B = 64, 8
+    n_hot = 4096
+    hot = [_ev(i, op="I" if i == 0 else "U", content=f"v{i}")
+           for i in range(n_hot)]
+    cold = [_ev(10_000_000 + i, path=f"src/cold_{i}.py") for i in range(3)]
+    wal = _wal_table(hot + cold)
+    t = prepare_events(P)(wal)
+    pid = t["pid"].to_numpy()
+    paths = np.array(t["path"].to_pylist())
+    assert len(np.unique(pid[paths == "src/a.py"])) == 1   # not salted
+    for i in range(3):
+        assert len(np.unique(pid[paths == f"src/cold_{i}.py"])) == 1
+
+    lake = str(tmp_path / "lake")
+    entries = make_fragment_writer(
+        lake, schema_mod.to_b64(payload_schema(wal.schema)), None, P, B)(t)\
+        .to_pylist()
+    hot_b = int(bucket_of(t["_kh"].to_numpy()[:1], P, B)[0])
+    assert sum(e["n_events"] for e in entries) == n_hot + 3
+    assert sum(e["n_rows"] for e in entries) == 1 + 3
+    assert sum(e["n_events"] for e in entries if e["pid"] == hot_b) >= n_hot
+    files = {f for e in entries for f in e["files"]}
+    written = pa.concat_tables(
+        pq.read_table(os.path.join(lake, f)) for f in sorted(files))
+    rows = {r["path"]: r for r in written.to_pylist()}
+    assert len(written) == 4 and len(rows) == 4
+    assert rows["src/a.py"]["lsn"] == n_hot - 1
+    assert rows["src/a.py"]["content"] == f"v{n_hot - 1}"
 
 
 def test_prepare_events_audit_flags():
