@@ -48,30 +48,20 @@ from etl_ray.state.merge import (BUCKET_SPAN, make_fragment_writer,
 DEFAULT_WINDOW = 8
 
 # Fraction of a node's CPU slots RESERVED (never running ingest tasks)
-# on the fused read→prep→write hot path: ⌈cpus/8⌉ slots stay free at
-# every level (32→28, 16→14, 8→7, 4→3 concurrent tasks) for the raylet,
-# the kernel page-fault path, and — on shared hypervisors — for the
-# host to keep guest spinlock holders running. Measured on the bench VM
-# in a contended window: 32 concurrent zstd-decode processes spent
+# on the fused read→prep→write hot path: max(1, ⌊cpus/8⌋) slots stay
+# free at every level (32→28, 16→14, 8→7, 4→3 concurrent tasks) for the
+# raylet, the kernel page-fault path, and — on shared hypervisors — for
+# the host to keep guest spinlock holders running. Measured on the bench
+# VM in a contended window: 32 concurrent zstd-decode processes spent
 # 39-84 s of SYSTEM time (page-fault lock contention; walls 4× the
 # 24-process run) while ≤27-wide ran at per-process speed, and the full
 # replay @32 measured 68 s full-width vs 27 s with one slot in eight
 # reserved, same window. Standard capacity practice (Spark/YARN reserve
 # per-node cores the same way), applied to the one fault-heavy path.
-# ETL_RAY_CDC_TASK_CPUS overrides the derived per-task request
-# (1.0 = full width); read at call time so programmatic os.environ
-# changes after import take effect, malformed values fall back to the
-# derived reservation (ADVICE r4).
 
 
 def _task_cpus() -> float:
     """Per-task CPU request implementing the slot reservation above."""
-    env = os.environ.get("ETL_RAY_CDC_TASK_CPUS")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError:
-            pass  # malformed override: use the derived reservation
     try:
         cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:  # noqa: BLE001 — uninitialised session

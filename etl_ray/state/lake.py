@@ -1,15 +1,16 @@
 """Merge-on-read lake scan + compaction (SURVEY.md §2.1 S4).
 
 The lake's committed state is the set of fragment files listed in
-committed manifests. A scan resolves last-writer-wins per key across
-all of them: group rows by key-hash partition (a recomputed
-``upid = hash64(repo,path) % P``) and keep, per (repo, path), the row
-with the max lsn, dropping delete tombstones. The shuffle moves each
-file's rows once.
-
-Every row of a key lives in one bucket (``merge.bucket_of``), so a
-point lookup reads one bucket's files, and compacting a set of buckets
-needs no rows from any other bucket.
+committed manifests. Every row of a key lives in one bucket
+(``merge.bucket_of``) and the manifest lists each bucket's files, so
+every reader resolves bucket by bucket with one kernel,
+``_resolve_bucket``: scan the bucket's visible files, keep the rows
+routed to the bucket, and keep per (repo, path) the row with the max
+lsn, dropping delete tombstones unless asked for them. ``read_lake``,
+``changes_between``, ``compact`` and ``export`` run it as one task per
+bucket; no reader shuffles rows between tasks. A point lookup reads one
+bucket's files, and compacting a set of buckets needs no rows from any
+other bucket.
 """
 
 from __future__ import annotations
@@ -17,45 +18,72 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pds
 
 import ray.data
 
 from etl_ray.state import manifest as mf
 from etl_ray.state import schema as schema_mod
 from etl_ray.state.merge import KEY_COLS, bucket_of
-from etl_ray.util import (add_pid_column, key_hash64, lww_keep_indices,
-                          take_runs)
+from etl_ray.util import key_hash64, lww_keep_indices, take_runs
 
 
-def _resolve_group(group: pa.Table, keep_deletes: bool = False) -> pa.Table:
-    """Within one key-hash partition: per-key max-lsn row; tombstones
-    dropped (state read) or kept (change feed).
+def _resolve_bucket(files: list[str], bucket: int, P: int, B: int,
+                    schema: pa.Schema, keep_deletes: bool = False
+                    ) -> pa.Table:
+    """The merge-on-read kernel: one bucket's visible files → its
+    resolved rows.
+
+    One ``pyarrow.dataset`` scan of ``files`` with ``schema`` plus
+    ``lsn, op, content_sha256`` (columns missing from pre-evolution
+    files come back as nulls), keeps the rows routed to ``bucket`` (a
+    range fragment can serve several buckets), then the per-key
+    max-lsn row. Tombstones are dropped with ``lsn, op`` (state read)
+    or kept with them (change feed).
 
     Hash-keyed exact LWW (util.lww_keep_indices); the resolve must emit
     exactly one row per key, so the pathological mixed-hash-run case
-    falls back to the string-keyed duplicated() path.
+    falls back to a string-keyed dedup of the key columns.
     """
-    lsn = group["lsn"].to_numpy()
-    kh = key_hash64(group, KEY_COLS)
-    keep, mixed = lww_keep_indices(kh, lsn, group.select(KEY_COLS))
-    if mixed:  # two distinct keys share a 64-bit hash in this partition
+    full = pa.schema(list(schema) + [pa.field("lsn", pa.int64()),
+                                     pa.field("op", pa.string()),
+                                     pa.field("content_sha256", pa.string())])
+    t = pds.dataset(list(dict.fromkeys(files)), schema=full,
+                    format="parquet").to_table()
+    kh = key_hash64(t, KEY_COLS)
+    mine = bucket_of(kh, P, B) == bucket
+    t, kh = t.filter(pa.array(mine)), kh[mine]
+    lsn = t["lsn"].to_numpy()
+    keep, mixed = lww_keep_indices(kh, lsn, t.select(KEY_COLS))
+    if mixed:  # two distinct keys share a 64-bit hash in this bucket
         order = np.argsort(-lsn, kind="stable")
-        df = group.select(KEY_COLS).to_pandas()
+        df = t.select(KEY_COLS).to_pandas()
         keep_m = ~df.iloc[order].duplicated().to_numpy()
         keep = np.sort(order[keep_m])
-    latest = take_runs(group, keep)  # keep is ascending — run gather
+    latest = take_runs(t, keep)  # keep is ascending — run gather
     if keep_deletes:
-        return latest.drop_columns(["upid"])
+        return latest
     live = latest.filter(pc.not_equal(latest["op"], "D"))
-    return live.drop_columns(["upid", "lsn", "op"])
+    return live.drop_columns(["lsn", "op"])
 
 
-def read_lake(lake_dir: str, num_partitions: int | None = None,
-              keep_sha: bool = True,
+def _per_bucket(files: dict[int, list[str]], fn) -> "ray.data.Dataset":
+    """A lazy Dataset with one task per non-empty bucket of ``files``:
+    ``fn(bucket, its files)`` → that bucket's table."""
+    items = [{"bucket": k, "files": fs}
+             for k, fs in sorted(files.items()) if fs]
+    ds = ray.data.from_items(items, override_num_blocks=len(items))
+    return ds.map_batches(lambda b: fn(b["bucket"][0].as_py(),
+                                       b["files"][0].as_py()),
+                          batch_size=1, batch_format="pyarrow")
+
+
+def read_lake(lake_dir: str, keep_sha: bool = True,
               columns: list[str] | None = None,
-              as_of_epoch: int | None = None,
-              _files: list[str] | None = None) -> "ray.data.Dataset":
-    """Scan the converged state of the lake (merge-on-read).
+              as_of_epoch: int | None = None) -> "ray.data.Dataset":
+    """Scan the converged state of the lake (merge-on-read): one
+    ``_resolve_bucket`` task per bucket with visible files, so the
+    task count is the manifest's bucket count.
 
     ``columns`` prunes the payload at the Parquet read — only the
     requested columns plus the merge metadata (key, lsn, op, sha) leave
@@ -71,18 +99,14 @@ def read_lake(lake_dir: str, num_partitions: int | None = None,
     at or before the epoch (vacuum deletes older deltas, the standard
     VACUUM/time-travel trade-off).
     """
-    files = (_files if _files is not None
-             else mf.committed_files(lake_dir, as_of_epoch=as_of_epoch))
+    vis = mf.visible_entry_files(lake_dir, as_of_epoch=as_of_epoch)
     man = (mf.last_manifest(lake_dir) if as_of_epoch is None
            else mf.manifest_as_of(lake_dir, as_of_epoch))
     schema = (None if man is None
               else schema_mod.from_b64(man["schema_b64"]))
-    if not files or schema is None:
+    if not any(vis.values()) or schema is None:
         return ray.data.from_arrow(
             pa.Table.from_pylist([], schema=schema or pa.schema([])))
-    P = num_partitions or man["num_partitions"]
-
-    lake_schema = schema
     if columns is not None:
         unknown = set(columns) - set(schema.names)
         if unknown:
@@ -91,32 +115,13 @@ def read_lake(lake_dir: str, num_partitions: int | None = None,
                 f"schema has {schema.names}")
         schema = pa.schema([f for f in schema
                             if f.name in set(columns) | set(KEY_COLS)])
-    full = pa.schema(list(schema) + [pa.field("lsn", pa.int64()),
-                                     pa.field("op", pa.string()),
-                                     pa.field("content_sha256", pa.string())])
+    P, B = man["num_partitions"], man["num_buckets"]
 
-    def _conform(t: pa.Table) -> pa.Table:
-        t = schema_mod.conform(t, full)
-        return add_pid_column(t, KEY_COLS, P, pid_col="upid")
+    def _resolve(bucket: int, files: list[str]) -> pa.Table:
+        t = _resolve_bucket(files, bucket, P, B, schema)
+        return t if keep_sha else t.drop_columns(["content_sha256"])
 
-    read_cols = None if columns is None else list(
-        dict.fromkeys([*KEY_COLS, *columns, "lsn", "op", "content_sha256"]))
-    # passing the unified schema (projected to the read columns) makes
-    # the scan evolution-safe: delta files written before an add-column
-    # gain the column as nulls instead of failing the projection
-    by_name = {f.name: f for f in lake_schema}
-    by_name.update({"lsn": pa.field("lsn", pa.int64()),
-                    "op": pa.field("op", pa.string()),
-                    "content_sha256": pa.field("content_sha256", pa.string())})
-    read_schema = pa.schema([by_name[c] for c in
-                             (read_cols if read_cols is not None else by_name)])
-    ds = ray.data.read_parquet(files, columns=read_cols, schema=read_schema)
-    ds = ds.map_batches(_conform, batch_format="pyarrow")
-    out = ds.groupby("upid").map_groups(_resolve_group,
-                                        batch_format="pyarrow")
-    if not keep_sha:
-        out = out.drop_columns(["content_sha256"])
-    return out
+    return _per_bucket(vis, _resolve)
 
 
 def lookup(lake_dir: str, repo: str, path: str) -> dict | None:
@@ -142,7 +147,6 @@ def lookup(lake_dir: str, repo: str, path: str) -> dict | None:
     ``lsn``). At scale this is the index-free read path a serving
     layer would wrap in an actor holding decoded manifests.
     """
-    import pyarrow.dataset as pds
     import pyarrow.parquet as pq
 
     man = mf.last_manifest(lake_dir)
@@ -195,38 +199,27 @@ def changes_between(lake_dir: str, from_epoch: int,
     """CDC CHANGE FEED: the net per-key change between two checkpoints.
 
     Reads ONLY the delta files of WAL epochs in (from_epoch, to_epoch]
-    (manifest-pruned — no full-lake scan) and resolves max-lsn per key
-    across them, keeping tombstones: one row per changed key with
-    ``op`` = upsert after-image ("I"/"U", payload as of to_epoch) or
-    "D", plus the deciding ``lsn``. Applying the feed to the
-    as-of-from_epoch state reproduces the as-of-to_epoch state exactly
-    (tested) — the engine is therefore both a CDC consumer and a CDC
-    producer for downstream incremental pipelines.
+    (manifest-pruned — no full-lake scan) and resolves each bucket's
+    deltas with ``_resolve_bucket``, keeping tombstones: one row per
+    changed key with ``op`` = upsert after-image ("I"/"U", payload as of
+    to_epoch) or "D", plus the deciding ``lsn``. Applying the feed to
+    the as-of-from_epoch state reproduces the as-of-to_epoch state
+    exactly (tested) — the engine is therefore both a CDC consumer and
+    a CDC producer for downstream incremental pipelines.
     """
     mf.check_key_hash(lake_dir)  # defensive read-side version fence
     files = mf.change_files(lake_dir, from_epoch, to_epoch)
     man = mf.manifest_as_of(lake_dir, to_epoch)
-    if not files or man is None:
+    if not any(files.values()) or man is None:
         return ray.data.from_arrow(pa.Table.from_pylist(
             [], schema=pa.schema([("repo", pa.string()),
                                   ("path", pa.string()),
                                   ("op", pa.string()),
                                   ("lsn", pa.int64())])))
     schema = schema_mod.from_b64(man["schema_b64"])
-    P = man["num_partitions"]
-    full = pa.schema(list(schema) + [pa.field("lsn", pa.int64()),
-                                     pa.field("op", pa.string()),
-                                     pa.field("content_sha256", pa.string())])
-
-    def _conform(t: pa.Table) -> pa.Table:
-        t = schema_mod.conform(t, full)
-        return add_pid_column(t, KEY_COLS, P, pid_col="upid")
-
-    ds = ray.data.read_parquet(files, schema=full)
-    ds = ds.map_batches(_conform, batch_format="pyarrow")
-    return ds.groupby("upid").map_groups(
-        lambda g: _resolve_group(g, keep_deletes=True),
-        batch_format="pyarrow")
+    P, B = man["num_partitions"], man["num_buckets"]
+    return _per_bucket(files, lambda bucket, fs: _resolve_bucket(
+        fs, bucket, P, B, schema, keep_deletes=True))
 
 
 def audit_lake(lake_dir: str, verify_content: bool = False) -> dict:
@@ -247,35 +240,20 @@ def audit_lake(lake_dir: str, verify_content: bool = False) -> dict:
     """
     from etl_ray.util import sha256_hex_with_prefix
 
-    vis = mf.visible_entry_files(lake_dir)
     man = mf.last_manifest(lake_dir)
     empty = {"rows_expected": 0, "rows_scanned": 0, "checksum_ok": True,
              "content_mismatches": 0}
     if man is None:
         return empty
 
-    # expected global (xor of entry checksums, sum of rows) — same
-    # per-key visibility walk as the readers, then folded
-    state: dict[int, tuple[int, int]] = {}
-    for seq in mf.committed_epochs(lake_dir):
-        m = mf.read_manifest(lake_dir, seq)
-        if m.get("base"):
-            if m.get("partial"):
-                for k_s in m["partitions"]:
-                    state[int(k_s)] = (0, 0)
-            else:
-                state = {}
-        for k_s, e in m["partitions"].items():
-            k = int(k_s)
-            cs, nr = state.get(k, (0, 0))
-            state[k] = (cs ^ int(e["checksum"], 16), nr + e["n_rows"])
-    exp_xor, exp_rows = 0, 0
-    for k in vis:
-        cs, nr = state.get(k, (0, 0))
-        exp_xor ^= cs
-        exp_rows += nr
-
-    files = list(dict.fromkeys(f for fs in vis.values() for f in fs))
+    # expected global (xor of entry checksums, sum of rows) over the
+    # same visible entries the readers merge, and their files
+    exp_xor, exp_rows, files = 0, 0, {}
+    for es in mf.visible_entries(lake_dir).values():
+        for e in es:
+            exp_xor ^= int(e["checksum"], 16)
+            exp_rows += e["n_rows"]
+            files.update(dict.fromkeys(mf.entry_files(lake_dir, e)))
     if not files:
         return {**empty, "rows_expected": exp_rows,
                 "checksum_ok": exp_rows == 0}
@@ -299,7 +277,7 @@ def audit_lake(lake_dir: str, verify_content: bool = False) -> dict:
         })
 
     ds = ray.data.read_parquet(
-        files, columns=["content_sha256"]
+        list(files), columns=["content_sha256"]
         + (["content"] if verify_content else []))
     got = ds.map_batches(_scan, batch_format="pyarrow").to_pandas()
     got_xor = 0
@@ -352,16 +330,21 @@ def compact(lake_dir: str, buckets: list[int] | None = None) -> int:
     readers then ignore all earlier manifests). ``buckets=[...]``
     compacts only those buckets (PARTIAL base), with the target set
     first CLOSED over shared range-fragment files: a file is rewritten
-    only if every bucket it serves is being compacted. Every row of a
-    key lives in its bucket, so the closed set's files hold every
-    version of every key they touch.
+    only if every bucket it serves is being compacted, so every row of
+    a visible file still belongs to a visible entry (``audit_lake`` and
+    ``vacuum`` rely on it).
 
-    Either way base rows carry lsn=0 / op="I" (any later event
-    out-lives them under LWW), tombstones are dropped, and entries
-    carry n_events=0 (rewrites, not WAL events — lineage event sums
-    stay equal to the WAL count). Returns the compacted live-row count.
+    Each target bucket is one task: ``_resolve_bucket`` over the
+    bucket's visible files, then the bucket's base file is written and
+    its entry row returned — no rows cross tasks. Base rows carry
+    lsn=0 / op="I" (any later event out-lives them under LWW),
+    tombstones are dropped, and entries carry n_events=0 (rewrites, not
+    WAL events — lineage event sums stay equal to the WAL count).
+    Returns the compacted live-row count.
     """
     import os
+
+    from etl_ray.state.merge import _atomic_write
 
     man = mf.last_manifest(lake_dir)
     if man is None:
@@ -370,19 +353,13 @@ def compact(lake_dir: str, buckets: list[int] | None = None) -> int:
     # hwm/covered buckets from the persisted manifests — version-mixed
     # routing would commit a base that loses keys; fence first
     mf.check_key_hash(lake_dir)
-    schema = mf.current_schema(lake_dir)
+    schema = schema_mod.from_b64(man["schema_b64"])
     P, num_buckets = man["num_partitions"], man["num_buckets"]
     seq = mf.last_committed(lake_dir) + 1
-    schema_b64 = schema_mod.to_b64(schema)
+    vis = mf.visible_entry_files(lake_dir)
 
-    def _bkey(t: pa.Table) -> pa.Table:
-        b = bucket_of(key_hash64(t, KEY_COLS), P, num_buckets)
-        return t.append_column("_bkey", pa.array(b, pa.int32()))
-
-    subset_files: list[str] | None = None
     targets: set[int] | None = None
     if buckets is not None:
-        vis = mf.visible_entry_files(lake_dir)
         owners: dict[str, set[int]] = {}
         for k, fs in vis.items():
             for f in fs:
@@ -394,52 +371,47 @@ def compact(lake_dir: str, buckets: list[int] | None = None) -> int:
             if grown == targets:
                 break
             targets = grown
-        subset_files = list(dict.fromkeys(
-            f for k in sorted(targets) for f in vis.get(k, [])))
-        if not subset_files:
+        vis = {k: vis.get(k, []) for k in targets}
+        if not any(vis.values()):
             return 0
 
-    def _write_base(group: pa.Table) -> pa.Table:
-        schema_l = schema_mod.from_b64(schema_b64)
-        key = int(group["_bkey"][0].as_py())
-        g = schema_mod.conform(
-            group.drop_columns([c for c in group.column_names
-                                if c not in schema_l.names]), schema_l)
-        g = g.append_column("lsn", pa.array(np.zeros(len(g), np.int64)))
-        g = g.append_column("op", pa.array(["I"] * len(g), pa.string()))
-        g = g.append_column("content_sha256", group["content_sha256"])
+    def _write_base(bucket: int, files: list[str]) -> pa.Table:
+        t = _resolve_bucket(files, bucket, P, num_buckets, schema)
+        n = len(t)
+        rel = os.path.join(mf.DATA_DIR, f"bucket={bucket}",
+                           f"base-{seq}.parquet")
+        if n:
+            base = (t.drop_columns(["content_sha256"])
+                    .append_column("lsn", pa.array(np.zeros(n, np.int64)))
+                    .append_column("op", pa.array(["I"] * n, pa.string()))
+                    .append_column("content_sha256", t["content_sha256"]))
+            path = os.path.join(lake_dir, rel)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            _atomic_write(base, path)
         checksum = 0
-        for sh in g["content_sha256"].to_pylist():
+        for sh in t["content_sha256"].to_pylist():
             if sh is not None:
                 checksum ^= int(sh[:16], 16)
-        rel = os.path.join(mf.DATA_DIR, f"bucket={key}",
-                           f"base-{seq}.parquet")
-        path = os.path.join(lake_dir, rel)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        from etl_ray.state.merge import _atomic_write
-
-        _atomic_write(g, path)
         return pa.table({
-            "pid": pa.array([key], pa.int32()),
+            "pid": pa.array([bucket], pa.int32()),
             "files": pa.array([[rel]], pa.list_(pa.string())),
             "lsn_min": pa.array([0], pa.int64()),
             "lsn_max": pa.array([0], pa.int64()),
             "n_events": pa.array([0], pa.int64()),
             "n_upserts": pa.array([0], pa.int64()),
             "n_deletes": pa.array([0], pa.int64()),
-            "n_rows": pa.array([len(g)], pa.int64()),
+            "n_rows": pa.array([n], pa.int64()),
             "n_quarantined": pa.array([0], pa.int64()),
             "checksum": pa.array([f"{checksum:016x}"], pa.string()),
             "hwm": pa.array([-1], pa.int64()),
         })
 
-    resolved = read_lake(lake_dir, _files=subset_files)
-    entries = (resolved.map_batches(_bkey, batch_format="pyarrow")
-               .groupby("_bkey").map_groups(_write_base,
-                                            batch_format="pyarrow"))
-    rows = entries.take_all()
+    rows = (_per_bucket(vis, _write_base).take_all()
+            if any(vis.values()) else [])
+    # a bucket left without live rows wrote no file: it gets the empty
+    # covered-bucket entry below
     partitions = {int(r["pid"]): {k: r[k] for k in r if k != "pid"}
-                  for r in rows}
+                  for r in rows if r["n_rows"]}
     if targets is not None:
         stray = set(partitions) - targets
         if stray:  # one bucket per key guarantees this never happens

@@ -266,32 +266,31 @@ def commit_base(lake_dir: str, schema: pa.Schema, partitions: dict[int, dict],
     return seq
 
 
-def _entry_files(lake_dir: str, entry: dict) -> list[str]:
+def entry_files(lake_dir: str, entry: dict) -> list[str]:
+    """Absolute paths of one manifest entry's data files (none if the
+    entry holds no rows)."""
     if entry["n_rows"] <= 0:
         return []
     return [os.path.join(lake_dir, rel) for rel in entry["files"]]
 
 
-def visible_entry_files(lake_dir: str,
-                        as_of_epoch: int | None = None
-                        ) -> dict[int, list[str]]:
-    """Per-bucket lists of data files a reader must merge.
+def visible_entries(lake_dir: str,
+                    as_of_epoch: int | None = None) -> dict[int, list[dict]]:
+    """Per-bucket lists of the committed entries a reader must merge.
 
     Replays the manifest log: a FULL base (``base: true``) resets every
-    key's visible set to the base's own files; a PARTIAL base
+    bucket's visible set to the base's own entries; a PARTIAL base
     (``base`` + ``partial: true``, written by bucket-subset compaction)
-    resets only the keys it covers; ordinary epoch manifests append.
+    resets only the buckets it covers; ordinary epoch manifests append.
     ``as_of_epoch`` time-travels by ignoring manifests past that WAL
     epoch (vacuum limits how far back this reaches — pre-base deltas it
     deleted are gone, the Delta/Iceberg VACUUM trade-off).
     """
-    manifests = [read_manifest(lake_dir, ep)
-                 for ep in committed_epochs(lake_dir)]
-    if as_of_epoch is not None:
-        manifests = [m for m in manifests
-                     if m.get("epoch", -1) <= as_of_epoch]
-    by_key: dict[int, list[str]] = {}
-    for m in manifests:
+    by_key: dict[int, list[dict]] = {}
+    for seq in committed_epochs(lake_dir):
+        m = read_manifest(lake_dir, seq)
+        if as_of_epoch is not None and m.get("epoch", -1) > as_of_epoch:
+            continue
         if m.get("base"):
             if m.get("partial"):
                 for k_s in m["partitions"]:
@@ -299,9 +298,17 @@ def visible_entry_files(lake_dir: str,
             else:
                 by_key = {}
         for k_s, entry in m["partitions"].items():
-            by_key.setdefault(int(k_s), []).extend(
-                _entry_files(lake_dir, entry))
+            by_key.setdefault(int(k_s), []).append(entry)
     return by_key
+
+
+def visible_entry_files(lake_dir: str,
+                        as_of_epoch: int | None = None
+                        ) -> dict[int, list[str]]:
+    """Per-bucket lists of data files a reader must merge (the files of
+    ``visible_entries``)."""
+    return {k: [f for e in es for f in entry_files(lake_dir, e)]
+            for k, es in visible_entries(lake_dir, as_of_epoch).items()}
 
 
 def committed_files(lake_dir: str,
@@ -316,20 +323,22 @@ def committed_files(lake_dir: str,
 
 
 def change_files(lake_dir: str, from_epoch: int,
-                 to_epoch: int) -> list[str]:
-    """Delta files carrying the WAL epochs in (from_epoch, to_epoch] —
-    the CDC change-feed file set. Base manifests are rewrites, not
-    changes, and are skipped."""
-    files = []
+                 to_epoch: int) -> dict[int, list[str]]:
+    """bucket → delta files carrying the WAL epochs in (from_epoch,
+    to_epoch] — the CDC change-feed file set. Base manifests are
+    rewrites, not changes, and are skipped."""
+    by_key: dict[int, list[str]] = {}
     for seq in committed_epochs(lake_dir):
         m = read_manifest(lake_dir, seq)
         if m.get("base"):
             continue
         if from_epoch < m.get("epoch", -1) <= to_epoch:
-            for entry in m["partitions"].values():
-                files.extend(_entry_files(lake_dir, entry))
-    files = list(dict.fromkeys(files))
-    missing = [f for f in files if not os.path.exists(f)]
+            for k_s, entry in m["partitions"].items():
+                by_key.setdefault(int(k_s), []).extend(
+                    entry_files(lake_dir, entry))
+    missing = [f for f in dict.fromkeys(f for fs in by_key.values()
+                                        for f in fs)
+               if not os.path.exists(f)]
     if missing:
         raise FileNotFoundError(
             f"change feed for WAL epochs ({from_epoch}, {to_epoch}] needs "
@@ -337,4 +346,4 @@ def change_files(lake_dir: str, from_epoch: int,
             f"after compaction (e.g. {os.path.relpath(missing[0], lake_dir)})"
             " — this history range is no longer reproducible (the "
             "time-travel/VACUUM trade-off documented on read_lake)")
-    return files
+    return by_key

@@ -331,14 +331,6 @@ def embedding_matrix(col: pa.ChunkedArray | pa.Array,
     return M if M.dtype == dtype else M.astype(dtype)
 
 
-def add_pid_column(tbl: pa.Table, key_cols: list[str], num_partitions: int,
-                   pid_col: str = "pid") -> pa.Table:
-    """Append a stable hash-partition id column ``pid = h64(key) % P``."""
-    pid = (key_hash64(tbl, key_cols)
-           % np.uint64(num_partitions)).astype(np.int32)
-    return tbl.append_column(pid_col, pa.array(pid, type=pa.int32()))
-
-
 def lww_keep_indices(kh: np.ndarray, lsn: np.ndarray,
                      keys: pa.Table | pa.Array,
                      extra: np.ndarray | None = None

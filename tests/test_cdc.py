@@ -14,6 +14,9 @@ from etl_ray.state import manifest as mf
 from etl_ray.state.lake import compact, read_lake
 
 N_KEYS, N_REPOS, N_EPOCHS, P = 200, 12, 4, 8
+# the core equality tests at one bucket (P=8) and at eight (P=64), where
+# each bucket's resolve keeps only its rows of shared range fragments
+BUCKETINGS = pytest.mark.parametrize("P", [8, 64])
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +43,8 @@ def lake_shas(lake_dir):
     return sorted(tbl["content_sha256"].tolist())
 
 
-def test_full_replay_matches_reference(wal_dir, ref_state, tmp_path):
+@BUCKETINGS
+def test_full_replay_matches_reference(wal_dir, ref_state, tmp_path, P):
     lake = str(tmp_path / "lake")
     s = replay(wal_dir, lake, N_EPOCHS, num_partitions=P)
     assert s["epochs_applied"] == N_EPOCHS
@@ -99,7 +103,8 @@ def test_schema_evolution(wal_dir, tmp_path):
     assert e0.field("size").type == "int32"
 
 
-def test_compaction_preserves_state(wal_dir, ref_state, tmp_path):
+@BUCKETINGS
+def test_compaction_preserves_state(wal_dir, ref_state, tmp_path, P):
     lake = str(tmp_path / "lake")
     replay(wal_dir, lake, N_EPOCHS, num_partitions=P)
     before = lake_shas(lake)
@@ -557,7 +562,8 @@ def test_partial_compact_salted_hot_keys_and_vacuum(tmp_path):
         changes_between(lake, -1, 0)
 
 
-def test_time_travel_and_change_feed(wal_dir, ref_state, tmp_path):
+@BUCKETINGS
+def test_time_travel_and_change_feed(wal_dir, ref_state, tmp_path, P):
     """as-of reads reproduce any checkpoint's state, and the change feed
     between two checkpoints replays one state into the other exactly."""
     from etl_ray.state.lake import changes_between
@@ -873,7 +879,8 @@ def test_lake_datasink_mid_dataset_evolution_single_write(tmp_path):
     assert pd.isna(by_repo["org/r10"])      # pre-evolution backfilled
 
 
-def test_incremental_view_maintenance(wal_dir, tmp_path):
+@BUCKETINGS
+def test_incremental_view_maintenance(wal_dir, tmp_path, P):
     """Materialized view (count + int sum per group) maintained from
     the change feed: incremental refresh == full recompute at EVERY
     epoch checkpoint, stepwise == one-jump, and a caught-up refresh is
@@ -983,6 +990,75 @@ def test_export_snapshot_resumable_and_salt_correct(wal_dir, ref_state,
                    "*.parquet")
     assert any("v8192" in pq.read_table(f)["content"].to_pylist()
                for f in bf)
+
+
+def test_lake_reads_run_no_all_to_all(wal_dir, ref_state, tmp_path,
+                                      monkeypatch):
+    """Every lake read resolves bucket by bucket from the manifest's
+    file lists. With Ray Data's groupby (an all-to-all shuffle) made to
+    raise in the driver, an 8-bucket lake still reads, time-travels,
+    feeds changes, refreshes a view, compacts (partial, then full) and
+    exports to exactly the reference replay's state."""
+    import glob
+
+    import ray.data
+
+    from etl_ray.state.export import export_snapshot
+    from etl_ray.state.lake import changes_between
+    from etl_ray.state.views import create_view, read_view, refresh_view
+
+    P2 = 64  # 8 buckets, range fragments shared between them
+    lake = str(tmp_path / "lake")
+    replay(wal_dir, lake, N_EPOCHS, num_partitions=P2)
+
+    def no_shuffle(self, *a, **kw):
+        raise AssertionError("a lake read ran a Ray Data groupby")
+
+    monkeypatch.setattr(ray.data.Dataset, "groupby", no_shuffle)
+    want = ref_shas(ref_state)
+    assert lake_shas(lake) == want
+    t = read_lake(lake, columns=["size"], keep_sha=False).to_pandas()
+    assert list(t.columns) == ["repo", "path", "size"]
+    assert sorted(zip(t.repo, t.path, t["size"])) == sorted(
+        (*k, v["size"]) for k, v in ref_state.items())
+
+    # time travel + change feed: state(as of 1) + feed(1, N-1] == final
+    asof = read_lake(lake, as_of_epoch=1).to_pandas()
+    assert sorted(asof.content_sha256) == sorted(
+        hashlib.sha256(v["content"].encode()).hexdigest()
+        for v in reference_replay(wal_dir, 2).values())
+    state = dict(zip(zip(asof.repo, asof.path), asof.content_sha256))
+    feed = changes_between(lake, 1, N_EPOCHS - 1).to_pandas()
+    for r in feed.itertuples():  # one row per changed key
+        if r.op == "D":
+            state.pop((r.repo, r.path), None)
+        else:
+            state[(r.repo, r.path)] = r.content_sha256
+    assert sorted(state.values()) == want
+
+    # view: as-of-1 scan, then a feed + retraction-scan refresh
+    vdir = str(tmp_path / "view")
+    create_view(lake, vdir, ["lang"], ["size"], as_of_epoch=1)
+    refresh_view(lake, vdir)
+    groups = {}
+    for v in ref_state.values():
+        n, total = groups.get(v["lang"], (0, 0))
+        groups[v["lang"]] = (n + 1, total + v["size"])
+    view = read_view(vdir).to_pandas()
+    assert dict(zip(view.lang, zip(view.n, view.sum_size))) == groups
+
+    b = _bucket(*next(iter(ref_state)), P2, 8)
+    assert compact(lake, buckets=[b]) > 0
+    assert mf.last_manifest(lake)["partial"]
+    assert lake_shas(lake) == want
+    assert compact(lake) == len(ref_state)
+    assert lake_shas(lake) == want
+
+    out = str(tmp_path / "snap")
+    export_snapshot(lake, out)
+    assert sorted(sha for f in glob.glob(f"{out}/bucket=*/*.parquet")
+                  for sha in pq.read_table(f)["content_sha256"]
+                  .to_pylist()) == want
 
 
 def test_layout_fence_refuses_older_lakes(wal_dir, tmp_path):

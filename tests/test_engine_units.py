@@ -286,7 +286,7 @@ def test_rolling_poly_matches_naive_reference():
 
 
 def test_task_cpus_reservation_widths(monkeypatch):
-    """cdc._task_cpus reserves ceil(cpus/8) slots at every level: the
+    """cdc._task_cpus reserves max(1, cpus//8) slots at every level: the
     effective task width floor(cpus / task_cpus) must be exactly
     cpus - max(1, cpus//8) (32→28, 16→14, 8→7, 4→3), with no float
     rounding losing an extra slot."""
@@ -296,7 +296,6 @@ def test_task_cpus_reservation_widths(monkeypatch):
 
     from etl_ray.pipelines import cdc
 
-    monkeypatch.delenv("ETL_RAY_CDC_TASK_CPUS", raising=False)
     for cpus, want_width in ((1, 1), (2, 1), (3, 2), (4, 3), (8, 7),
                              (16, 14), (32, 28), (64, 56), (256, 224)):
         monkeypatch.setattr(ray_mod, "cluster_resources",
@@ -304,14 +303,6 @@ def test_task_cpus_reservation_widths(monkeypatch):
         tc = cdc._task_cpus()
         assert tc >= 1.0
         assert math.floor(cpus / tc) == want_width, (cpus, tc)
-    # env override wins (read at call time) and allows full width
-    monkeypatch.setenv("ETL_RAY_CDC_TASK_CPUS", "1.0")
-    assert cdc._task_cpus() == 1.0
-    # malformed override falls back to the derived reservation
-    monkeypatch.setenv("ETL_RAY_CDC_TASK_CPUS", "fast")
-    monkeypatch.setattr(ray_mod, "cluster_resources",
-                        lambda: {"CPU": 32.0})
-    assert math.floor(32 / cdc._task_cpus()) == 28
 
 
 def test_take_runs_matches_table_take_across_layouts():
