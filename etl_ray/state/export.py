@@ -26,31 +26,12 @@ from __future__ import annotations
 import json
 import os
 
+import pyarrow as pa
 import pyarrow.parquet as pq
-
-import ray
 
 from etl_ray.state import manifest as mf
 from etl_ray.state import schema as schema_mod
-from etl_ray.state.lake import _resolve_bucket
-
-
-@ray.remote
-def _export_bucket(files: list[str], out_path: str, schema_b64: str,
-                   key: int, P: int, num_buckets: int) -> dict:
-    """Resolve one bucket with the shared kernel and write one Parquet
-    file (atomic, skip-if-exists)."""
-    if os.path.exists(out_path):
-        return {"key": key, "n_rows": pq.read_metadata(out_path).num_rows,
-                "skipped": True}
-    table = _resolve_bucket(files, key, P, num_buckets,
-                            schema_mod.from_b64(schema_b64))
-    os.makedirs(os.path.dirname(out_path), exist_ok=True)
-    tmp = f"{out_path}.tmp.{os.getpid()}"
-    # level 3: smaller + faster-decoding than the default (merge.py note)
-    pq.write_table(table, tmp, compression="zstd", compression_level=3)
-    os.replace(tmp, out_path)
-    return {"key": key, "n_rows": len(table), "skipped": False}
+from etl_ray.state.lake import _per_bucket, _resolve_bucket
 
 
 def export_snapshot(lake_dir: str, out_dir: str,
@@ -69,17 +50,31 @@ def export_snapshot(lake_dir: str, out_dir: str,
     epoch = (mf.last_wal_epoch(lake_dir) if as_of_epoch is None
              else as_of_epoch)
     P, B = man["num_partitions"], man["num_buckets"]
+    schema = schema_mod.from_b64(man["schema_b64"])
     vis = mf.visible_entry_files(lake_dir, as_of_epoch=as_of_epoch)
-    refs = []
-    for k, files in sorted(vis.items()):
-        if not files:
-            continue
-        out_path = os.path.join(out_dir, f"bucket={k}",
+
+    def _export_bucket(bucket: int, files: list[str]) -> pa.Table:
+        """Resolve one bucket with the shared kernel and write one
+        Parquet file (atomic, skip-if-exists)."""
+        out_path = os.path.join(out_dir, f"bucket={bucket}",
                                 f"part-e{epoch}.parquet")
-        refs.append(_export_bucket.remote(
-            files, out_path, man["schema_b64"], k,
-            P, B))
-    results = ray.get(refs)
+        skipped = os.path.exists(out_path)
+        if skipped:
+            n = pq.read_metadata(out_path).num_rows
+        else:
+            table = _resolve_bucket(files, bucket, P, B, schema)
+            os.makedirs(os.path.dirname(out_path), exist_ok=True)
+            tmp = f"{out_path}.tmp.{os.getpid()}"
+            # level 3: smaller + faster-decoding than the default
+            # (merge.py note)
+            pq.write_table(table, tmp, compression="zstd",
+                           compression_level=3)
+            os.replace(tmp, out_path)
+            n = len(table)
+        return pa.table({"n_rows": [n], "skipped": [skipped]})
+
+    results = (_per_bucket(vis, _export_bucket).take_all()
+               if any(vis.values()) else [])
     summary = {"lake": lake_dir, "out_dir": out_dir, "epoch": int(epoch),
                "n_buckets": len(results),
                "n_rows": int(sum(r["n_rows"] for r in results)),

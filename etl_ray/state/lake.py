@@ -99,6 +99,9 @@ def read_lake(lake_dir: str, keep_sha: bool = True,
     at or before the epoch (vacuum deletes older deltas, the standard
     VACUUM/time-travel trade-off).
     """
+    # the per-bucket row filter replays the manifest's routing with
+    # this build's key hash; an older lake would lose rows silently
+    mf.check_key_hash(lake_dir)
     vis = mf.visible_entry_files(lake_dir, as_of_epoch=as_of_epoch)
     man = (mf.last_manifest(lake_dir) if as_of_epoch is None
            else mf.manifest_as_of(lake_dir, as_of_epoch))
@@ -207,7 +210,7 @@ def changes_between(lake_dir: str, from_epoch: int,
     exactly (tested) — the engine is therefore both a CDC consumer and
     a CDC producer for downstream incremental pipelines.
     """
-    mf.check_key_hash(lake_dir)  # defensive read-side version fence
+    mf.check_key_hash(lake_dir)  # same routing fence as read_lake
     files = mf.change_files(lake_dir, from_epoch, to_epoch)
     man = mf.manifest_as_of(lake_dir, to_epoch)
     if not any(files.values()) or man is None:

@@ -223,11 +223,10 @@ def check_key_hash(lake_dir: str) -> None:
     manifest log; mixing manifests written under different key-hash
     functions silently misroutes keys, so refuse loudly. Enforced on
     BOTH sides: commits (commit_epoch / commit_base) and every read
-    path that consumes persisted routing — lookup's bucket probe,
-    export's per-bucket reads, partial compaction's target set, and the
-    change feed (defensively; its resolve recomputes hashes and is
-    version-independent, but a version-mixed lake is already
-    corrupt-adjacent and should fail fast everywhere). The version also
+    path that consumes persisted routing — lookup's bucket probe and
+    every ``lake._resolve_bucket`` caller (read_lake, the change feed,
+    compaction, export), whose per-bucket row filter keeps only the
+    rows this build's hash routes to the bucket. The version also
     fences layout changes: lakes written before v3 may hold hot-key
     rows outside their key's bucket."""
     man = last_manifest(lake_dir)

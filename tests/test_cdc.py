@@ -1082,6 +1082,7 @@ def test_layout_fence_refuses_older_lakes(wal_dir, tmp_path):
             json.dump(doc, f)
     for call in (lambda: replay(wal_dir, lake, N_EPOCHS, num_partitions=P),
                  lambda: lookup(lake, "org0/repo0", "src/a.py"),
+                 lambda: read_lake(lake).count(),
                  lambda: compact(lake),
                  lambda: export_snapshot(lake, str(tmp_path / "snap"))):
         with pytest.raises(RuntimeError, match="key_hash_version=2"):
