@@ -662,12 +662,11 @@ def run_cdc_child(num_cpus: int) -> None:
     # untimed warmup REPLAY: the north rule's metric is SUSTAINED ingest
     # throughput, i.e. steady-state — but a fresh child's first replay
     # pays every worker's one-time heap first-touch (workers × peak
-    # heap, ~18 GB of faults @32; measured with tools/fault_audit.py
-    # --repeat: pass 0 = 0.56 faults/event vs 0.22-0.27 on every later
-    # pass). That cost is a fixed session constant, not data-
-    # proportional — on a long-running cluster ingest it amortizes to
-    # zero — so the timed replay below measures the steady state the
-    # rule asks about. Both parallelism levels get the identical warmup.
+    # heap, ~18 GB of faults @32; measured in round 5, BASELINE.md:
+    # pass 0 = 0.56 faults/event vs 0.22-0.27 on every later pass).
+    # That cost is a fixed session constant, not data-proportional —
+    # on a long-running cluster ingest it amortizes to zero — so the
+    # timed replay below measures the steady state the rule asks about. Both parallelism levels get the identical warmup.
     warm_lake = lake + "_warm"
     shutil.rmtree(warm_lake, ignore_errors=True)
     replay(wal, warm_lake, CDC_EPOCHS, num_partitions=CDC_PARTITIONS)

@@ -1,9 +1,12 @@
 """The flagship CDC replay pipeline (SURVEY.md §3.1).
 
 Replay processes the WAL in **windows of epochs**. Each window is ONE
-streaming Ray Data execution with no shuffle:
+streaming Ray Data execution with no shuffle, planned by the engine:
 
-    read_epochs(wal, window)                   # S2 bounded WAL tail
+    wal.plan_scan(wal, window)                 # S2: footers, read once
+                                               #   on the driver →
+                                               #   schema + file groups
+      → wal.scan_groups                        # one read per group
       → map_batches(prepare_events)            # M9 audit + key hash
       → map_batches(make_fragment_writer)      # A1/A3/A4: per-task LWW
                                                #   reduce, M7 sha256,
@@ -11,15 +14,31 @@ streaming Ray Data execution with no shuffle:
       → take_all() manifest entry rows         # tiny, one per
                                                #   (epoch, bucket, task)
 
-The three stages fuse into one operator. The repartition-by-key is the
-bucket-partitioned file layout (``merge.bucket_of``); per-key max-lsn
-resolution across tasks and epochs is merge-on-read
-(``state.lake.read_lake``). Commits then run strictly sequentially in
-epoch order with monotonic fencing (S3 phase 2,
-``manifest.commit_entry_rows``), so crash/resume granularity is one
+The driver reads each window file's Parquet footer once: the footers
+give the window's unified schema and each file's row count. It splits
+the files into one group per ingest slot (``floor(cpus /
+_task_cpus())``, the reservation rule below), longest file first to
+the least-loaded group (``wal.group_files``), and each group is one
+task: read, prep and write fuse into one operator and the writer runs
+about once per task, so an epoch gets as few fragment files per task
+as ``merge.MIN_FRAG_ROWS`` packing allows (one below 8,192 rows).
+Ray's Parquet datasource, with its remote footer fetches and sampling,
+is not used. The plan is a pure function of the sorted file list, the
+row counts and the slot count, so a retried task rewrites
+byte-identical, content-addressed fragments.
+
+Memory: a task holds its group's decoded events, about window events ÷
+slots, plus the writer's reduced copy of them. The window
+(``DEFAULT_WINDOW`` epochs) is the one bound on in-flight state, on
+the driver and in every task: lower it for larger epochs.
+
+The repartition-by-key is the bucket-partitioned file layout
+(``merge.bucket_of``); per-key max-lsn resolution across tasks and
+epochs is merge-on-read (``state.lake.read_lake``). Commits then run
+strictly sequentially in epoch order with monotonic fencing (S3 phase
+2, ``manifest.commit_entry_rows``), so crash/resume granularity is one
 window: whatever prefix committed before a crash is skipped on resume,
 the rest recomputes (fragment writes are deterministic + idempotent).
-The window size bounds in-flight state at 10^10-event scale.
 
 The driver holds only: the window loop, the running unified schema, and
 the commits. Merge state (per-bucket lsn high-watermarks) is broadcast
@@ -31,8 +50,6 @@ from __future__ import annotations
 import os
 import time
 
-import pyarrow.dataset as pads
-
 import ray
 import ray.data
 
@@ -43,8 +60,9 @@ from etl_ray.state import schema as schema_mod
 from etl_ray.state.merge import (BUCKET_SPAN, make_fragment_writer,
                                  payload_schema, prepare_events)
 
-# epochs per streaming execution; bounds the entry rows and the
-# uncommitted fragments a crash can lose (tune to cluster size at scale)
+# epochs per streaming execution; bounds the entry rows, the
+# uncommitted fragments a crash can lose and each ingest task's memory
+# (module docstring; tune to cluster size at scale)
 DEFAULT_WINDOW = 8
 
 # Fraction of a node's CPU slots RESERVED (never running ingest tasks)
@@ -74,19 +92,15 @@ def _task_cpus() -> float:
     return max(1.0, cpus / (cpus - reserve) - 0.002)
 
 
-def epoch_schema(wal_dir: str, epoch: int):
-    """Incoming payload schema for an epoch, read from Parquet footers."""
-    return payload_schema(pads.dataset(f"{wal_dir}/epoch={epoch}").schema)
-
-
 def apply_window(wal_dir: str, lake_dir: str, epochs: list[int],
                  num_partitions: int) -> list[dict]:
     """Apply a window of epochs; commit each in ascending order.
 
     One streaming execution reads every epoch of the window (unified
-    schema), runs the stateless prep, and reduces + writes bucket
-    fragments per task (``merge.make_fragment_writer`` handles
-    multi-epoch batches). Entry rows carry their epoch; the commit loop
+    schema, one file group per ingest slot), runs the stateless prep,
+    and reduces + writes bucket fragments per task
+    (``merge.make_fragment_writer`` handles multi-epoch batches). Entry
+    rows carry their epoch; the commit loop
     (``manifest.commit_entry_rows``) stays strictly sequential per epoch
     (monotonic fencing). A window-unified schema keeps all fragments of
     the window mutually compatible.
@@ -94,27 +108,26 @@ def apply_window(wal_dir: str, lake_dir: str, epochs: list[int],
     epochs = [k for k in epochs if k > mf.last_wal_epoch(lake_dir)]
     if not epochs:
         return []
-    unified = mf.current_schema(lake_dir)
-    for k in epochs:
-        unified = schema_mod.unify(unified, epoch_schema(wal_dir, k))
+    # identical num_cpus on read + both maps keeps the three stages
+    # FUSED into one operator (differing resource requests block
+    # fusion and would push every decoded batch through the object
+    # store between stages)
+    task_cpus = _task_cpus()
+    wal_schema, groups = wal_mod.plan_scan(wal_dir, epochs, task_cpus)
+    unified = schema_mod.unify(mf.current_schema(lake_dir),
+                               payload_schema(wal_schema))
     schema_b64 = schema_mod.to_b64(unified)
     hwm_ref = ray.put(mf.high_watermarks(lake_dir))
 
     num_buckets = max(1, num_partitions // BUCKET_SPAN)
-    # identical num_cpus on read + both maps keeps the three stages
-    # FUSED into one operator (differing resource requests block
-    # fusion and would push ~30 GB of decoded batches through the
-    # object store between stages)
-    task_cpus = _task_cpus()
-    ds = wal_mod.read_epochs(wal_dir, epochs, blocks_per_cpu=2.0,
-                             ray_remote_args={"num_cpus": task_cpus})
+    ds = wal_mod.scan_groups(wal_schema, groups, {"num_cpus": task_cpus})
     ds = ds.map_batches(prepare_events(num_partitions),
                         batch_format="pyarrow", num_cpus=task_cpus)
     ds = ds.map_batches(
         make_fragment_writer(lake_dir, schema_b64, hwm_ref,
                              num_partitions, num_buckets),
         batch_format="pyarrow", num_cpus=task_cpus)
-    rows = ds.take_all()  # ≤ (epochs × buckets × tasks) tiny rows
+    rows = ds.take_all()  # ≤ (epochs × buckets × groups) tiny rows
 
     committed = mf.commit_entry_rows(lake_dir, epochs, rows, unified,
                                      num_partitions, num_buckets)

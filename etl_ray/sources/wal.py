@@ -36,11 +36,14 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
+import ray
 import ray.data
 
 from etl_ray.sources.corpus import _VOCAB, SEED
+from etl_ray.state import schema as schema_mod
 from etl_ray.util import key_hash64
 
 DELETE_P = 0.15
@@ -278,17 +281,17 @@ def generate_wal(corpus: "ray.data.Dataset", wal_dir: str, n_epochs: int,
             path = os.path.join(d, f"part-{digest}.parquet")
             if not os.path.exists(path):
                 tmp = f"{path}.tmp.{os.getpid()}"
-                # 16,384-row groups: small groups let the replay's
-                # override_num_blocks split files mid-file → even block
-                # sizes, no straggler tail. A one-row-group-per-file
-                # layout was A/B'd in round 5 and REGRESSED (same-window
-                # fault audit @32: 1.15-1.19 vs 0.77 faults/event, wall
-                # +20%): decoding a whole 65k-row group allocates
-                # huge-class buffers per column per file that the
-                # allocator never retains, while 16k groups decode into
-                # reusable small extents. Multi-chunk downstream cost is
-                # already neutralized by util.take_runs + the reader's
-                # batch_size coalescing below. zstd level 3: ~20%
+                # 16,384-row groups. The replay reads whole files (one
+                # task per file group, read_epochs), so the groups no
+                # longer set its block sizes; they bound the decode's
+                # buffers. A one-row-group-per-file layout was A/B'd in
+                # round 5 and REGRESSED (same-window fault audit @32:
+                # 1.15-1.19 vs 0.77 faults/event, wall +20%): decoding
+                # a whole 65k-row group allocates huge-class buffers
+                # per column per file that the allocator never retains,
+                # while 16k groups decode into reusable small extents.
+                # The multi-chunk tables this yields cost nothing
+                # downstream (util.take_runs). zstd level 3: ~20%
                 # smaller than the default level AND 2× faster to
                 # decode on this content (state/merge.py note)
                 pq.write_table(part, tmp, compression="zstd",
@@ -317,43 +320,77 @@ def generate_wal(corpus: "ray.data.Dataset", wal_dir: str, n_epochs: int,
     return {"n_events": n_events, "n_epochs": n_epochs}
 
 
-def read_epochs(wal_dir: str, epochs: list[int],
-                blocks_per_cpu: float = 2.0,
-                ray_remote_args: dict | None = None) -> "ray.data.Dataset":
-    """Read a WINDOW of epochs as one Dataset (single streaming
-    execution — per-epoch executions each pay ~1-2 s of planning/ramp
-    fixed cost that stops scaling past ~16 CPUs). The unified schema is
-    passed to the scan so pre-evolution files (no ``stars``, int32
-    ``size``) coexist with post-evolution ones in one read."""
-    import pyarrow.dataset as pads
-
-    import ray as _ray
-
-    from etl_ray.state import schema as schema_mod
-
-    dirs = [f"{wal_dir}/epoch={k}" for k in epochs]
-    sch = None
-    for p in dirs:
-        sch = schema_mod.unify(sch, pads.dataset(p).schema)
-    # explicit file lists: ray's parquet datasource skips directory
-    # expansion when an explicit schema is provided
-    paths = [os.path.join(d, f) for d in dirs
-             for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
+def plan_scan(wal_dir: str, epochs: list[int],
+              num_cpus: float) -> tuple[pa.Schema, list[list[str]]]:
+    """Plan a window's WAL scan from its Parquet footers, read once on
+    the driver: the unified WAL schema, and the window's files split by
+    :func:`group_files` into one group per ingest slot. A slot is a
+    task of ``num_cpus``; the session fits ``floor(cpus / num_cpus)``
+    of them at once."""
     try:
-        cpus = int(_ray.cluster_resources().get("CPU", 8))
+        cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:  # noqa: BLE001 — uninitialised session
         cpus = 8
-    n_blocks = max(8, int(cpus * blocks_per_cpu)) * len(epochs)
-    # batch_size rides through to fragment.to_batches: without it the
-    # reader slices each 16k row group into ~5k-row record batches,
-    # tripling the chunk count of every downstream block. With it each
-    # row group decodes as ONE batch (batch_size caps, row-group
-    # boundaries still bound), so blocks carry the minimum chunk count
-    # the file layout allows (see the writer's row-group note).
-    return ray.data.read_parquet(paths, schema=sch,
-                                 override_num_blocks=n_blocks,
-                                 batch_size=65_536,
-                                 ray_remote_args=ray_remote_args or {})
+    sch, paths, rows = None, [], []
+    for k in epochs:
+        d = f"{wal_dir}/epoch={k}"
+        for name in sorted(os.listdir(d)):
+            if name.endswith(".parquet"):
+                meta = pq.read_metadata(os.path.join(d, name))
+                sch = schema_mod.unify(sch, meta.schema.to_arrow_schema())
+                paths.append(os.path.join(d, name))
+                rows.append(meta.num_rows)
+    if not paths:
+        raise FileNotFoundError(f"no WAL files for epochs {epochs} "
+                                f"under {wal_dir}")
+    return sch, group_files(paths, rows, int(cpus // num_cpus))
+
+
+def group_files(paths: list[str], rows: list[int],
+                slots: int) -> list[list[str]]:
+    """Split files into ``min(len(paths), slots)`` groups of near-equal
+    row counts: longest file first, each to the least-loaded group
+    (ties by path, then by group index). A pure function of its inputs,
+    so a retried task reads the same rows and rewrites byte-identical,
+    content-addressed fragments. Greedy-to-least-loaded keeps the
+    largest group within one file's rows of the smallest."""
+    n = min(len(paths), max(1, slots))
+    groups: list[list[str]] = [[] for _ in range(n)]
+    load = [0] * n
+    for i in sorted(range(len(paths)), key=lambda i: (-rows[i], paths[i])):
+        g = min(range(n), key=lambda j: (load[j], j))
+        groups[g].append(paths[i])
+        load[g] += rows[i]
+    return [sorted(g) for g in groups]
+
+
+def scan_groups(schema: pa.Schema, groups: list[list[str]],
+                ray_remote_args: dict) -> "ray.data.Dataset":
+    """One read task per file group: each reads its files with
+    ``pyarrow.dataset`` under the unified schema (pre-evolution files
+    get ``stars`` = null and ``size`` widened) and emits one table."""
+
+    def _read_group(batch: pa.Table) -> pa.Table:
+        files = batch["files"][0].as_py()
+        return pads.dataset(files, schema=schema, format="parquet").to_table()
+
+    return ray.data.from_items(
+        [{"files": g} for g in groups], override_num_blocks=len(groups),
+    ).map_batches(_read_group, batch_size=1, batch_format="pyarrow",
+                  **ray_remote_args)
+
+
+def read_epochs(wal_dir: str, epochs: list[int],
+                ray_remote_args: dict | None = None) -> "ray.data.Dataset":
+    """Read a WINDOW of epochs as one Dataset, planned by the engine:
+    :func:`plan_scan` reads the footers once and groups the files, one
+    group per ingest slot of ``ray_remote_args["num_cpus"]`` (default
+    1), and :func:`scan_groups` reads each group in one task. Ray lists,
+    samples and footer-fetches nothing, and the whole window is one
+    streaming execution."""
+    args = ray_remote_args or {}
+    schema, groups = plan_scan(wal_dir, epochs, args.get("num_cpus", 1))
+    return scan_groups(schema, groups, args)
 
 
 def reference_replay(wal_dir: str, n_epochs: int) -> dict[tuple[str, str], dict]:

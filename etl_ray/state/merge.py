@@ -100,27 +100,14 @@ def prepare_events(num_partitions: int):
     return _prep
 
 
-# per-WORKER memo of deserialized high-watermark index arrays, keyed by
-# (object ref, bucket count): one ray.get + one O(buckets) build per
-# worker per epoch window instead of per batch (the views.py _memo
-# pattern). Bounded — concurrent windows keep at most a few refs live.
-_HWM_MEMO: dict[tuple[str, int], np.ndarray] = {}
-
-
 def _hwm_index(hwm_ref, num_buckets: int) -> np.ndarray:
-    if hwm_ref is None:
-        return np.full(num_buckets, -1, dtype=np.int64)
-    key = (hwm_ref.hex(), num_buckets)
-    arr = _HWM_MEMO.get(key)
-    if arr is None:
-        hwm = ray.get(hwm_ref)
-        arr = np.full(num_buckets, -1, dtype=np.int64)
-        for b, v in hwm.items():
+    """Per-bucket high-watermark array from the broadcast ``{bucket:
+    lsn}`` dict (all -1 when ``hwm_ref`` is None: an empty lake)."""
+    arr = np.full(num_buckets, -1, dtype=np.int64)
+    if hwm_ref is not None:
+        for b, v in ray.get(hwm_ref).items():
             if 0 <= int(b) < num_buckets:
                 arr[int(b)] = v
-        if len(_HWM_MEMO) > 8:
-            _HWM_MEMO.clear()
-        _HWM_MEMO[key] = arr
     return arr
 
 
@@ -167,7 +154,7 @@ def make_fragment_writer(lake_dir: str, schema_b64: str, hwm_ref,
         bucket = bucket_of(kh, num_partitions, num_buckets)
 
         # A3 idempotency: vectorized per-bucket high-watermark filter
-        # (index deserialized + built once per worker per window)
+        # (one ray.get per call; an ingest task makes about one call)
         hwm_arr = _hwm_index(hwm_ref, num_buckets)
         live = lsn > hwm_arr[bucket]
         audit_ok = batch["audit_ok"].to_numpy(zero_copy_only=False)

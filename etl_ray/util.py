@@ -41,8 +41,8 @@ import pyarrow.compute as pc
 #    retained heap instead of fresh mmaps. Measured: repeated 131 MB
 #    take() → 0 faults/iter (vs 131 MB/iter under jemalloc, mimalloc,
 #    or untuned glibc); full-replay fault volume drops accordingly
-#    (tools/fault_audit.py, BASELINE.md round 5). Applied at import so
-#    every Ray worker that loads the engine gets it.
+#    (BASELINE.md round 5). Applied at import so every Ray worker that
+#    loads the engine gets it.
 _decay_ms = os.environ.get("ETL_RAY_JEMALLOC_DECAY_MS", "10000")
 if _decay_ms and _decay_ms != "0":
     try:

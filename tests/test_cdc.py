@@ -56,6 +56,40 @@ def test_full_replay_matches_reference(wal_dir, ref_state, tmp_path, P):
     assert got == want
 
 
+def test_replay_plans_its_own_wal_scan(wal_dir, ref_state, tmp_path,
+                                      monkeypatch):
+    """The replay plans its WAL scan from the footers it reads itself:
+    Ray's Parquet datasource (metadata fetch, sampling) is never used,
+    the lake still equals the reference, and each epoch has at most one
+    fragment file per read group (one group per ingest slot)."""
+    import math
+    import os
+
+    import ray
+    import ray.data
+
+    from etl_ray.pipelines import cdc
+
+    def _no_parquet_datasource(*a, **kw):
+        raise AssertionError("ray.data.read_parquet called")
+
+    monkeypatch.setattr(ray.data, "read_parquet", _no_parquet_datasource)
+    lake = str(tmp_path / "lake")
+    s = replay(wal_dir, lake, N_EPOCHS, num_partitions=64)
+    assert s["epochs_applied"] == N_EPOCHS
+    assert lake_shas(lake) == ref_shas(ref_state)
+    n_files = sum(len(os.listdir(f"{wal_dir}/epoch={k}"))
+                  for k in range(N_EPOCHS))
+    slots = math.floor(ray.cluster_resources()["CPU"] / cdc._task_cpus())
+    groups = min(n_files, slots)
+    per_epoch: dict[str, set] = {}
+    for f in mf.committed_files(lake):
+        per_epoch.setdefault(os.path.basename(f).split("-")[0],
+                             set()).add(f)
+    assert len(per_epoch) == N_EPOCHS
+    assert max(len(v) for v in per_epoch.values()) <= groups
+
+
 def test_resume_from_checkpoint_reconverges(wal_dir, ref_state, tmp_path):
     lake = str(tmp_path / "lake")
     s1 = replay(wal_dir, lake, N_EPOCHS, num_partitions=P, stop_after=2)

@@ -305,6 +305,30 @@ def test_task_cpus_reservation_widths(monkeypatch):
         assert math.floor(cpus / tc) == want_width, (cpus, tc)
 
 
+def test_wal_scan_groups_balanced_and_deterministic():
+    """wal.group_files puts every file in exactly one of min(files,
+    slots) groups, gives the same groups for the same inputs, and keeps
+    the largest group within one file's rows of the smallest."""
+    from etl_ray.sources.wal import group_files
+
+    rng = np.random.default_rng(5)
+    for n_files, slots in ((1, 3), (3, 3), (32, 3), (7, 16), (50, 7)):
+        paths = [f"wal/epoch={i % 4}/part-{i:03d}.parquet"
+                 for i in range(n_files)]
+        rows = rng.integers(0, 3500, n_files).tolist()
+        groups = group_files(paths, rows, slots)
+        assert len(groups) == min(n_files, slots)
+        flat = [p for g in groups for p in g]
+        assert sorted(flat) == sorted(paths)  # each file exactly once
+        assert group_files(paths, rows, slots) == groups
+        # input order does not change the plan
+        rev = group_files(paths[::-1], rows[::-1], slots)
+        assert rev == groups
+        n_rows = dict(zip(paths, rows))
+        load = [sum(n_rows[p] for p in g) for g in groups]
+        assert max(load) - min(load) <= max(rows)
+
+
 def test_take_runs_matches_table_take_across_layouts():
     """util.take_runs == Table.take for every chunk layout / index order
     (it exists to avoid take's full-chunk concatenation, measured at

@@ -1,6 +1,6 @@
 """Single-process fault attribution INSIDE the fragment-writer stage.
 
-The stage-level audit (tools/fault_audit.py) shows the reduce/write
+The round-5 stage-level audit (BASELINE.md) showed the reduce/write
 stage adds ~0.50 faults/event on top of read+prep (~0.15). This tool
 re-runs the _write body's substeps on real prepared batches in ONE
 process with resource.getrusage minflt deltas around each substep, so
