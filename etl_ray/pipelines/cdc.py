@@ -5,32 +5,38 @@ streaming Ray Data execution with no shuffle, planned by the engine:
 
     wal.plan_scan(wal, window)                 # S2: footers, read once
                                                #   on the driver →
-                                               #   schema + file groups
+                                               #   schema + row-group
+                                               #   groups
       → wal.scan_groups                        # one read per group
       → map_batches(prepare_events)            # M9 audit + key hash
       → map_batches(make_fragment_writer)      # A1/A3/A4: per-task LWW
                                                #   reduce, M7 sha256,
                                                #   bucket fragment writes
       → take_all() manifest entry rows         # tiny, one per
-                                               #   (epoch, bucket, task)
+                                               #   (epoch, bucket, block)
 
 The driver reads each window file's Parquet footer once: the footers
-give the window's unified schema and each file's row count. It splits
-the files into one group per ingest slot (``floor(cpus /
-_task_cpus())``, the reservation rule below), longest file first to
-the least-loaded group (``wal.group_files``), and each group is one
-task: read, prep and write fuse into one operator and the writer runs
-about once per task, so an epoch gets as few fragment files per task
-as ``merge.MIN_FRAG_ROWS`` packing allows (one below 8,192 rows).
-Ray's Parquet datasource, with its remote footer fetches and sampling,
-is not used. The plan is a pure function of the sorted file list, the
-row counts and the slot count, so a retried task rewrites
-byte-identical, content-addressed fragments.
+give the window's unified schema and each row group's row count. It
+splits the row groups into one group per ingest slot (``floor(cpus /
+_task_cpus())``, the reservation rule below), largest first to the
+least-loaded group (``wal.group_pieces``), and each group is one task:
+read, prep and write fuse into one operator. Ray's Parquet datasource,
+with its remote footer fetches and sampling, is not used. The plan is
+a pure function of the sorted row-group list, the row counts and the
+slot count, so a retried task rewrites byte-identical,
+content-addressed fragments.
 
-Memory: a task holds its group's decoded events, about window events ÷
-slots, plus the writer's reduced copy of them. The window
-(``DEFAULT_WINDOW`` epochs) is the one bound on in-flight state, on
-the driver and in every task: lower it for larger epochs.
+Memory: a read task yields its group one row group at a time, and
+Ray's output buffer packs them into blocks of its target block size
+(``DataContext.target_max_block_size``, 128 MiB by default). Prep and
+the writer run once per block, so a task holds about one block of
+decoded events plus the writer's reduced copy of it, however large the
+window or the group. A group below the target size is one block: the
+writer runs once per task and an epoch gets as few fragment files per
+task as ``merge.MIN_FRAG_ROWS`` packing allows (one below 8,192 rows).
+Larger groups cost one writer call, and so up to one fragment file per
+(epoch, bucket), per block. The window (``DEFAULT_WINDOW`` epochs)
+bounds the entry rows and the driver's commit work.
 
 The repartition-by-key is the bucket-partitioned file layout
 (``merge.bucket_of``); per-key max-lsn resolution across tasks and
@@ -60,9 +66,8 @@ from etl_ray.state import schema as schema_mod
 from etl_ray.state.merge import (BUCKET_SPAN, make_fragment_writer,
                                  payload_schema, prepare_events)
 
-# epochs per streaming execution; bounds the entry rows, the
-# uncommitted fragments a crash can lose and each ingest task's memory
-# (module docstring; tune to cluster size at scale)
+# epochs per streaming execution; bounds the entry rows and the
+# uncommitted fragments a crash can lose (tune to cluster size at scale)
 DEFAULT_WINDOW = 8
 
 # Fraction of a node's CPU slots RESERVED (never running ingest tasks)
@@ -97,7 +102,7 @@ def apply_window(wal_dir: str, lake_dir: str, epochs: list[int],
     """Apply a window of epochs; commit each in ascending order.
 
     One streaming execution reads every epoch of the window (unified
-    schema, one file group per ingest slot), runs the stateless prep,
+    schema, one row-group group per ingest slot), runs the stateless prep,
     and reduces + writes bucket fragments per task
     (``merge.make_fragment_writer`` handles multi-epoch batches). Entry
     rows carry their epoch; the commit loop

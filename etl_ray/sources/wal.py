@@ -31,12 +31,14 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
+import pyarrow.fs as pafs
 import pyarrow.parquet as pq
 
 import ray
@@ -281,10 +283,12 @@ def generate_wal(corpus: "ray.data.Dataset", wal_dir: str, n_epochs: int,
             path = os.path.join(d, f"part-{digest}.parquet")
             if not os.path.exists(path):
                 tmp = f"{path}.tmp.{os.getpid()}"
-                # 16,384-row groups. The replay reads whole files (one
-                # task per file group, read_epochs), so the groups no
-                # longer set its block sizes; they bound the decode's
-                # buffers. A one-row-group-per-file layout was A/B'd in
+                # 16,384-row groups. A row group is the replay's scan
+                # unit (read_epochs): the planner balances groups of
+                # them across ingest slots, and a read task decodes and
+                # yields one at a time, so the groups bound both the
+                # plan's imbalance and each decode's buffers. A
+                # one-row-group-per-file layout was A/B'd in
                 # round 5 and REGRESSED (same-window fault audit @32:
                 # 1.15-1.19 vs 0.77 faults/event, wall +20%): decoding
                 # a whole 65k-row group allocates huge-class buffers
@@ -320,77 +324,94 @@ def generate_wal(corpus: "ray.data.Dataset", wal_dir: str, n_epochs: int,
     return {"n_events": n_events, "n_epochs": n_epochs}
 
 
+Piece = tuple[str, int]  # (WAL file path, row-group index)
+
+
 def plan_scan(wal_dir: str, epochs: list[int],
-              num_cpus: float) -> tuple[pa.Schema, list[list[str]]]:
+              num_cpus: float) -> tuple[pa.Schema, list[list[Piece]]]:
     """Plan a window's WAL scan from its Parquet footers, read once on
-    the driver: the unified WAL schema, and the window's files split by
-    :func:`group_files` into one group per ingest slot. A slot is a
-    task of ``num_cpus``; the session fits ``floor(cpus / num_cpus)``
-    of them at once."""
+    the driver: the unified WAL schema, and the window's row groups
+    split by :func:`group_pieces` into one group per ingest slot. A
+    slot is a task of ``num_cpus``; the session fits ``floor(cpus /
+    num_cpus)`` of them at once."""
     try:
         cpus = int(ray.cluster_resources().get("CPU", 8))
     except Exception:  # noqa: BLE001 — uninitialised session
         cpus = 8
-    sch, paths, rows = None, [], []
+    sch, pieces, rows = None, [], []
     for k in epochs:
         d = f"{wal_dir}/epoch={k}"
         for name in sorted(os.listdir(d)):
             if name.endswith(".parquet"):
-                meta = pq.read_metadata(os.path.join(d, name))
+                path = os.path.join(d, name)
+                meta = pq.read_metadata(path)
                 sch = schema_mod.unify(sch, meta.schema.to_arrow_schema())
-                paths.append(os.path.join(d, name))
-                rows.append(meta.num_rows)
-    if not paths:
-        raise FileNotFoundError(f"no WAL files for epochs {epochs} "
+                for i in range(meta.num_row_groups):
+                    pieces.append((path, i))
+                    rows.append(meta.row_group(i).num_rows)
+    if not pieces:
+        raise FileNotFoundError(f"no WAL row groups for epochs {epochs} "
                                 f"under {wal_dir}")
-    return sch, group_files(paths, rows, int(cpus // num_cpus))
+    return sch, group_pieces(pieces, rows, int(cpus // num_cpus))
 
 
-def group_files(paths: list[str], rows: list[int],
-                slots: int) -> list[list[str]]:
-    """Split files into ``min(len(paths), slots)`` groups of near-equal
-    row counts: longest file first, each to the least-loaded group
-    (ties by path, then by group index). A pure function of its inputs,
-    so a retried task reads the same rows and rewrites byte-identical,
-    content-addressed fragments. Greedy-to-least-loaded keeps the
-    largest group within one file's rows of the smallest."""
-    n = min(len(paths), max(1, slots))
-    groups: list[list[str]] = [[] for _ in range(n)]
+def group_pieces(pieces: list[Piece], rows: list[int],
+                 slots: int) -> list[list[Piece]]:
+    """Split (file, row group) pieces into ``min(len(pieces), slots)``
+    groups of near-equal row counts: largest piece first, each to the
+    least-loaded group (ties by piece, then by group index). A pure
+    function of its inputs, so a retried task reads the same rows and
+    rewrites byte-identical, content-addressed fragments.
+    Greedy-to-least-loaded keeps the largest group within one piece's
+    rows of the smallest, and a window with fewer files than slots
+    still fills every slot once its files have enough row groups."""
+    n = min(len(pieces), max(1, slots))
+    groups: list[list[Piece]] = [[] for _ in range(n)]
     load = [0] * n
-    for i in sorted(range(len(paths)), key=lambda i: (-rows[i], paths[i])):
+    for i in sorted(range(len(pieces)), key=lambda i: (-rows[i], pieces[i])):
         g = min(range(n), key=lambda j: (load[j], j))
-        groups[g].append(paths[i])
+        groups[g].append(pieces[i])
         load[g] += rows[i]
     return [sorted(g) for g in groups]
 
 
-def scan_groups(schema: pa.Schema, groups: list[list[str]],
-                ray_remote_args: dict) -> "ray.data.Dataset":
-    """One read task per file group: each reads its files with
-    ``pyarrow.dataset`` under the unified schema (pre-evolution files
-    get ``stars`` = null and ``size`` widened) and emits one table."""
+def read_pieces(schema: pa.Schema,
+                pieces: Iterable[Piece]) -> Iterator[pa.Table]:
+    """Decode pieces one row group at a time, in order, under the
+    unified schema: pre-evolution files get ``stars`` = null and
+    ``size`` widened."""
+    fs, fmt = pafs.LocalFileSystem(), pads.ParquetFileFormat()
+    for path, rg in pieces:
+        yield fmt.make_fragment(path, fs,
+                                row_groups=[rg]).to_table(schema=schema)
 
-    def _read_group(batch: pa.Table) -> pa.Table:
-        files = batch["files"][0].as_py()
-        return pads.dataset(files, schema=schema, format="parquet").to_table()
+
+def scan_groups(schema: pa.Schema, groups: list[list[Piece]],
+                ray_remote_args: dict) -> "ray.data.Dataset":
+    """One read task per group. The task yields its pieces one row
+    group at a time (:func:`read_pieces`); Ray's output buffer packs
+    them into blocks of its target block size
+    (``DataContext.target_max_block_size``), so the stages fused behind
+    the read see about one block at a time, however large the group."""
+
+    def _read_group(batch: pa.Table) -> Iterator[pa.Table]:
+        yield from read_pieces(schema, zip(batch["path"][0].as_py(),
+                                           batch["row_group"][0].as_py()))
 
     return ray.data.from_items(
-        [{"files": g} for g in groups], override_num_blocks=len(groups),
+        [{"path": [p for p, _ in g], "row_group": [i for _, i in g]}
+         for g in groups], override_num_blocks=len(groups),
     ).map_batches(_read_group, batch_size=1, batch_format="pyarrow",
                   **ray_remote_args)
 
 
-def read_epochs(wal_dir: str, epochs: list[int],
-                ray_remote_args: dict | None = None) -> "ray.data.Dataset":
+def read_epochs(wal_dir: str, epochs: list[int]) -> "ray.data.Dataset":
     """Read a WINDOW of epochs as one Dataset, planned by the engine:
-    :func:`plan_scan` reads the footers once and groups the files, one
-    group per ingest slot of ``ray_remote_args["num_cpus"]`` (default
-    1), and :func:`scan_groups` reads each group in one task. Ray lists,
-    samples and footer-fetches nothing, and the whole window is one
-    streaming execution."""
-    args = ray_remote_args or {}
-    schema, groups = plan_scan(wal_dir, epochs, args.get("num_cpus", 1))
-    return scan_groups(schema, groups, args)
+    :func:`plan_scan` reads the footers once and groups the row groups,
+    one group per CPU, and :func:`scan_groups` reads each group in one
+    streaming task. Ray lists, samples and footer-fetches nothing, and
+    the whole window is one streaming execution."""
+    return scan_groups(*plan_scan(wal_dir, epochs, 1), {})
 
 
 def reference_replay(wal_dir: str, n_epochs: int) -> dict[tuple[str, str], dict]:

@@ -154,7 +154,7 @@ def make_fragment_writer(lake_dir: str, schema_b64: str, hwm_ref,
         bucket = bucket_of(kh, num_partitions, num_buckets)
 
         # A3 idempotency: vectorized per-bucket high-watermark filter
-        # (one ray.get per call; an ingest task makes about one call)
+        # (one ray.get per call, i.e. per block of Ray's target size)
         hwm_arr = _hwm_index(hwm_ref, num_buckets)
         live = lsn > hwm_arr[bucket]
         audit_ok = batch["audit_ok"].to_numpy(zero_copy_only=False)

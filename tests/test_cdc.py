@@ -78,16 +78,53 @@ def test_replay_plans_its_own_wal_scan(wal_dir, ref_state, tmp_path,
     s = replay(wal_dir, lake, N_EPOCHS, num_partitions=64)
     assert s["epochs_applied"] == N_EPOCHS
     assert lake_shas(lake) == ref_shas(ref_state)
-    n_files = sum(len(os.listdir(f"{wal_dir}/epoch={k}"))
-                  for k in range(N_EPOCHS))
+    n_row_groups = sum(pq.read_metadata(f"{wal_dir}/epoch={k}/{n}")
+                       .num_row_groups
+                       for k in range(N_EPOCHS)
+                       for n in os.listdir(f"{wal_dir}/epoch={k}"))
     slots = math.floor(ray.cluster_resources()["CPU"] / cdc._task_cpus())
-    groups = min(n_files, slots)
+    per_epoch = fragments_per_epoch(lake)
+    assert len(per_epoch) == N_EPOCHS
+    assert max(per_epoch.values()) <= min(n_row_groups, slots)
+
+
+def test_replay_streams_large_groups_in_blocks(wal_dir, ref_state,
+                                               tmp_path):
+    """A group larger than Ray's target block size reaches prep and the
+    writer in several blocks, so one task makes several writer calls,
+    which can span an epoch boundary; the lake still equals the
+    reference."""
+    import math
+
+    import ray
+    from ray.data import DataContext
+
+    from etl_ray.pipelines import cdc
+
+    ctx = DataContext.get_current()
+    target = ctx.target_max_block_size
+    ctx.target_max_block_size = 64 * 1024  # a fixture group is ~450 KB
+    try:
+        lake = str(tmp_path / "lake")
+        s = replay(wal_dir, lake, N_EPOCHS, num_partitions=P)
+    finally:
+        ctx.target_max_block_size = target
+    assert s["epochs_applied"] == N_EPOCHS
+    assert lake_shas(lake) == ref_shas(ref_state)
+    # more fragment files in an epoch than tasks: the writer ran per block
+    slots = math.floor(ray.cluster_resources()["CPU"] / cdc._task_cpus())
+    assert max(fragments_per_epoch(lake).values()) > slots
+
+
+def fragments_per_epoch(lake_dir) -> dict[str, int]:
+    """Committed fragment files per epoch (the name's first field)."""
+    import os
+
     per_epoch: dict[str, set] = {}
-    for f in mf.committed_files(lake):
+    for f in mf.committed_files(lake_dir):
         per_epoch.setdefault(os.path.basename(f).split("-")[0],
                              set()).add(f)
-    assert len(per_epoch) == N_EPOCHS
-    assert max(len(v) for v in per_epoch.values()) <= groups
+    return {k: len(v) for k, v in per_epoch.items()}
 
 
 def test_resume_from_checkpoint_reconverges(wal_dir, ref_state, tmp_path):

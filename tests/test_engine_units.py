@@ -306,27 +306,64 @@ def test_task_cpus_reservation_widths(monkeypatch):
 
 
 def test_wal_scan_groups_balanced_and_deterministic():
-    """wal.group_files puts every file in exactly one of min(files,
-    slots) groups, gives the same groups for the same inputs, and keeps
-    the largest group within one file's rows of the smallest."""
-    from etl_ray.sources.wal import group_files
+    """wal.group_pieces puts every (file, row group) piece in exactly
+    one of min(pieces, slots) groups, gives the same groups for the
+    same inputs in any order, and keeps the largest group within one
+    piece's rows of the smallest. Pieces of one file spread across
+    slots, so a one-file window still fills them."""
+    from etl_ray.sources.wal import group_pieces
 
     rng = np.random.default_rng(5)
-    for n_files, slots in ((1, 3), (3, 3), (32, 3), (7, 16), (50, 7)):
-        paths = [f"wal/epoch={i % 4}/part-{i:03d}.parquet"
-                 for i in range(n_files)]
-        rows = rng.integers(0, 3500, n_files).tolist()
-        groups = group_files(paths, rows, slots)
-        assert len(groups) == min(n_files, slots)
+    for n_files, max_rgs, slots in ((1, 1, 3), (1, 4, 3), (3, 1, 3),
+                                    (32, 1, 3), (7, 3, 16), (50, 2, 7)):
+        pieces = [(f"wal/epoch={i % 4}/part-{i:03d}.parquet", g)
+                  for i in range(n_files)
+                  for g in range(int(rng.integers(1, max_rgs + 1)))]
+        rows = rng.integers(0, 16_385, len(pieces)).tolist()
+        groups = group_pieces(pieces, rows, slots)
+        assert len(groups) == min(len(pieces), slots)
         flat = [p for g in groups for p in g]
-        assert sorted(flat) == sorted(paths)  # each file exactly once
-        assert group_files(paths, rows, slots) == groups
+        assert sorted(flat) == sorted(pieces)  # each piece exactly once
+        assert group_pieces(pieces, rows, slots) == groups
         # input order does not change the plan
-        rev = group_files(paths[::-1], rows[::-1], slots)
+        rev = group_pieces(pieces[::-1], rows[::-1], slots)
         assert rev == groups
-        n_rows = dict(zip(paths, rows))
+        n_rows = dict(zip(pieces, rows))
         load = [sum(n_rows[p] for p in g) for g in groups]
         assert max(load) - min(load) <= max(rows)
+    one_file = [("wal/epoch=0/part-a.parquet", g) for g in range(4)]
+    assert len(group_pieces(one_file, [16_384] * 4, 3)) == 3
+
+
+def test_wal_read_pieces_yields_row_groups_under_unified_schema(tmp_path):
+    """wal.read_pieces decodes one row group per yield, in piece order,
+    and reads a pre-evolution file under the unified schema (stars =
+    null, size widened), so a read task never holds more than one row
+    group beyond what Ray has already packed into blocks."""
+    import types
+
+    from etl_ray.sources.wal import read_pieces
+    from etl_ray.state import schema as schema_mod
+
+    old = pa.table({"lsn": pa.array(range(10), pa.int64()),
+                    "size": pa.array(range(10), pa.int32())})
+    new = pa.table({"lsn": pa.array(range(10, 14), pa.int64()),
+                    "size": pa.array(range(4), pa.int64()),
+                    "stars": pa.array(range(4), pa.int64())})
+    pq.write_table(old, tmp_path / "a.parquet", row_group_size=4)
+    pq.write_table(new, tmp_path / "b.parquet", row_group_size=4)
+    schema = schema_mod.unify(old.schema, new.schema)
+    pieces = [(str(tmp_path / "a.parquet"), 2),
+              (str(tmp_path / "a.parquet"), 0),
+              (str(tmp_path / "b.parquet"), 0)]
+    it = read_pieces(schema, pieces)
+    assert isinstance(it, types.GeneratorType)  # decodes per next()
+    got = list(it)
+    assert [t.num_rows for t in got] == [2, 4, 4]
+    assert all(t.schema == schema for t in got)
+    assert got[0]["lsn"].to_pylist() == [8, 9]
+    assert got[1]["stars"].null_count == 4
+    assert got[2]["stars"].to_pylist() == [0, 1, 2, 3]
 
 
 def test_take_runs_matches_table_take_across_layouts():
