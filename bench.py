@@ -1,32 +1,27 @@
 """Benchmark CLI (SURVEY.md §3.3, §6).
 
-Default mode: runs the headline pipelines over ``$GRAFT_SF_DIR``
-(default /root/testdata/sf0.1) under one local Ray session with
-``num_cpus=$RAY_GRAFT_CPUS`` (default 32) and prints ONE JSON line:
+Default mode: replays the CDC WAL (the headline ``cdc_replay`` row) and
+runs the ``BENCH_QUERIES`` over ``$GRAFT_SF_DIR`` (default
+/root/testdata/sf0.1) in one local Ray session with
+``num_cpus=$RAY_GRAFT_CPUS`` (default 32). Every row is best-of-2 with
+both walls recorded. Prints ONE JSON line:
 
-    {"metric": "...", "value": N, "unit": "sec", "queries": {...},
-     "sf": ..., "num_cpus": N}
+    {"metric": "bench_total_sec", "value": N, "unit": "sec",
+     "queries": {...}, "sf": ..., "num_cpus": N, "host_cpus": N,
+     "warmup": false, "arrow_pool": "...", "cdc_events_per_s": N, ...}
 
-``--scaling``: runs the CDC-replay headline job in FRESH child
-processes at two parallelism pairs on the same synthesized WAL — the
-sandbox proxy for the N→4N-node cluster criterion in BASELINE.json:2
-(no real cluster is available here). It reports BOTH pairs, 8→32 CPUs
-(the driver-suggested pair) and 4→16 CPUs, with every trial wall AND
-a per-trial host-health probe recorded (self-certifying artifact).
-The protocol lake lives on tmpfs by default — the per-node-disk
-proxy; see the SCALING_LAKE_ROOT note for the measured single-device
-throttling evidence that motivates it. Single-VM caveats, measured (see BASELINE.md for the full
-evidence): pure compute scales 0.87-0.94 to 32 workers and warm
-memcpy scales to ~100 GB/s aggregate, but (a) the kernel's
-fresh-page fault path collapses under many concurrent faulting
-processes (1/4/16 procs fault at 1.5/5.6/0.4 GB/s), (b) the host's
-performance drifts 2-3× on ~10-minute scales, hitting the
-all-32-vCPUs-busy regime hardest (no spare cycle for raylet/driver),
-and (c) with THP enabled the box degrades ~100× under fragmentation
-(_tune_host disables it). On a real 4N-node cluster each node brings
-its own kernel, memory and disk, so none of these shared-box effects
-applies; 4→16 (headroom at both levels) is the cleaner node-scaling
-proxy, and best-of-3 trials per level estimate steady state.
+``--scaling``: replays the same WAL in a fresh child process per
+parallelism level of ``SCALING_PAIRS``, interleaving the levels in
+``SCALING_ROUNDS`` rounds, and reports each pair's scaling efficiency
+from the per-level minimum wall (plus one ratio per round). Each child
+runs an untimed warm-up replay first, so the timed replay measures
+steady-state throughput. Scaling children write their lake under
+``$RAY_GRAFT_SCALING_LAKE`` (default /dev/shm/etl_ray_bench).
+
+``host_cpus`` (the affinity mask), ``warmup`` (whether the timed
+replay followed an untimed one) and ``arrow_pool`` (the driver's Arrow
+allocator) record the protocol: walls compare only between records
+that agree on them.
 
 Owns its Ray session (scripts do; library code never calls ray.init).
 """
@@ -43,47 +38,27 @@ import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+# Fixed-size object store, identical at every parallelism level, so the
+# scaling pairs compare compute parallelism rather than whatever
+# fraction of free memory Ray would size the store to (0 = Ray default).
+OBJECT_STORE_BYTES = \
+    int(os.environ.get("RAY_GRAFT_STORE_GB", "24")) * 1024**3
 
-# WAL sizing for the CDC headline job (same input for both scaling runs).
-# ~7.8 events/key ⇒ ~17M events: large enough that
-# per-event work (audit/sha256/shuffle/merge) dominates per-epoch fixed
-# overhead (actor-pool spin-up, commit barrier), so the two-parallelism
-# comparison measures the pipeline, not the orchestration floor.
+# WAL sizing for the CDC headline job (same input for both modes).
+# Update-heavy churn, ~7.8 events/key ⇒ ~17M events: large enough that
+# per-event work (audit/sha256/merge/encode) dominates per-window fixed
+# overhead (task spin-up, commit barrier).
 CDC_KEYS, CDC_REPOS, CDC_EPOCHS, CDC_PARTITIONS = 2_200_000, 11_000, 4, 128
-CDC_UPDATE_P = 0.85  # update-heavy churn: ~7.8 events/key (CDC regime)
-# wal4: zstd-3 WAL files (same logical events as wal3 — smaller bytes,
-# 2× faster decode; see etl_ray/state/merge.py compression note).
-# A wal5 one-row-group-per-file layout was A/B'd in round 5 and
-# regressed (sources/wal.py row-group note); wal4 + read-side
-# batch_size coalescing is the measured best.
+CDC_UPDATE_P = 0.85
+# zstd-3 WAL files (see the etl_ray/state/merge.py compression note).
 WAL_DIR = f"/tmp/etl_ray_bench/wal4_k{CDC_KEYS}_e{CDC_EPOCHS}_p{CDC_UPDATE_P}"
-SCALING_PAIRS = ((8, 32), (4, 16))  # N→4N pairs (see module docstring)
 
-# Headline-replay retry policy (round-4 verdict #2): keep the best wall
-# across up to REPLAY_MAX_TRIALS full replays / REPLAY_BUDGET_S seconds,
-# preferring trials whose pre-trial probe was healthy. In a healthy
-# window this is exactly the old best-of-2 (two trials, stop).
-REPLAY_MAX_TRIALS = int(os.environ.get("RAY_GRAFT_REPLAY_TRIALS", "6"))
-REPLAY_BUDGET_S = float(os.environ.get("RAY_GRAFT_REPLAY_BUDGET_S", "900"))
-
-# Lake target for the SCALING protocol children: tmpfs by default.
-# Round-4 finding (full evidence in BASELINE.md): this VM's virtio
-# disk is token-bucket throttled — ~40 MB/s sustained for whole hours
-# with a ~1-2 GB burst bucket — and it is ONE device shared by both
-# proxy "cluster sizes". The replay writes ~2 GB of deltas, so in a
-# throttled phase every parallelism level converges to the same
-# disk-drain wall (measured: best walls 58/51/34/48 s at 4/8/16/32
-# CPUs, i.e. the 8→32 "efficiency" measures the throttle, not the
-# engine). On a real N→4N cluster each node brings its own disk, so
-# aggregate disk bandwidth scales 4× with the cluster — a fixed
-# shared-device budget is precisely the artifact the proxy must not
-# measure. A tmpfs lake reproduces the healthy-window behavior
-# (writes land in page cache, drain async) deterministically at every
-# level. The default bench mode (BENCH json queries table) remains
-# fully disk-backed and self-certified by its host probe; the scaling
-# JSON records `lake_backend` so the artifact states which regime it
-# measured. Set RAY_GRAFT_SCALING_LAKE to a disk path to force the
-# disk-backed protocol.
+SCALING_PAIRS = ((8, 32), (4, 16))  # N→4N pairs
+SCALING_ROUNDS = 3
+# Scaling children write their lake to tmpfs by default: the levels
+# share one disk here, whereas each node of a real N→4N cluster brings
+# its own (BASELINE.md round 4). Set RAY_GRAFT_SCALING_LAKE to a disk
+# path for a disk-backed protocol; the record names the root used.
 SCALING_LAKE_ROOT = os.environ.get(
     "RAY_GRAFT_SCALING_LAKE",
     "/dev/shm/etl_ray_bench" if os.path.isdir("/dev/shm")
@@ -105,261 +80,8 @@ BENCH_QUERIES = [
 ]
 
 
-def _tune_host() -> None:
-    """Best-effort node tuning (standard data-engine practice — Redis/
-    Kafka/Postgres all ship the same guidance): disable transparent
-    hugepages and their on-fault defragmentation. Measured on this VM:
-    with THP=madvise + defrag, anonymous first-touch collapsed to
-    0.1 GB/s under memory fragmentation (87% compact_fail, 680k
-    allocstalls — every fault ran a failing synchronous compaction);
-    with THP off it recovers to ~2 GB/s. No-op without root."""
-    for knob, val in (("/sys/kernel/mm/transparent_hugepage/defrag", "never"),
-                      ("/sys/kernel/mm/transparent_hugepage/enabled", "never")):
-        try:
-            with open(knob, "w") as f:
-                f.write(val)
-        except OSError:
-            pass
-
-
-# Host-health probe thresholds (see _host_probe): healthy first-touch
-# on this VM measures ~2 GB/s; the THP-defrag pathology drops it to
-# 0.03–0.3 GB/s and poisons every wall-clock taken in that state.
-HEALTH_MIN_FIRST_TOUCH_GBPS = 0.7
-# Healthy fdatasync'd writes on this VM sustain ~375 MB/s; measured
-# drifting to ~70 MB/s for whole sessions (round 4) — at 73 MB/s the
-# replay's ~3 GB of delta writes alone cost ~40 s, which is exactly
-# the "host drifts 2-3× on ~10-minute scales" signature round 3 could
-# not attribute. The disk axis is invisible to memory probes.
-HEALTH_MIN_DISK_WRITE_MBPS = 150
-# Parallel-compute floor: in a healthy window 16 threads hashing
-# private in-cache buffers reach >=0.85 of 16x the single-thread rate
-# (measured 0.92 at 8->32 procs). In the round-4 overnight sick
-# windows the box ran @32 replay walls 5-10x slow while EVERY
-# single-threaded axis (first-touch, memcpy, sha, disk) read healthy
-# — the sickness (hypervisor CPU contention) only appears when many
-# vCPUs are busy at once, so the gate must include a many-core axis.
-HEALTH_MIN_PAR_SHA_EFF = 0.55
-# Parallel FAULT floor: the round-4 @32-collapse windows (replay walls
-# 3-10x slow, decode sys-time 39-84 s) were finally caught by a
-# MULTI-PROCESS fresh-page fault probe — 16 procs first-touching
-# private buffers measured 14.1 GB/s aggregate healthy vs 2.7 GB/s
-# sick (shmem 21 -> 0.75) while first_touch (single proc) and par_sha
-# (threads, compute-only, no kernel) both stayed green. The fault path
-# under many-cores-busy is its own axis; it is exactly what the fused
-# decode stage exercises. Needs fork => only measured when no Ray
-# session is live in this process (None otherwise, axis skipped).
-# Gate at 8: a probe of 6.45 still preceded a 55 s @32 wall (5x
-# healthy); the healthy band is 10-14+.
-HEALTH_MIN_PAR_FAULT_GBPS = 8.0
-
-
-def _host_probe() -> dict:
-    """~1 s micro-probe of the host's memory health, embedded in the
-    bench JSON so a recorded run is SELF-CERTIFYING: a reader can
-    distinguish 'engine regressed' from 'host was sick during the
-    recorded run' (VERDICT r3 — the r3 bench regression was
-    host-attributed but not artifact-verifiable). Measures the three
-    axes that drift on this VM: fresh-page first-touch (collapses
-    ~100× under the THP-defrag pathology), warm memcpy (DRAM), and
-    in-cache sha256 (pure compute, drift-stable)."""
-    import hashlib
-
-    import numpy as np
-
-    res: dict = {}
-    mb = 256
-    a = np.empty(mb << 20, np.uint8)
-    t0 = time.perf_counter()
-    a.fill(1)  # dense first-touch: faults + writes every page
-    res["first_touch_gbps"] = round(mb / 1024 / (time.perf_counter() - t0), 2)
-    b = np.empty_like(a)
-    b[:] = a  # fault b's pages (untimed)
-    t0 = time.perf_counter()
-    b[:] = a  # warm copy: pure DRAM streaming
-    res["warm_memcpy_gbps"] = round(mb / 1024 / (time.perf_counter() - t0), 2)
-    buf = memoryview(a)[: 64 << 20]
-    t0 = time.perf_counter()
-    hashlib.sha256(buf).hexdigest()
-    res["sha256_gbps"] = round(64 / 1024 / (time.perf_counter() - t0), 2)
-    # parallel compute: 16 threads each hashing a private warm 8 MB
-    # slice (hashlib releases the GIL on large updates, so plain
-    # threads saturate cores — no fork inside a live Ray driver).
-    # par_sha_eff = aggregate rate / (nthreads x single-thread rate);
-    # collapses under hypervisor CPU contention, the one axis the
-    # single-threaded probes above cannot see.
-    import threading
-    nthread = min(16, os.cpu_count() or 16)
-    slices = [bytes(memoryview(a)[i * (8 << 20):(i + 1) * (8 << 20)])
-              for i in range(nthread)]
-    iters = 8
-
-    def _hash_loop(s: bytes) -> None:
-        for _ in range(iters):
-            hashlib.sha256(s).digest()
-
-    threads = [threading.Thread(target=_hash_loop, args=(s,))
-               for s in slices]
-    t0 = time.perf_counter()
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
-    par_wall = time.perf_counter() - t0
-    agg = nthread * iters * 8 / 1024 / par_wall
-    res["par_sha_agg_gbps"] = round(agg, 2)
-    res["par_sha_eff"] = round(
-        agg / (nthread * max(res["sha256_gbps"], 1e-9)), 3)
-    # disk write, two fdatasync'd 128 MB chunks: the FIRST reads the
-    # burst bucket (this VM's virtio disk is token-bucket rate-limited:
-    # measured 180 MB/s burst then ~40 MB/s sustained in the round-4
-    # sick phase), the SECOND approximates the sustained rate — which
-    # is what throttles the job: once the kernel's per-device dirty
-    # threshold (∝ writeback bandwidth) is hit, balance_dirty_pages
-    # blocks pq.write_table INSIDE the fused task and UDF seconds
-    # inflate 2-3× (measured: 1062 s total UDF vs 469 s healthy, with
-    # 20× per-task variance). Health gates on the sustained chunk.
-    # parallel fault rate: 16 forked procs each first-touch a private
-    # 256 MB anonymous buffer; aggregate GB/s. Fork is unsafe inside a
-    # live Ray driver, so the axis is skipped (None) there — children
-    # probe BEFORE ray.init precisely to keep this axis measurable.
-    _ray_mod = sys.modules.get("ray")
-    if _ray_mod is None or not _ray_mod.is_initialized():
-        import multiprocessing as _mp
-
-        ctx = _mp.get_context("fork")
-
-        def _fault_child(q) -> None:
-            n = 256 << 20
-            t0 = time.perf_counter()
-            buf = bytearray(n)
-            mv = memoryview(buf)
-            for i in range(0, n, 4096):
-                mv[i] = 1
-            q.put(time.perf_counter() - t0)
-
-        q = ctx.Queue()
-        procs = [ctx.Process(target=_fault_child, args=(q,))
-                 for _ in range(16)]
-        t0 = time.perf_counter()
-        for p in procs:
-            p.start()
-        for _ in procs:
-            q.get()
-        wall = time.perf_counter() - t0
-        for p in procs:
-            p.join()
-        res["par_fault_agg_gbps"] = round(16 * 0.25 / wall, 2)
-    else:
-        res["par_fault_agg_gbps"] = None
-    probe_f = "/tmp/.etl_ray_disk_probe"
-    try:
-        chunk = memoryview(a)[: 8 << 20]
-        rates = []
-        fd = os.open(probe_f, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-        try:
-            for _ in range(2):
-                t0 = time.perf_counter()
-                for _ in range(16):
-                    os.write(fd, chunk)
-                os.fsync(fd)
-                rates.append(round(128 / (time.perf_counter() - t0), 1))
-        finally:
-            os.close(fd)
-        res["disk_write_burst_mbps"] = rates[0]
-        res["disk_write_mbps"] = rates[1]  # sustained — the gate axis
-        os.unlink(probe_f)
-    except OSError:
-        res["disk_write_mbps"] = None
-    try:
-        with open("/sys/kernel/mm/transparent_hugepage/enabled") as f:
-            res["thp"] = f.read().split("[")[1].split("]")[0]
-    except (OSError, IndexError):
-        pass
-    res["healthy"] = (
-        res["first_touch_gbps"] >= HEALTH_MIN_FIRST_TOUCH_GBPS
-        and res["par_sha_eff"] >= HEALTH_MIN_PAR_SHA_EFF
-        and (res["par_fault_agg_gbps"] is None
-             or res["par_fault_agg_gbps"] >= HEALTH_MIN_PAR_FAULT_GBPS)
-        and (res["disk_write_mbps"] is None
-             or res["disk_write_mbps"] >= HEALTH_MIN_DISK_WRITE_MBPS))
-    return res
-
-
-def _request_compaction() -> None:
-    """Ask the kernel to defragment once (no-op without root) — the
-    measured recovery path when first-touch has collapsed."""
-    try:
-        with open("/proc/sys/vm/compact_memory", "w") as f:
-            f.write("1")
-    except OSError:
-        pass
-
-
-def _probe_until_healthy(max_wait_s: float = 60.0,
-                         need_disk: bool = True) -> dict:
-    """Probe; if sick, drain writeback + request compaction and retry
-    until healthy or the wait budget runs out. Returns the LAST probe,
-    annotated with every earlier attempt — a sick window is recorded,
-    never hidden. Measured on this VM: the disk axis swings 28→379
-    MB/s within seconds once a writeback backlog drains, so waiting
-    (not just retrying the whole trial) is what recovers a clean
-    measurement.
-
-    ``need_disk=False`` drops the disk axis from the gate (it stays in
-    the record): the scaling children write their lake to tmpfs and
-    read a page-cache-warm WAL, so a throttled disk does not touch
-    their timed path — gating them on it would burn healthy compute
-    windows waiting for an irrelevant device."""
-    t0 = time.perf_counter()
-    attempts = []
-    while True:
-        p = _host_probe()
-        ok = p["healthy"] if need_disk else (
-            p["first_touch_gbps"] >= HEALTH_MIN_FIRST_TOUCH_GBPS
-            and p["par_sha_eff"] >= HEALTH_MIN_PAR_SHA_EFF
-            and (p["par_fault_agg_gbps"] is None
-                 or p["par_fault_agg_gbps"] >= HEALTH_MIN_PAR_FAULT_GBPS))
-        if not need_disk:
-            p["healthy"] = ok  # gate actually applied to this trial
-            p["gated_on_disk"] = False
-        if ok or time.perf_counter() - t0 > max_wait_s:
-            if attempts:
-                p["prior_attempts"] = attempts
-            return p
-        attempts.append({k: p.get(k) for k in
-                         ("first_touch_gbps", "disk_write_mbps",
-                          "par_sha_eff", "par_fault_agg_gbps")})
-        _request_compaction()
-        os.sync()
-        time.sleep(4)
-
-
-OBJECT_STORE_BYTES = \
-    int(os.environ.get("RAY_GRAFT_STORE_GB", "24")) * 1024**3
-# Fixed-size object store, identical at every parallelism level, so the
-# scaling pairs compare compute parallelism rather than whatever
-# fraction of currently-free memory Ray would size the store to.
-# (Measured A/B at 32 CPUs: 16/24/30 GB and Ray's default are all
-# inside the ±30% session noise band; pre-faulting plasma pages in
-# warmup was tried and HURT 4-8× — plasma hole-punches freed pages, so
-# a prefill leaves the arena fragmented, not warm.)
-
-
 def _init_ray(num_cpus: int) -> None:
     import ray
-
-    _tune_host()
-
-    # Experiment knob (RAY_GRAFT_MALLOC_RETAIN=1): make workers RETAIN
-    # freed pages instead of returning them to the kernel — glibc trims
-    # the heap and munmaps >128 KB blocks on free, so every batch
-    # re-faults fresh pages, and this VM's concurrent fresh-page fault
-    # path collapses under many faulting procs (BASELINE.md round 3:
-    # 1/4/16 procs fault at 1.5/5.6/0.4 GB/s). Workers inherit the env.
-    if os.environ.get("RAY_GRAFT_MALLOC_RETAIN") == "1":
-        os.environ.setdefault("MALLOC_TRIM_THRESHOLD_", "-1")
-        os.environ.setdefault("MALLOC_MMAP_THRESHOLD_", str(1 << 30))
 
     if not ray.is_initialized():
         kw = ({"object_store_memory": OBJECT_STORE_BYTES}
@@ -373,6 +95,37 @@ def _init_ray(num_cpus: int) -> None:
     ctx.execution_options.verbose_progress = False
 
 
+def _warm_workers(num_cpus: int) -> None:
+    """Untimed: spin up the session's worker pool and import the engine
+    in each worker, so the first timed row measures the pipeline, not
+    process spawn."""
+    import ray
+
+    def _warm(b):
+        import etl_ray.state.merge  # noqa: F401
+        import etl_ray.state.schema  # noqa: F401
+        return b
+
+    ray.data.range(num_cpus * 4, override_num_blocks=num_cpus * 4) \
+        .map_batches(_warm, batch_format="pyarrow").count()
+
+
+def _preread(wal_dir: str) -> None:
+    """Untimed: read every WAL file once so the replay starts from the
+    page cache, not from whatever an earlier run left on disk."""
+    for root, _, names in os.walk(wal_dir):
+        for name in names:
+            with open(os.path.join(root, name), "rb") as f:
+                while f.read(1 << 24):
+                    pass
+
+
+def _protocol(warmup: bool) -> dict:
+    import pyarrow as pa
+
+    return {"host_cpus": len(os.sched_getaffinity(0)), "warmup": warmup,
+            "arrow_pool": pa.default_memory_pool().backend_name}
+
 
 def _consume(res) -> int:
     """Fully execute a query result; return its row count."""
@@ -385,160 +138,31 @@ def _consume(res) -> int:
     return len(res)
 
 
-def _ray_fault_counters() -> dict[int, int]:
-    """minflt+majflt per live Ray-related process (incl. this driver).
-    Deltas around a replay give faults/event — the engine-side fault-
-    volume evidence axis (fault counts are window-independent, unlike
-    walls, so round-over-round engine comparisons stay honest even when
-    the host's parallel-fault axis is sick)."""
-    me = os.getpid()
-    out: dict[int, int] = {}
-    for name in os.listdir("/proc"):
-        if not name.isdigit():
-            continue
-        pid = int(name)
-        try:
-            with open(f"/proc/{pid}/cmdline", "rb") as f:
-                cmd = f.read()
-            if pid != me and b"ray" not in cmd:
-                continue
-            with open(f"/proc/{pid}/stat") as f:
-                post = f.read().rsplit(")", 1)[1].split()
-        except (OSError, IndexError):
-            continue
-        out[pid] = int(post[7]) + int(post[9])
-    return out
-
-
-def _fault_delta(before: dict[int, int], after: dict[int, int]) -> int:
-    return sum(v - before.get(pid, 0) for pid, v in after.items())
-
-
-def _subprocess_probe() -> dict:
-    """Full host probe (incl. the fork-based parallel-fault axis) from
-    a fresh child process — usable while a Ray session is live here."""
-    try:
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import json, bench; print(json.dumps(bench._host_probe()))"],
-            capture_output=True, text=True, check=True, timeout=120,
-            cwd=os.path.dirname(os.path.abspath(__file__)))
-        return json.loads(out.stdout.splitlines()[-1])
-    except Exception:  # noqa: BLE001 — probe is best-effort evidence
-        return _host_probe()
-
-
-def _subprocess_probe_until_healthy(max_wait_s: float) -> dict:
-    """_probe_until_healthy, but via subprocess probes so it works under
-    a live Ray session (the parallel-fault axis forks). Same contract:
-    returns the LAST probe with every sick attempt annotated — a sick
-    window is recorded, never hidden."""
-    t0 = time.perf_counter()
-    attempts = []
-    while True:
-        p = _subprocess_probe()
-        if p.get("healthy", True) or time.perf_counter() - t0 > max_wait_s:
-            if attempts:
-                p["prior_attempts"] = attempts
-            return p
-        attempts.append({k: p.get(k) for k in
-                         ("first_touch_gbps", "disk_write_mbps",
-                          "par_sha_eff", "par_fault_agg_gbps")})
-        _request_compaction()
-        os.sync()
-        time.sleep(4)
-
-
 def run_queries() -> dict:
-    # self-certify BEFORE any timing; probe before ray.init so the
-    # fork-based parallel-fault axis is measurable
-    probe0 = _probe_until_healthy()
     _init_ray(NUM_CPUS)
-    import ray
-
+    from etl_ray.pipelines.cdc import replay
     from etl_ray.pipelines.queries import QUERIES
     from etl_ray.pipelines.scalarq import token_histogram
 
-    # untimed warmup: spin up the session's worker pool once so the
-    # first timed query measures the pipeline, not process spawn
-    ray.data.range(NUM_CPUS * 4, override_num_blocks=NUM_CPUS * 4) \
-        .map_batches(lambda b: b, batch_format="pyarrow").count()
-
+    _warm_workers(NUM_CPUS)
     bench_qs = dict(QUERIES)
     bench_qs["token_histogram"] = token_histogram  # bench-only (unregistered)
 
-    timings: dict[str, float] = {}
-
-    # CDC replay headline FIRST: measured in the warm-but-clean session
-    # (running it after 12 queries billed their object-store churn and
-    # writeback backlog to the headline number — up to +30%)
+    # CDC replay headline FIRST, in the warm-but-clean session: run
+    # after the queries it was billed their object-store churn and
+    # writeback backlog (up to +30%).
     wal = _ensure_wal(WAL_DIR)
-    lake = "/tmp/etl_ray_bench/lake"
-    from etl_ray.pipelines.cdc import replay
-
-    # untimed WAL pre-read: a cached WAL is cold on disk after other
-    # sessions churned the page cache, and a cold 7 GB read billed the
-    # first replay trial 109 s in a sick-disk window (the cluster
-    # analogue is storage bandwidth that scales with node count)
-    for root, _, names in os.walk(wal):
-        for name in names:
-            with open(os.path.join(root, name), "rb") as f:
-                while f.read(1 << 24):
-                    pass
-
-    # Probe-gated keep-best-across-attempts for the headline replay row
-    # (round-4 verdict #2): a sick parallel-fault window craters exactly
-    # this fault-heavy row while query rows survive, so the recorded
-    # number must be the engine's, not the window's. Up to
-    # REPLAY_MAX_TRIALS full replays within REPLAY_BUDGET_S. The
-    # recorded wall is the MINIMUM across trials — a sick window can
-    # only make the engine slower, never faster, so min-wall is a sound
-    # steady-state estimator no matter which window each trial landed
-    # in. The probe's role is the STOPPING rule, not trial selection:
-    # keep re-trying (waiting for the window to heal between trials)
-    # until two trials ran behind healthy pre-trial probes, so at least
-    # one good-window measurement exists unless the whole budget was
-    # sick — and then every attempt's probe in the record says so.
-    # (First policy draft kept best-of-healthy-probe-only and promptly
-    # recorded a 38.7 s cold-start trial over a 15.0 s one whose probe
-    # failed only the disk axis — self-inflicted writeback backlog from
-    # the previous trial's own lake writes. Min-wall is robust to that.)
-    s = None
-    any_healthy = False
-    cdc_trials: list[dict] = []
-    t_replay0 = time.perf_counter()
-    trial_probe = probe0  # trial 1 reuses the pre-session probe
-    while True:
+    lake = os.path.join(os.path.dirname(WAL_DIR), "lake")
+    _preread(wal)
+    runs = []
+    for _ in range(2):
         shutil.rmtree(lake, ignore_errors=True)
-        os.sync()
-        f_before = _ray_fault_counters()
-        r = replay(wal, lake, CDC_EPOCHS, num_partitions=CDC_PARTITIONS)
-        faults = _fault_delta(f_before, _ray_fault_counters())
-        healthy = bool(trial_probe.get("healthy", True))
-        cdc_trials.append({
-            "wall_s": round(r["wall_s"], 3),
-            "events_per_s": round(r["events_per_s"], 1),
-            "faults_per_event": round(faults / max(1, r["n_events"]), 3),
-            "probe_healthy": healthy,
-            "probe": {k: trial_probe.get(k) for k in
-                      ("first_touch_gbps", "disk_write_mbps",
-                       "par_sha_eff", "par_fault_agg_gbps")},
-        })
-        if s is None or r["wall_s"] < s["wall_s"]:
-            s = r
-            any_healthy = healthy
-        n_healthy = sum(1 for t in cdc_trials if t["probe_healthy"])
-        elapsed = time.perf_counter() - t_replay0
-        if (n_healthy >= 2 or len(cdc_trials) >= REPLAY_MAX_TRIALS
-                or elapsed > REPLAY_BUDGET_S):
-            break
-        trial_probe = _subprocess_probe_until_healthy(
-            min(60.0, max(0.0, REPLAY_BUDGET_S - elapsed)))
-    timings["cdc_replay"] = round(s["wall_s"], 3)
-    replay_walls = [t["wall_s"] for t in cdc_trials]
+        os.sync()  # the previous trial's writeback must not bill this one
+        runs.append(replay(wal, lake, CDC_EPOCHS,
+                           num_partitions=CDC_PARTITIONS))
+    best = min(runs, key=lambda r: r["wall_s"])
+    timings = {"cdc_replay": round(best["wall_s"], 3)}
 
-    # best of 2 on EVERY row (same drift rationale as the headline);
-    # both trials recorded so a reader can see the drift magnitude
     trials: dict[str, list[float]] = {}
     for name in BENCH_QUERIES:
         walls = []
@@ -548,23 +172,18 @@ def run_queries() -> dict:
             walls.append(round(time.perf_counter() - t0, 3))
         trials[name] = walls
         timings[name] = min(walls)
-    probe1 = _subprocess_probe()  # post-run health (drift bracketing)
-    total = round(sum(timings.values()), 3)
     return {
         "metric": "bench_total_sec",
-        "value": total,
+        "value": round(sum(timings.values()), 3),
         "unit": "sec",
         "queries": timings,
         "sf": _sf_from_dir(SF_DIR),
         "num_cpus": NUM_CPUS,
-        "cdc_events_per_s": round(s["events_per_s"], 1),
-        "cdc_n_events": s["n_events"],
-        "cdc_trial_walls": replay_walls,
-        "cdc_trials": cdc_trials,
-        "cdc_replay_probe_healthy": any_healthy,
+        **_protocol(warmup=False),
+        "cdc_events_per_s": round(best["events_per_s"], 1),
+        "cdc_n_events": best["n_events"],
+        "cdc_trial_walls": [round(r["wall_s"], 3) for r in runs],
         "query_trial_walls": trials,
-        "host_probe_pre": probe0,
-        "host_probe_post": probe1,
     }
 
 
@@ -593,103 +212,38 @@ def _ensure_wal(wal_dir: str) -> str:
     return wal_dir
 
 
-def _fs_backend(path: str) -> str:
-    """"tmpfs" iff the filesystem holding ``path`` is RAM-backed,
-    detected by statfs magic (TMPFS 0x01021994 / RAMFS 0x858458f6) via
-    the longest-prefix mount in /proc/mounts — not by a /dev/shm path
-    check, so any tmpfs target is labeled honestly (ADVICE r4)."""
-    probe = path
-    while probe and not os.path.exists(probe):
-        probe = os.path.dirname(probe) or "/"
-    try:
-        best, fstype = "", "disk"
-        with open("/proc/mounts") as f:
-            for line in f:
-                parts = line.split()
-                if len(parts) < 3:
-                    continue
-                mnt, typ = parts[1], parts[2]
-                real = os.path.realpath(probe)
-                if (real == mnt or real.startswith(mnt.rstrip("/") + "/")
-                        or mnt == "/") and len(mnt) >= len(best):
-                    best, fstype = mnt, typ
-        return "tmpfs" if fstype in ("tmpfs", "ramfs") else "disk"
-    except OSError:
-        return "tmpfs" if path.startswith("/dev/shm") else "disk"
-
-
 def run_cdc_child(num_cpus: int) -> None:
-    """Child-process entry: replay the shared WAL at one parallelism.
-    Emits its own host-health probe so every protocol trial carries
-    the evidence to accept or discount its wall clock."""
-    import ray
-
-    backend = _fs_backend(SCALING_LAKE_ROOT)
-    # probe BEFORE ray.init: the parallel-fault axis forks, which is
-    # only safe with no live Ray session in this process.
-    # tmpfs-lake trials never touch the disk on the timed path (lake in
-    # tmpfs, WAL pre-read below) — gate them on memory+compute only
-    _tune_host()
-    probe = _probe_until_healthy(need_disk=(backend == "disk"))
+    """Child-process entry: replay the shared WAL at one parallelism,
+    after an untimed warm-up replay, and print the timed replay's
+    record."""
     _init_ray(num_cpus)
     wal = _ensure_wal(WAL_DIR)
     lake = os.path.join(SCALING_LAKE_ROOT, f"lake_c{num_cpus}")
     shutil.rmtree(lake, ignore_errors=True)
     from etl_ray.pipelines.cdc import replay
 
-    # warm-up (untimed): spin up the session's worker processes and
-    # re-warm the WAL in the page cache, so both parallelism levels
-    # measure steady-state throughput. Cold worker starts and cold reads
-    # otherwise bill whichever level runs after the other level's 7 GB
-    # of delta writes evicted the WAL — the cluster-size analogue is
-    # warm executors streaming from storage whose bandwidth scales with
-    # the node count.
-    def _warm(b):
-        # pre-import in workers; etl_ray.util's import also applies the
-        # default Arrow-jemalloc decay retention there
-        import etl_ray.state.merge  # noqa: F401
-        import etl_ray.state.schema  # noqa: F401
-        return b
-
-    ray.data.range(num_cpus * 4, override_num_blocks=num_cpus * 4) \
-        .map_batches(_warm, batch_format="pyarrow").count()
-    for root, _, names in os.walk(wal):
-        for name in names:
-            with open(os.path.join(root, name), "rb") as f:
-                while f.read(1 << 24):
-                    pass
-
-    # untimed warmup REPLAY: the north rule's metric is SUSTAINED ingest
-    # throughput, i.e. steady-state — but a fresh child's first replay
-    # pays every worker's one-time heap first-touch (workers × peak
-    # heap, ~18 GB of faults @32; measured in round 5, BASELINE.md:
-    # pass 0 = 0.56 faults/event vs 0.22-0.27 on every later pass).
-    # That cost is a fixed session constant, not data-proportional —
-    # on a long-running cluster ingest it amortizes to zero — so the
-    # timed replay below measures the steady state the rule asks about. Both parallelism levels get the identical warmup.
+    _warm_workers(num_cpus)
+    _preread(wal)
+    # A fresh child's first replay pays every worker's one-time heap
+    # first-touch, a session constant that a long-running ingest
+    # amortizes to zero; the warm-up replay takes it off the timed one.
     warm_lake = lake + "_warm"
     shutil.rmtree(warm_lake, ignore_errors=True)
     replay(wal, warm_lake, CDC_EPOCHS, num_partitions=CDC_PARTITIONS)
     shutil.rmtree(warm_lake, ignore_errors=True)
 
-    f_before = _ray_fault_counters()
     s = replay(wal, lake, CDC_EPOCHS, num_partitions=CDC_PARTITIONS)
-    faults = _fault_delta(f_before, _ray_fault_counters())
     shutil.rmtree(lake, ignore_errors=True)  # free tmpfs pages promptly
     print(json.dumps({"num_cpus": num_cpus, "n_events": s["n_events"],
                       "wall_s": round(s["wall_s"], 3),
                       "events_per_s": round(s["events_per_s"], 1),
-                      "faults_per_event": round(
-                          faults / max(1, s["n_events"]), 3),
-                      "lake_backend": backend,
-                      "host_probe": probe}))
+                      "lake_root": SCALING_LAKE_ROOT,
+                      **_protocol(warmup=True)}))
 
 
 def run_scaling() -> dict:
-    """Same job, fresh ray sessions per level; reports the 8→32 pair
-    (driver protocol, honest as measured — DRAM-limited past 16
-    threads, see module docstring) AND the 4→16 pair (both levels below
-    the memory-saturation knee — the node-scaling proxy)."""
+    """Same job in a fresh Ray session per level; reports every pair's
+    efficiency from the per-level minimum wall across rounds."""
     # generate the WAL once up front (in its own session, then shut down)
     _init_ray(NUM_CPUS)
     _ensure_wal(WAL_DIR)
@@ -698,9 +252,7 @@ def run_scaling() -> dict:
     ray.shutdown()
 
     def _child(n: int) -> dict:
-        # settle dirty-page writeback from the previous run so its flush
-        # backlog (≈ delta bytes / disk bandwidth) doesn't bill the next
-        # measurement — this VM showed 2-3× wall variance otherwise
+        # settle the previous child's writeback so it does not bill this one
         os.sync()
         out = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--cdc-child", str(n)],
@@ -710,54 +262,27 @@ def run_scaling() -> dict:
         return json.loads(line)
 
     levels = sorted({n for pair in SCALING_PAIRS for n in pair})
-    # INTERLEAVED rounds (round 4): the host's health oscillates 3-10×
-    # on minute scales (measured @32 walls 11.5→105→34 s within one
-    # hour with every probe axis green). Running all of one level's
-    # trials back-to-back confounds level with window — one overnight
-    # run recorded eff 0.107 because @8 landed in a healthy window and
-    # @32 in a sick one. Each ROUND runs the full ladder inside ~one
-    # window, so per-round efficiencies are window-coherent; per-level
-    # best-of across rounds (healthy-probe preferred) remains the
-    # steady-state throughput estimator for the headline. Every trial
-    # wall + probe is recorded — self-certifying either way.
-    rounds = int(os.environ.get("RAY_GRAFT_SCALING_ROUNDS", "3"))
-    all_runs: dict[int, list] = {n: [] for n in levels}
-    round_runs: list[dict] = []
-    for _ in range(rounds):
-        this_round = {}
-        for n in levels:
-            r = _child(n)
-            if not r.get("host_probe", {}).get("healthy", True):
-                all_runs[n].append(r)  # keep the sick trial on record
-                r = _child(n)
-            all_runs[n].append(r)
-            this_round[n] = r
-        round_runs.append(this_round)
-    results = {}
-    for n in levels:
-        healthy = [r for r in all_runs[n]
-                   if r.get("host_probe", {}).get("healthy", True)]
-        results[n] = min(healthy or all_runs[n], key=lambda r: r["wall_s"])
+    # Interleaved rounds: each round runs the whole ladder within a few
+    # minutes, so a slow stretch of the host lands on every level of
+    # that round rather than on one level's trials.
+    round_runs = [{n: _child(n) for n in levels}
+                  for _ in range(SCALING_ROUNDS)]
+    best = {n: min((rr[n] for rr in round_runs), key=lambda r: r["wall_s"])
+            for n in levels}
 
     detail = {}
-    effs = {}
     for lo, hi in SCALING_PAIRS:
-        t_lo, t_hi = results[lo]["events_per_s"], results[hi]["events_per_s"]
-        effs[(lo, hi)] = (t_hi / t_lo) / (hi / lo) if t_lo > 0 else 0.0
-        detail[f"eff_{lo}_to_{hi}"] = round(effs[(lo, hi)], 3)
-        # window-coherent ratios: both levels of a pair measured inside
-        # the same round (~minutes apart), one ratio per round
+        t_lo, t_hi = best[lo]["events_per_s"], best[hi]["events_per_s"]
+        detail[f"eff_{lo}_to_{hi}"] = round(
+            (t_hi / t_lo) / (hi / lo) if t_lo > 0 else 0.0, 3)
         detail[f"round_effs_{lo}_to_{hi}"] = [
             round((rr[hi]["events_per_s"] / rr[lo]["events_per_s"])
                   / (hi / lo), 3)
             for rr in round_runs if rr[lo]["events_per_s"] > 0]
     for n in levels:
-        detail[f"events_per_s@{n}"] = results[n]["events_per_s"]
-        detail[f"wall_s@{n}"] = results[n]["wall_s"]
-        detail[f"trial_walls@{n}"] = [round(r["wall_s"], 2)
-                                      for r in all_runs[n]]
-        detail[f"probes@{n}"] = [r.get("host_probe", {})
-                                 for r in all_runs[n]]
+        detail[f"events_per_s@{n}"] = best[n]["events_per_s"]
+        detail[f"wall_s@{n}"] = best[n]["wall_s"]
+        detail[f"trial_walls@{n}"] = [rr[n]["wall_s"] for rr in round_runs]
     lo, hi = SCALING_PAIRS[0]
     return {
         "metric": "cdc_scaling_efficiency",
@@ -766,10 +291,9 @@ def run_scaling() -> dict:
         "queries": detail,
         "sf": _sf_from_dir(SF_DIR),
         "num_cpus": hi,
-        "n_events": results[hi]["n_events"],
-        # which write regime the protocol measured (tmpfs = per-node-
-        # disk proxy; see SCALING_LAKE_ROOT note + BASELINE.md round 4)
-        "lake_backend": results[hi].get("lake_backend", "disk"),
+        "n_events": best[hi]["n_events"],
+        **{k: best[hi][k]
+           for k in ("lake_root", "host_cpus", "warmup", "arrow_pool")},
     }
 
 

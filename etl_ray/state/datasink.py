@@ -41,6 +41,12 @@ class LakeSink(Datasink):
     as the write streams (add-column / type-widen evolution mid-dataset
     commits the widened union; incompatible drift raises) — pass it
     explicitly only to pin an authoritative schema up front.
+
+    Memory: Ray 2.49's Write operator tees the block iterator before it
+    calls ``write`` and then lists every block for its stats
+    (``ray/data/_internal/planner/plan_write_op.py:46,68``), so a write
+    task holds all of its input blocks until it ends, whereas
+    ``cdc.apply_window``'s fused ``map_batches`` chain holds about one.
     """
 
     def __init__(self, lake_dir: str, num_partitions: int = 32,
