@@ -18,7 +18,7 @@ import pyarrow.compute as pc
 import ray
 from ray.data.aggregate import Count, Max, Min, Std
 
-from etl_ray.pipelines._qutil import fixed_point, join_partitions, read
+from etl_ray.pipelines._qutil import fixed_point, read
 from etl_ray.pipelines.queries import register
 
 # ------------------------------------------------------------- as-of join

@@ -26,7 +26,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Min
 
-from etl_ray.pipelines._qutil import join_partitions, read
+from etl_ray.pipelines._qutil import read, shard_apply, shard_join
 from etl_ray.pipelines.queries import register
 from etl_ray.util import (as_array, embedding_matrix, hash64_str, rolling_poly,
                           segment_unique, sha256_hex_array)
@@ -175,6 +175,11 @@ scored AS (SELECT doc_a, doc_b,
 """
 
 
+# candidate pairs up to this count are verified driver-side against one
+# filtered document scan; beyond it texts travel by two key-hash joins
+BROADCAST_VERIFY_MAX_PAIRS = 100_000
+
+
 @register(
     "dedup_minhash",
     "WITH " + _SHINGLE_PAIRS_SQL
@@ -216,7 +221,7 @@ def dedup_minhash(sf_dir: str, threshold: float = 0.5):
         return pa.table({"doc_a": pa.array([], pa.int64()),
                          "doc_b": pa.array([], pa.int64()),
                          "jacc_e4": pa.array([], pa.int64())})
-    if n_cand <= 100_000:
+    if n_cand <= BROADCAST_VERIFY_MAX_PAIRS:
         # broadcast-verify fast path: fetch only the candidate docs
         # (one filtered scan, vectorized pc.is_in), pair texts driver-
         # side — two distributed hash joins cost more than the whole
@@ -240,19 +245,11 @@ def dedup_minhash(sf_dir: str, threshold: float = 0.5):
             "text_b": pa.array([text_of[i] for i in cand.doc_b], pa.string()),
         })
         j = ray.data.from_arrow(j)
-    else:  # scale path: ship texts to candidates via hash joins
-        # right-side keys renamed (ka/kb) + right_on: identical key
-        # names with a groupby-fed left side trip an Arrow FieldRef
-        # ambiguity in ray's hash-shuffle join finalize at ≥16 partitions
-        a = docs.rename_columns({"doc_id": "ka", "text": "text_a"})
-        b = docs.rename_columns({"doc_id": "kb", "text": "text_b"})
-        j = cand_ds.join(a, join_type="inner",
-                         num_partitions=join_partitions(),
-                         on=("doc_a",), right_on=("ka",))
-        j = j.join(b, join_type="inner",
-                   num_partitions=join_partitions(),
-                   on=("doc_b",), right_on=("kb",))
-        j = j.select_columns(["doc_a", "doc_b", "text_a", "text_b"])
+    else:  # scale path: ship texts to candidates via two key-hash joins
+        a = docs.rename_columns({"text": "text_a"})
+        b = docs.rename_columns({"text": "text_b"})
+        j = shard_join(cand_ds, a, "inner", on=("doc_a",), right_on=("doc_id",))
+        j = shard_join(j, b, "inner", on=("doc_b",), right_on=("doc_id",))
 
     def _verify(t: pa.Table) -> pa.Table:
         ha, na = _shingle_hashes(t.select(["text_a"]).rename_columns(["text"]))
@@ -302,8 +299,8 @@ def _cc_label_propagation(edges, max_rounds: int | None = None) -> pa.Table:
     round count O(log diameter) instead of O(diameter).
     ``max_rounds`` is an optional guard for callers with a latency
     budget: exhausting it unconverged RAISES rather than returning
-    partial labels. Per-round cost: three hash joins + one groupby
-    over the bounded edge/label sets.
+    partial labels. Per-round cost: three key-hash joins + one
+    key-hash min per node over the bounded edge/label sets.
     """
     from ray.data.aggregate import Sum as _Sum
 
@@ -312,13 +309,12 @@ def _cc_label_propagation(edges, max_rounds: int | None = None) -> pa.Table:
                                         t["doc_b"].to_numpy()]))
         return pa.table({"node": pa.array(ids), "lbl": pa.array(ids)})
 
-    labels = (edges.map_batches(_init, batch_format="pyarrow")
-              .groupby("node").aggregate(Min("lbl", alias_name="lbl"))
-              .materialize())
-    n_nodes = labels.count()
-    # modest fan-out: these label tables are ~dup-count sized; an
-    # oversized fan-out just spins empty join partitions
-    np_join = max(2, min(join_partitions(), n_nodes // 512 + 2))
+    def _min_label(t: pa.Table) -> pa.Table:
+        g = t.group_by("node").aggregate([("lbl", "min")])
+        return pa.table({"node": g["node"], "lbl": g["lbl_min"]})
+
+    labels = shard_apply(edges.map_batches(_init, batch_format="pyarrow"),
+                         ["node"], _min_label).materialize()
     prev_sum = None
     rounds = 0
     while True:
@@ -329,12 +325,10 @@ def _cc_label_propagation(edges, max_rounds: int | None = None) -> pa.Table:
                 "returning here would emit wrong components — raise the "
                 "budget or drop it to run to the fixpoint")
         rounds += 1
-        la = labels.rename_columns({"node": "na", "lbl": "la"})
-        lb = labels.rename_columns({"node": "nb", "lbl": "lb"})
-        e = edges.join(la, join_type="inner", num_partitions=np_join,
-                       on=("doc_a",), right_on=("na",))
-        e = e.join(lb, join_type="inner", num_partitions=np_join,
-                   on=("doc_b",), right_on=("nb",))
+        e = shard_join(edges, labels.rename_columns({"lbl": "la"}), "inner",
+                       on=("doc_a",), right_on=("node",))
+        e = shard_join(e, labels.rename_columns({"lbl": "lb"}), "inner",
+                       on=("doc_b",), right_on=("node",))
 
         def _msgs(t: pa.Table) -> pa.Table:
             m = np.minimum(t["la"].to_numpy(), t["lb"].to_numpy())
@@ -345,13 +339,12 @@ def _cc_label_propagation(edges, max_rounds: int | None = None) -> pa.Table:
             })
 
         msgs = e.map_batches(_msgs, batch_format="pyarrow")
-        labels = (labels.union(msgs).groupby("node")
-                  .aggregate(Min("lbl", alias_name="lbl")))
+        labels = shard_apply(labels.union(msgs), ["node"],
+                             _min_label).materialize()
         # pointer jump: lbl := lbl of lbl (≤ lbl, same component)
-        lj = labels.rename_columns({"node": "jn", "lbl": "jl"})
-        jumped = labels.join(lj, join_type="inner",
-                             num_partitions=np_join,
-                             on=("lbl",), right_on=("jn",))
+        jumped = shard_join(labels,
+                            labels.rename_columns({"node": "jn", "lbl": "jl"}),
+                            "inner", on=("lbl",), right_on=("jn",))
 
         def _jump(t: pa.Table) -> pa.Table:
             return pa.table({

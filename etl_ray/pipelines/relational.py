@@ -22,7 +22,8 @@ from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from etl_ray.functions import expr
 from etl_ray.pipelines._qutil import (fixed_point, fixed_point_scalar,
-                                      join_partitions, one_row_table, read)
+                                      merge_partials, one_row_table, read,
+                                      shard_apply, shard_join)
 from etl_ray.pipelines.queries import register
 
 # ------------------------------------------------------------ filter / project
@@ -180,10 +181,15 @@ def agg_group_q1(sf_dir: str):
        GROUP BY o_custkey HAVING COUNT(*) >= 3""",
 )
 def group_having(sf_dir: str):
+    """G3 grouped count + HAVING, one Arrow group_by per exchange shard."""
     ds = read(sf_dir, "orders", ["o_custkey"])
-    out = ds.groupby("o_custkey").aggregate(Count(alias_name="n"))
-    return out.map_batches(lambda t: t.filter(pc.greater_equal(t["n"], 3)),
-                           batch_format="pyarrow")
+
+    def _count(t: pa.Table) -> pa.Table:
+        g = t.group_by("o_custkey").aggregate([([], "count_all")])
+        out = pa.table({"o_custkey": g["o_custkey"], "n": g["count_all"]})
+        return out.filter(pc.greater_equal(out["n"], 3))
+
+    return shard_apply(ds, ["o_custkey"], _count)
 
 
 @register(
@@ -192,21 +198,27 @@ def group_having(sf_dir: str):
        FROM lineitem GROUP BY l_returnflag""",
 )
 def count_distinct(sf_dir: str):
-    """G5 exact count-distinct: per-block distinct pre-reduce, then a
-    distinct-pair shuffle, then count per group.
+    """G5 exact count-distinct on the key-hash exchange.
 
-    Both distributed stages shuffle on the same leading key; the
-    map-side distinct means the first shuffle moves one row per
-    distinct pair per block instead of one per input row.
+    Each block first drops its duplicate (flag, partkey) pairs; the
+    exchange then routes pairs by l_partkey, so every copy of a pair
+    meets in one shard and the shards' distinct sets are disjoint. Per
+    shard one Arrow distinct + count per flag; the ≤ 3 × shards partial
+    counts are summed on the driver.
     """
     ds = read(sf_dir, "lineitem", ["l_returnflag", "l_partkey"])
     local = ds.map_batches(
         lambda t: t.group_by(["l_returnflag", "l_partkey"]).aggregate([]),
         batch_format="pyarrow")
-    pairs = local.groupby(["l_returnflag", "l_partkey"]).aggregate(
-        Count(alias_name="_c"))
-    return (pairs.drop_columns(["_c"])
-            .groupby("l_returnflag").aggregate(Count(alias_name="n_parts")))
+
+    def _count(t: pa.Table) -> pa.Table:
+        g = (t.group_by(["l_returnflag", "l_partkey"]).aggregate([])
+             .group_by("l_returnflag").aggregate([([], "count_all")]))
+        return pa.table({"l_returnflag": g["l_returnflag"],
+                         "n_parts": g["count_all"]})
+
+    return merge_partials(shard_apply(local, ["l_partkey"], _count),
+                          ["l_returnflag"], ["n_parts"])
 
 
 # ----------------------------------------------------------------------- joins
@@ -221,8 +233,8 @@ def join_inner(sf_dir: str):
     """J1: hash equi-join, both sides distributed."""
     orders = read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
     cust = read(sf_dir, "customer", ["c_custkey", "c_name"])
-    j = orders.join(cust, join_type="inner", num_partitions=join_partitions(),
-                    on=("o_custkey",), right_on=("c_custkey",))
+    j = shard_join(orders, cust, "inner",
+                   on=("o_custkey",), right_on=("c_custkey",))
     return j.select_columns(["o_orderkey", "c_name", "o_totalprice"])
 
 
@@ -233,13 +245,19 @@ def join_inner(sf_dir: str):
        GROUP BY c_custkey, c_name""",
 )
 def join_left_count(sf_dir: str):
-    """J1 left outer + grouped count of the nullable side."""
+    """J1 left outer + grouped count of the nullable side, counted in
+    the join's own shards (the group key holds the join key)."""
     cust = read(sf_dir, "customer", ["c_custkey", "c_name"])
     orders = read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    j = cust.join(orders, join_type="left_outer", num_partitions=join_partitions(),
-                  on=("c_custkey",), right_on=("o_custkey",))
-    return j.groupby(["c_custkey", "c_name"]).aggregate(
-        Count("o_orderkey", ignore_nulls=True, alias_name="n_orders"))
+
+    def _count(t: pa.Table) -> pa.Table:
+        g = t.group_by(["c_custkey", "c_name"]).aggregate(
+            [("o_orderkey", "count")])
+        return pa.table({"c_custkey": g["c_custkey"], "c_name": g["c_name"],
+                         "n_orders": g["o_orderkey_count"]})
+
+    return shard_join(cust, orders, "left_outer", on=("c_custkey",),
+                      right_on=("o_custkey",), then=_count)
 
 
 @register(
@@ -266,14 +284,10 @@ def join_semi_anti(sf_dir: str):
             return t.append_column("tag", pa.array([tag] * len(t), pa.string()))
         return _f
 
-    semi = orders.join(rich, join_type="left_semi",
-                       num_partitions=join_partitions(),
-                       on=("o_custkey",), right_on=("c_custkey",)) \
-                 .map_batches(_tag("semi"), batch_format="pyarrow")
-    anti = orders.join(rich, join_type="left_anti",
-                       num_partitions=join_partitions(),
-                       on=("o_custkey",), right_on=("c_custkey",)) \
-                 .map_batches(_tag("anti"), batch_format="pyarrow")
+    semi = shard_join(orders, rich, "left_semi", on=("o_custkey",),
+                      right_on=("c_custkey",), then=_tag("semi"))
+    anti = shard_join(orders, rich, "left_anti", on=("o_custkey",),
+                      right_on=("c_custkey",), then=_tag("anti"))
     return semi.union(anti)
 
 
@@ -324,6 +338,9 @@ def join_star_region(sf_dir: str):
 
     customer↔orders is the only large-large join; nation→region is
     pre-joined driver-side (30 rows) and broadcast as a single lookup.
+    Each join output block is rolled up to ≤ 5 (region, count, sum)
+    partial rows by one Arrow group_by — map-side partials, as in
+    agg_group_q1 — and the partials are merged on the driver.
     """
     import pyarrow.parquet as pq
 
@@ -338,21 +355,21 @@ def join_star_region(sf_dir: str):
 
     orders = read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     cust = read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    j = orders.join(cust, join_type="inner", num_partitions=join_partitions(),
-                    on=("o_custkey",), right_on=("c_custkey",))
+    j = shard_join(orders, cust, "inner",
+                   on=("o_custkey",), right_on=("c_custkey",))
 
     def _probe(t: pa.Table) -> pa.Table:
         keys, names = ray.get(ref)
         idx = pc.index_in(t["c_nationkey"], value_set=keys)
-        return (t.select(["o_totalprice"])
-                .append_column("r_name", pc.take(names, idx)))
+        g = pa.table({"r_name": pc.take(names, idx),
+                      "o_totalprice": t["o_totalprice"]}).group_by(
+            "r_name").aggregate([([], "count_all"), ("o_totalprice", "sum")])
+        return pa.table({"r_name": g["r_name"], "n_orders": g["count_all"],
+                         "revenue_c": g["o_totalprice_sum"]})
 
-    out = (j.map_batches(_probe, batch_format="pyarrow")
-           .groupby("r_name")
-           .aggregate(Count(alias_name="n_orders"),
-                      Sum("o_totalprice", alias_name="revenue_c")))
-    return out.map_batches(lambda t: fixed_point(t, "revenue_c", 100),
-                           batch_format="pyarrow")
+    out = merge_partials(j.map_batches(_probe, batch_format="pyarrow"),
+                         ["r_name"], ["n_orders", "revenue_c"])
+    return fixed_point(out, "revenue_c", 100)
 
 
 # -------------------------------------------------- sort / distinct / set ops

@@ -13,18 +13,15 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 from ray.data.aggregate import Count
 
-from etl_ray.pipelines._qutil import read
+from etl_ray.pipelines._qutil import read, shard_apply, shard_of
 from etl_ray.pipelines.queries import register
 
 SESSION_GAP_MIN = 30
-# users are hash-sharded so each map_groups call handles a whole shard
-# of users VECTORIZED (one sort + one diff), not one pandas frame per
-# user — at 100× users the per-group-call Python cost is the killer
-SESSION_SHARDS = 64
 
 
 @register(
@@ -43,37 +40,29 @@ SESSION_SHARDS = 64
 def sessionize(sf_dir: str):
     """Gap-based session windows: a session break is a >30-min silence.
 
-    Shuffle key = hash(user_id) % SESSION_SHARDS — each shard group
-    holds MANY users and one vectorized pass (sort by (user_id, ts,
-    event_id), boundary mask = new-user OR gap) counts every user's
-    sessions at once. Correct because sessionization only needs
-    per-user co-location, not one group per user.
+    Runs on the key-hash exchange keyed on user_id: each shard holds
+    MANY users and one vectorized pass (sort by (user_id, ts,
+    event_id), boundary mask = new-user OR gap, Arrow sum per user)
+    counts every user's sessions at once — at 100× users a per-user
+    Python call would be the cost. Correct because sessionization only
+    needs per-user co-location, not one group per user.
     """
     ds = read(sf_dir, "events", ["user_id", "ts", "event_id"])
     gap = np.timedelta64(SESSION_GAP_MIN * 60, "s")
 
-    def _shard(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].cast(pa.int64()).to_numpy()
-        sh = (uid * np.int64(0x9E3779B1)) % np.int64(SESSION_SHARDS)
-        return t.append_column("_shard", pa.array(np.abs(sh), pa.int64()))
-
-    def _sess(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0:
-            return pd.DataFrame({"user_id": pd.Series([], dtype="int64"),
-                                 "n_sessions": pd.Series([], dtype="int64")})
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        uid = g["user_id"].to_numpy()
-        ts = g["ts"].to_numpy()
-        new_s = np.ones(len(g), dtype=bool)
+    def _sess(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(t, sort_keys=[
+            ("user_id", "ascending"), ("ts", "ascending"),
+            ("event_id", "ascending")]))
+        uid = t["user_id"].to_numpy()
+        ts = t["ts"].to_numpy()
+        new_s = np.ones(len(t), dtype=np.int64)
         new_s[1:] = (uid[1:] != uid[:-1]) | ((ts[1:] - ts[:-1]) > gap)
-        out = (pd.DataFrame({"user_id": uid,
-                             "n": new_s.astype(np.int64)})
-               .groupby("user_id", sort=False)["n"].sum())
-        return pd.DataFrame({"user_id": out.index.to_numpy(),
-                             "n_sessions": out.to_numpy().astype(np.int64)})
+        g = pa.table({"user_id": t["user_id"], "n": new_s}).group_by(
+            "user_id").aggregate([("n", "sum")])
+        return pa.table({"user_id": g["user_id"], "n_sessions": g["n_sum"]})
 
-    return (ds.map_batches(_shard, batch_format="pyarrow")
-            .groupby("_shard").map_groups(_sess, batch_format="pandas"))
+    return shard_apply(ds, ["user_id"], _sess)
 
 
 # ------------------------------------------- incremental sessionization
@@ -160,10 +149,8 @@ def sessionize_incremental(sf_dir: str, n_windows: int = 6,
               for _ in range(n_shards)]
 
     def _route(t: pa.Table) -> pa.Table:
-        shard = (pd.util.hash_array(t["user_id"].to_numpy(),
-                                    categorize=False)
-                 % np.uint64(n_shards)).astype(np.int64)
-        return t.append_column("shard", pa.array(shard))
+        return t.append_column(
+            "shard", pa.array(shard_of(t, ["user_id"], n_shards)))
 
     unit_mult = {"s": 10**9, "ms": 10**6, "us": 10**3, "ns": 1}
 

@@ -9,8 +9,8 @@ import pyarrow.compute as pc
 
 from ray.data.aggregate import Count, Sum
 
-from etl_ray.pipelines._qutil import (fixed_point, fixed_point_scalar,
-                                      join_partitions, read)
+from etl_ray.pipelines._qutil import (fixed_point, fixed_point_scalar, read,
+                                      shard_join)
 from etl_ray.pipelines.queries import register
 
 
@@ -80,8 +80,8 @@ def q3_shipping_priority(sf_dir: str):
     The customer semi-join is a BROADCAST `pc.is_in` probe when the
     filtered build side is small (one `ray.put` of the key array, no
     shuffle — ~⅕ of customers qualify, so this removes one of the two
-    all-to-all joins); above the cutoff it falls back to the
-    hash-shuffle `left_semi` join for genuine large-large cases.
+    all-to-all joins); above the cutoff it falls back to a
+    `shard_join` left semi-join for genuine large-large cases.
     Top-k = sort + limit with a deterministic orderkey tie-break
     matching the oracle.
     """
@@ -112,31 +112,23 @@ def q3_shipping_priority(sf_dir: str):
 
         j1 = orders.map_batches(_semi, batch_format="pyarrow")
     else:
-        j1 = orders.join(cust_mat, join_type="left_semi",
-                         num_partitions=join_partitions(),
-                         on=("o_custkey",), right_on=("c_custkey",))
-    j2 = li.join(j1, join_type="inner", num_partitions=join_partitions(),
-                 on=("l_orderkey",), right_on=("o_orderkey",))
+        j1 = shard_join(orders, cust_mat, "left_semi",
+                        on=("o_custkey",), right_on=("c_custkey",))
 
-    # o_orderdate crosses the group shuffle as INT64 (cast back after):
-    # ray's hash-shuffle aggregator round-trips timestamp keys through
-    # numpy datetime64, logging per-task precision warnings
+    # revenue per (orderkey, orderdate) inside the join's shards: the
+    # group key holds the join key, so every group is whole in one shard
     def _rev(t: pa.Table) -> pa.Table:
         rev = pc.multiply(t["l_extendedprice"], pc.subtract(1, t["l_discount"]))
-        return pa.table({"l_orderkey": t["l_orderkey"],
-                         "o_orderdate": pc.cast(t["o_orderdate"], pa.int64()),
-                         "rev": rev})
+        g = pa.table({"l_orderkey": t["l_orderkey"],
+                      "o_orderdate": t["o_orderdate"], "rev": rev}).group_by(
+            ["l_orderkey", "o_orderdate"]).aggregate([("rev", "sum")])
+        return fixed_point(pa.table({"l_orderkey": g["l_orderkey"],
+                                     "revenue_c": g["rev_sum"],
+                                     "o_orderdate": g["o_orderdate"]}),
+                           "revenue_c", 100)
 
-    def _fin(t: pa.Table) -> pa.Table:
-        t = fixed_point(t, "revenue_c", 100)
-        return t.set_column(
-            t.schema.get_field_index("o_orderdate"), "o_orderdate",
-            pc.cast(t["o_orderdate"], pa.timestamp("us")))
-
-    grouped = (j2.map_batches(_rev, batch_format="pyarrow")
-               .groupby(["l_orderkey", "o_orderdate"])
-               .aggregate(Sum("rev", alias_name="revenue_c")))
-    grouped = grouped.map_batches(_fin, batch_format="pyarrow")
+    grouped = shard_join(li, j1, "inner", on=("l_orderkey",),
+                         right_on=("o_orderkey",), then=_rev)
     return grouped.sort(["revenue_c", "l_orderkey"],
                         descending=[True, False]).limit(10)
 
@@ -162,22 +154,22 @@ def q10_returned_items(sf_dir: str):
         lambda t: t.filter(pc.equal(t["l_returnflag"], "R")),
         batch_format="pyarrow")
 
-    j1 = li.join(orders, join_type="inner",
-                 num_partitions=join_partitions(),
-                 on=("l_orderkey",), right_on=("o_orderkey",))
-    j2 = j1.join(cust, join_type="inner",
-                 num_partitions=join_partitions(),
-                 on=("o_custkey",), right_on=("c_custkey",))
+    j1 = shard_join(li, orders, "inner",
+                    on=("l_orderkey",), right_on=("o_orderkey",))
 
+    # revenue per customer inside the second join's shards (the group
+    # key holds its join key)
     def _rev(t: pa.Table) -> pa.Table:
         rev = pc.multiply(t["l_extendedprice"], pc.subtract(1, t["l_discount"]))
-        return pa.table({"c_custkey": pc.cast(t["o_custkey"], pa.int64()),
-                         "c_name": t["c_name"], "rev": rev})
+        g = pa.table({"c_custkey": t["o_custkey"], "c_name": t["c_name"],
+                      "rev": rev}).group_by(["c_custkey", "c_name"]).aggregate(
+            [("rev", "sum")])
+        return fixed_point(pa.table({"c_custkey": g["c_custkey"],
+                                     "c_name": g["c_name"],
+                                     "revenue_c": g["rev_sum"]}),
+                           "revenue_c", 100)
 
-    grouped = (j2.map_batches(_rev, batch_format="pyarrow")
-               .groupby(["c_custkey", "c_name"])
-               .aggregate(Sum("rev", alias_name="revenue_c")))
-    grouped = grouped.map_batches(lambda t: fixed_point(t, "revenue_c", 100),
-                                  batch_format="pyarrow")
+    grouped = shard_join(j1, cust, "inner", on=("o_custkey",),
+                         right_on=("c_custkey",), then=_rev)
     return grouped.sort(["revenue_c", "c_custkey"],
                         descending=[True, False]).limit(20)

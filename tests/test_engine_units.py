@@ -421,3 +421,30 @@ def test_sha256_hex_chunked_nulls_and_empties():
     assert sha.to_pylist() == [hashlib.sha256(b"").hexdigest()] * 2
     sha, pre = sha256_hex_with_prefix(pa.array([], pa.string()))
     assert len(sha) == 0 and len(pre) == 0
+
+
+def test_import_leaves_data_context_untouched():
+    """Importing the driver contract and building the query registry
+    must not change the process-wide Ray Data DataContext (a separate
+    process, so no earlier test has imported the engine)."""
+    import subprocess
+    import sys
+
+    script = """
+from ray.data import DataContext
+ctx = DataContext.get_current()
+before = {k: repr(v) for k, v in vars(ctx).items()}
+import __ray_entry__
+__ray_entry__.queries()
+after = {k: repr(v) for k, v in vars(DataContext.get_current()).items()}
+changed = sorted(k for k in before.keys() | after.keys()
+                 if before.get(k) != after.get(k))
+assert DataContext.get_current() is ctx and not changed, changed
+print("OK", len(before))
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    r = subprocess.run([sys.executable, "-c", script], cwd=root,
+                       env=dict(os.environ, PYTHONPATH=root),
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0 and r.stdout.startswith("OK"), \
+        r.stdout + r.stderr[-3000:]

@@ -71,8 +71,9 @@ def test_every_query_has_callable(registry):
     assert len(queries) >= 30
 
 
-def test_minhash_finds_true_neardups(registry):
-    """LSH candidates + exact verify == brute-force 3-shingle pairs."""
+def test_minhash_finds_true_neardups(registry, monkeypatch):
+    """LSH candidates + exact verify == brute-force 3-shingle pairs, on
+    both verify paths (driver-side broadcast and two key-hash joins)."""
     queries, _ = registry
     got = _to_pandas(queries["dedup_minhash"](SF_DIR))
     got_pairs = set(zip(got.doc_a, got.doc_b))
@@ -94,6 +95,13 @@ def test_minhash_finds_true_neardups(registry):
     # LSH at b=16,r=4 has >99.9% hit probability at j>=0.5 on this data;
     # verification removes any false positives, so got ⊆ true and ≈ true.
     assert got_pairs == want
+
+    from etl_ray.pipelines import dedup
+    monkeypatch.setattr(dedup, "BROADCAST_VERIFY_MAX_PAIRS", 0)
+    joined = _to_pandas(queries["dedup_minhash"](SF_DIR))
+    assert sorted(joined.columns) == sorted(got.columns)
+    assert set(zip(joined.doc_a, joined.doc_b, joined.jacc_e4)) == \
+        set(zip(got.doc_a, got.doc_b, got.jacc_e4))
 
 
 def test_levenshtein_pairs_match_duckdb(oracle_con):
@@ -374,7 +382,7 @@ def test_right_and_full_outer_joins(oracle_con, registry):
     the filtered order subset)."""
     import ray.data
 
-    from etl_ray.pipelines._qutil import join_partitions, read
+    from etl_ray.pipelines._qutil import read, shard_join
 
     sf = SF_DIR
     cust = read(sf, "customer", ["c_custkey", "c_name"])
@@ -383,9 +391,8 @@ def test_right_and_full_outer_joins(oracle_con, registry):
         batch_format="pyarrow")
     for jt, sql_join in (("right_outer", "RIGHT JOIN"),
                          ("full_outer", "FULL JOIN")):
-        j = cust.join(orders, join_type=jt,
-                      num_partitions=join_partitions(),
-                      on=("c_custkey",), right_on=("o_custkey",))
+        j = shard_join(cust, orders, jt,
+                       on=("c_custkey",), right_on=("o_custkey",))
         got = j.to_pandas()
         want = oracle_con.execute(f"""
             SELECT c_custkey, c_name, o_orderkey, o_custkey
@@ -397,6 +404,135 @@ def test_right_and_full_outer_joins(oracle_con, registry):
         assert sorted(got.o_orderkey.fillna(-1)) == \
             sorted(want.o_orderkey.fillna(-1)), jt
         assert got.c_name.isna().sum() == want.c_name.isna().sum(), jt
+
+
+def test_shard_join_edge_cases():
+    """shard_join against DuckDB on the cases a hash exchange can get
+    wrong: null keys (never match; kept unmatched by outer joins),
+    many-to-many duplicate keys, the same key name on both sides,
+    differently named keys, semi/anti joins, and an empty side. Each
+    row carries a unique id (lv / rv), so the multiset of (lv, rv)
+    pairs pins which rows matched which."""
+    import duckdb
+    import ray.data
+
+    from etl_ray.pipelines._qutil import shard_join
+
+    L = pa.table({"k": pa.array([1, None, 2, 2, 3, 5, None], pa.int64()),
+                  "lv": pa.array(range(7), pa.int64())})
+    R = pa.table({"k": pa.array([None, 2, 2, 4, 5, 5, 5], pa.int64()),
+                  "rv": pa.array(range(100, 107), pa.int64())})
+    con = duckdb.connect()
+    con.register("L", L)
+    con.register("R", R)
+    con.register("E", R.slice(0, 0))
+
+    def ds(t, empty=False):  # two blocks per side
+        d = ray.data.from_arrow([t.slice(0, 3), t.slice(3)])
+        if empty:  # rows dropped in a UDF: no block reaches the join
+            d = d.map_batches(lambda b: b.slice(0, 0), batch_format="pyarrow")
+        return d
+
+    def pairs(df, cols=("lv", "rv")):
+        return sorted(tuple(-1 if pd.isna(v) else int(v) for v in row)
+                      for row in zip(*(df[c] if c in df else [None] * len(df)
+                                       for c in cols)))
+
+    sql_join = {"inner": "JOIN", "left_outer": "LEFT JOIN",
+                "right_outer": "RIGHT JOIN", "full_outer": "FULL JOIN"}
+    for jt, kw in sql_join.items():
+        got = shard_join(ds(L), ds(R), jt, on=("k",)).to_pandas()
+        want = con.execute(
+            f"SELECT lv, rv FROM L {kw} R ON L.k = R.k").df()
+        assert pairs(got) == pairs(want), jt
+        # differently named keys: same match structure
+        got2 = shard_join(ds(L.rename_columns(["lk", "lv"])),
+                          ds(R.rename_columns(["rk", "rv"])), jt,
+                          on=("lk",), right_on=("rk",)).to_pandas()
+        assert pairs(got2) == pairs(want), jt
+    for jt, kw in (("left_semi", "EXISTS"), ("left_anti", "NOT EXISTS")):
+        got = shard_join(ds(L), ds(R), jt, on=("k",)).to_pandas()
+        want = con.execute(f"SELECT lv FROM L WHERE {kw} "
+                           "(SELECT 1 FROM R WHERE R.k = L.k)").df()
+        assert list(got.columns) == ["k", "lv"], jt
+        assert pairs(got, ("lv",)) == pairs(want, ("lv",)), jt
+
+    # an empty side
+    for jt, sql in (("inner", "SELECT lv, rv FROM L JOIN E ON L.k = E.k"),
+                    ("left_outer",
+                     "SELECT lv, rv FROM L LEFT JOIN E ON L.k = E.k"),
+                    ("left_semi", "SELECT lv, NULL AS rv FROM L WHERE "
+                     "EXISTS (SELECT 1 FROM E WHERE E.k = L.k)"),
+                    ("left_anti", "SELECT lv, NULL AS rv FROM L WHERE "
+                     "NOT EXISTS (SELECT 1 FROM E WHERE E.k = L.k)")):
+        got = shard_join(ds(L), ds(R, empty=True), jt, on=("k",)).to_pandas()
+        assert pairs(got) == pairs(con.execute(sql).df()), jt
+    got = shard_join(ds(L, empty=True), ds(R), "full_outer",
+                     on=("k",)).to_pandas()
+    want = con.execute("SELECT lv, rv FROM (SELECT * FROM L LIMIT 0) l "
+                       "FULL JOIN R ON l.k = R.k").df()
+    assert pairs(got) == pairs(want)
+
+    with pytest.raises(ValueError, match="join_type"):
+        shard_join(ds(L), ds(R), "cross", on=("k",))
+
+
+def test_queries_finish_in_one_cpu_session():
+    """The join and many-group queries finish, and match DuckDB, in a
+    Ray session of ONE CPU — a separate process with its own
+    ray.init(num_cpus=1) under a hard timeout. (Shuffle stages that
+    reserve CPUs for long-lived actors would starve the join's own
+    read tasks there and never finish.)"""
+    import json
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    names = ["join_inner", "join_left_count", "join_semi_anti",
+             "join_star_region", "count_distinct"]
+    script = f"""
+import hashlib, json, sys
+import duckdb, pyarrow as pa, ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+import __ray_entry__ as e
+con = duckdb.connect()
+for t in {TABLES!r}:
+    con.execute(f"CREATE VIEW {{t}} AS SELECT * FROM '{SF_DIR}/{{t}}.parquet'")
+
+def vhash(df):
+    df = df.reindex(sorted(df.columns), axis=1)
+    return hashlib.sha256("\\n".join(sorted(
+        "\\x1f".join(repr(v) for v in row)
+        for row in df.itertuples(index=False))).encode()).hexdigest()
+
+out = {{}}
+for n in {names!r}:
+    got = e.queries()[n]("{SF_DIR}")
+    got = got.to_pandas()
+    want = con.execute(e.oracle_sql()[n]).df()
+    out[n] = len(got) == len(want) and vhash(got) == vhash(want)
+print("RESULT " + json.dumps(out), flush=True)
+ray.shutdown()
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.Popen([sys.executable, "-c", script], cwd=root,
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, text=True,
+                            start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=240)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("queries did not finish in a 1-CPU session within 240 s")
+    lines = [ln for ln in out.splitlines() if ln.startswith("RESULT ")]
+    assert proc.returncode == 0 and lines, out[-3000:]
+    assert json.loads(lines[-1][len("RESULT "):]) == {n: True for n in names}
 
 
 def test_grouped_topk_matches_window_sql(oracle_con):
