@@ -1,35 +1,41 @@
 """The flagship CDC replay pipeline (SURVEY.md §3.1).
 
-Replay processes the WAL in **windows of epochs**. Each window is ONE
-streaming Ray Data execution with no shuffle, planned by the engine:
+Replay processes the WAL in **windows of epochs**. Each window is one
+Ray task per planned group, with no shuffle and no Ray Data execution:
 
     wal.plan_scan(wal, window)                 # S2: footers, read once
                                                #   on the driver →
                                                #   schema + row-group
                                                #   groups
-      → wal.scan_groups                        # one read per group
-      → map_batches(prepare_events)            # M9 audit + key hash
-      → map_batches(make_fragment_writer)      # A1/A3/A4: per-task LWW
+    util.run_tasks(one task per group):
+      wal.read_blocks                          # row groups packed into
+                                               #   blocks of Ray's target
+                                               #   block size
+      → prepare_events, per block              # M9 audit + key hash
+      → make_fragment_writer, per block        # A1/A3/A4: per-task LWW
                                                #   reduce, M7 sha256,
                                                #   bucket fragment writes
-      → take_all() manifest entry rows         # tiny, one per
+      → manifest entry rows                    # tiny, one per
                                                #   (epoch, bucket, block)
 
 The driver reads each window file's Parquet footer once: the footers
 give the window's unified schema and each row group's row count. It
 splits the row groups into one group per ingest slot (``floor(cpus /
 _task_cpus())``, the reservation rule below), largest first to the
-least-loaded group (``wal.group_pieces``), and each group is one task:
-read, prep and write fuse into one operator. Ray's Parquet datasource,
-with its remote footer fetches and sampling, is not used. The plan is
-a pure function of the sorted row-group list, the row counts and the
-slot count, so a retried task rewrites byte-identical,
-content-addressed fragments.
+least-loaded group (``wal.group_pieces``), and each group is one task
+that reads, preps and writes. Ray's Parquet datasource, with its
+remote footer fetches and sampling, is not used, and neither is a Ray
+Data streaming executor: for a fixed plan it only adds a fixed start
+cost per window (SURVEY.md, write-task sizing). The plan is a pure
+function of the sorted row-group list, the row counts and the slot
+count, so a retried task rewrites byte-identical, content-addressed
+fragments.
 
-Memory: a read task yields its group one row group at a time, and
-Ray's output buffer packs them into blocks of its target block size
-(``DataContext.target_max_block_size``, 128 MiB by default). Prep and
-the writer run once per block, so a task holds about one block of
+Memory: a task decodes its group one row group at a time and packs the
+row groups into blocks of Ray's target block size
+(``DataContext.target_max_block_size``, 128 MiB by default, read on the
+driver), the bound Ray Data's output buffer applied. Prep and the
+writer run once per block, so a task holds about one packed block of
 decoded events plus the writer's reduced copy of it, however large the
 window or the group. A group below the target size is one block: the
 writer runs once per task and an epoch gets as few fragment files per
@@ -57,7 +63,7 @@ import os
 import time
 
 import ray
-import ray.data
+from ray.data import DataContext
 
 from etl_ray.sources import wal as wal_mod
 from etl_ray.state import lineage as lineage_mod
@@ -65,13 +71,14 @@ from etl_ray.state import manifest as mf
 from etl_ray.state import schema as schema_mod
 from etl_ray.state.merge import (BUCKET_SPAN, make_fragment_writer,
                                  payload_schema, prepare_events)
+from etl_ray.util import run_tasks
 
-# epochs per streaming execution; bounds the entry rows and the
+# epochs per window; bounds the entry rows and the
 # uncommitted fragments a crash can lose (tune to cluster size at scale)
 DEFAULT_WINDOW = 8
 
 # Fraction of a node's CPU slots RESERVED (never running ingest tasks)
-# on the fused read→prep→write hot path: max(1, ⌊cpus/8⌋) slots stay
+# on the read→prep→write ingest tasks: max(1, ⌊cpus/8⌋) slots stay
 # free at every level (32→28, 16→14, 8→7, 4→3 concurrent tasks) for the
 # raylet, the kernel page-fault path, and — on shared hypervisors — for
 # the host to keep guest spinlock holders running. Measured on the bench
@@ -101,9 +108,9 @@ def apply_window(wal_dir: str, lake_dir: str, epochs: list[int],
                  num_partitions: int) -> list[dict]:
     """Apply a window of epochs; commit each in ascending order.
 
-    One streaming execution reads every epoch of the window (unified
-    schema, one row-group group per ingest slot), runs the stateless prep,
-    and reduces + writes bucket fragments per task
+    One Ray task per ingest slot reads its row-group group of the
+    window (unified schema), runs the stateless prep, and reduces +
+    writes bucket fragments block by block
     (``merge.make_fragment_writer`` handles multi-epoch batches). Entry
     rows carry their epoch; the commit loop
     (``manifest.commit_entry_rows``) stays strictly sequential per epoch
@@ -113,10 +120,6 @@ def apply_window(wal_dir: str, lake_dir: str, epochs: list[int],
     epochs = [k for k in epochs if k > mf.last_wal_epoch(lake_dir)]
     if not epochs:
         return []
-    # identical num_cpus on read + both maps keeps the three stages
-    # FUSED into one operator (differing resource requests block
-    # fusion and would push every decoded batch through the object
-    # store between stages)
     task_cpus = _task_cpus()
     wal_schema, groups = wal_mod.plan_scan(wal_dir, epochs, task_cpus)
     unified = schema_mod.unify(mf.current_schema(lake_dir),
@@ -125,14 +128,19 @@ def apply_window(wal_dir: str, lake_dir: str, epochs: list[int],
     hwm_ref = ray.put(mf.high_watermarks(lake_dir))
 
     num_buckets = max(1, num_partitions // BUCKET_SPAN)
-    ds = wal_mod.scan_groups(wal_schema, groups, {"num_cpus": task_cpus})
-    ds = ds.map_batches(prepare_events(num_partitions),
-                        batch_format="pyarrow", num_cpus=task_cpus)
-    ds = ds.map_batches(
-        make_fragment_writer(lake_dir, schema_b64, hwm_ref,
-                             num_partitions, num_buckets),
-        batch_format="pyarrow", num_cpus=task_cpus)
-    rows = ds.take_all()  # ≤ (epochs × buckets × groups) tiny rows
+    prep = prepare_events(num_partitions)
+    write = make_fragment_writer(lake_dir, schema_b64, hwm_ref,
+                                 num_partitions, num_buckets)
+    block_bytes = DataContext.get_current().target_max_block_size
+
+    def _ingest(group: list[wal_mod.Piece]) -> list[dict]:
+        return [r for block in wal_mod.read_blocks(wal_schema, group,
+                                                   block_bytes)
+                for r in write(prep(block)).to_pylist()]
+
+    # ≤ (epochs × buckets × blocks) tiny rows
+    rows = [r for rs in run_tasks(_ingest, [(g,) for g in groups],
+                                  task_cpus) for r in rs]
 
     committed = mf.commit_entry_rows(lake_dir, epochs, rows, unified,
                                      num_partitions, num_buckets)

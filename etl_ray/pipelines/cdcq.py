@@ -124,7 +124,9 @@ def cdc_changes(sf_dir: str):
         # empty shuffle partitions materialize schema-less blocks;
         # drop them before concat (at least one non-empty always exists
         # here -- the seeded WAL nets changes every epoch)
-        tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+        tables = [t for t in ds.iter_batches(batch_size=None,
+                                             batch_format="pyarrow")
+                  if t.num_rows]
         return pa.concat_tables(tables).combine_chunks()
 
     base = _workdir(sf_dir, "changes")

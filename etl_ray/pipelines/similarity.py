@@ -54,9 +54,10 @@ def _sample_normalized(ds, n_rows: int):
         idx = pa.array(np.arange(0, len(t), stride, dtype=np.int64))
         return t.take(idx)
 
-    sampled = pa.concat_tables(
-        ray.get(ds.map_batches(_take, batch_format="pyarrow")
-                .to_arrow_refs())).combine_chunks()
+    sampled = pa.concat_tables(list(
+        ds.map_batches(_take, batch_format="pyarrow")
+        .iter_batches(batch_size=None, batch_format="pyarrow"))
+    ).combine_chunks()
     M = embedding_matrix(sampled["embedding"])
     return M / np.linalg.norm(M, axis=1, keepdims=True)
 
@@ -108,7 +109,8 @@ def ann_topk(sf_dir: str):
     partial = ds.map_batches(_block_topk, batch_format="pyarrow")
 
     # final merge: n_queries × (k × n_blocks) rows — tiny
-    t = pa.concat_tables(ray.get(partial.to_arrow_refs())).combine_chunks()
+    t = pa.concat_tables(list(partial.iter_batches(
+        batch_size=None, batch_format="pyarrow"))).combine_chunks()
     q = t["query_id"].to_numpy()
     n = t["neighbor_id"].to_numpy()
     s = t["sim"].to_numpy()
@@ -216,7 +218,8 @@ def ann_ivf(sf_dir: str, n_cells: int = 16, nprobe: int = 4):
         })
 
     partial = ds.map_batches(_cell_topk, batch_format="pyarrow")
-    t = pa.concat_tables(ray.get(partial.to_arrow_refs())).combine_chunks()
+    t = pa.concat_tables(list(partial.iter_batches(
+        batch_size=None, batch_format="pyarrow"))).combine_chunks()
     if len(t) == 0:
         return pa.table({"query_id": pa.array([], pa.int64()),
                          "neighbor_id": pa.array([], pa.int64())})

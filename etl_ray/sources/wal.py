@@ -386,13 +386,33 @@ def read_pieces(schema: pa.Schema,
                                 row_groups=[rg]).to_table(schema=schema)
 
 
-def scan_groups(schema: pa.Schema, groups: list[list[Piece]],
-                ray_remote_args: dict) -> "ray.data.Dataset":
-    """One read task per group. The task yields its pieces one row
-    group at a time (:func:`read_pieces`); Ray's output buffer packs
-    them into blocks of its target block size
-    (``DataContext.target_max_block_size``), so the stages fused behind
-    the read see about one block at a time, however large the group."""
+def read_blocks(schema: pa.Schema, pieces: Iterable[Piece],
+                max_bytes: int | None) -> Iterator[pa.Table]:
+    """:func:`read_pieces` packed into blocks: row groups accumulate
+    until they reach ``max_bytes`` (pass Ray's target block size,
+    ``DataContext.target_max_block_size``, the bound its output buffer
+    applies; None packs everything into one block). A consumer holds
+    about one block, however many pieces it reads."""
+    buf, size = [], 0
+    for t in read_pieces(schema, pieces):
+        buf.append(t)
+        size += t.nbytes
+        if max_bytes is not None and size >= max_bytes:
+            yield pa.concat_tables(buf)
+            buf, size = [], 0
+    if buf:
+        yield pa.concat_tables(buf)
+
+
+def read_epochs(wal_dir: str, epochs: list[int]) -> "ray.data.Dataset":
+    """Read a WINDOW of epochs as one Dataset, planned by the engine:
+    :func:`plan_scan` reads the footers once and groups the row groups,
+    one group per CPU, and each group is one streaming read task that
+    yields a row group at a time (:func:`read_pieces`; Ray's output
+    buffer packs them into blocks of its target size). Ray lists,
+    samples and footer-fetches nothing, and the whole window is one
+    streaming execution."""
+    schema, groups = plan_scan(wal_dir, epochs, 1)
 
     def _read_group(batch: pa.Table) -> Iterator[pa.Table]:
         yield from read_pieces(schema, zip(batch["path"][0].as_py(),
@@ -401,17 +421,7 @@ def scan_groups(schema: pa.Schema, groups: list[list[Piece]],
     return ray.data.from_items(
         [{"path": [p for p, _ in g], "row_group": [i for _, i in g]}
          for g in groups], override_num_blocks=len(groups),
-    ).map_batches(_read_group, batch_size=1, batch_format="pyarrow",
-                  **ray_remote_args)
-
-
-def read_epochs(wal_dir: str, epochs: list[int]) -> "ray.data.Dataset":
-    """Read a WINDOW of epochs as one Dataset, planned by the engine:
-    :func:`plan_scan` reads the footers once and groups the row groups,
-    one group per CPU, and :func:`scan_groups` reads each group in one
-    streaming task. Ray lists, samples and footer-fetches nothing, and
-    the whole window is one streaming execution."""
-    return scan_groups(*plan_scan(wal_dir, epochs, 1), {})
+    ).map_batches(_read_group, batch_size=1, batch_format="pyarrow")
 
 
 def reference_replay(wal_dir: str, n_epochs: int) -> dict[tuple[str, str], dict]:

@@ -45,8 +45,9 @@ class LakeSink(Datasink):
     Memory: Ray 2.49's Write operator tees the block iterator before it
     calls ``write`` and then lists every block for its stats
     (``ray/data/_internal/planner/plan_write_op.py:46,68``), so a write
-    task holds all of its input blocks until it ends, whereas
-    ``cdc.apply_window``'s fused ``map_batches`` chain holds about one.
+    task holds all of its input blocks until it ends, whereas a
+    ``cdc.apply_window`` ingest task holds one packed block at a time
+    (``wal.read_blocks``).
     """
 
     def __init__(self, lake_dir: str, num_partitions: int = 32,

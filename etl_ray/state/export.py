@@ -26,12 +26,12 @@ from __future__ import annotations
 import json
 import os
 
-import pyarrow as pa
 import pyarrow.parquet as pq
 
 from etl_ray.state import manifest as mf
 from etl_ray.state import schema as schema_mod
-from etl_ray.state.lake import _per_bucket, _resolve_bucket
+from etl_ray.state.lake import _resolve_bucket
+from etl_ray.util import run_tasks
 
 
 def export_snapshot(lake_dir: str, out_dir: str,
@@ -53,7 +53,7 @@ def export_snapshot(lake_dir: str, out_dir: str,
     schema = schema_mod.from_b64(man["schema_b64"])
     vis = mf.visible_entry_files(lake_dir, as_of_epoch=as_of_epoch)
 
-    def _export_bucket(bucket: int, files: list[str]) -> pa.Table:
+    def _export_bucket(bucket: int, files: list[str]) -> dict:
         """Resolve one bucket with the shared kernel and write one
         Parquet file (atomic, skip-if-exists)."""
         out_path = os.path.join(out_dir, f"bucket={bucket}",
@@ -71,10 +71,10 @@ def export_snapshot(lake_dir: str, out_dir: str,
                            compression_level=3)
             os.replace(tmp, out_path)
             n = len(table)
-        return pa.table({"n_rows": [n], "skipped": [skipped]})
+        return {"n_rows": n, "skipped": skipped}
 
-    results = (_per_bucket(vis, _export_bucket).take_all()
-               if any(vis.values()) else [])
+    results = run_tasks(_export_bucket,
+                        [(k, fs) for k, fs in sorted(vis.items()) if fs])
     summary = {"lake": lake_dir, "out_dir": out_dir, "epoch": int(epoch),
                "n_buckets": len(results),
                "n_rows": int(sum(r["n_rows"] for r in results)),

@@ -8,9 +8,10 @@ every reader resolves bucket by bucket with one kernel,
 routed to the bucket, and keep per (repo, path) the row with the max
 lsn, dropping delete tombstones unless asked for them. ``read_lake``,
 ``changes_between``, ``compact`` and ``export`` run it as one task per
-bucket; no reader shuffles rows between tasks. A point lookup reads one
-bucket's files, and compacting a set of buckets needs no rows from any
-other bucket.
+bucket (the first two as a lazy Dataset, the last two as plain Ray
+tasks, ``util.run_tasks``); no reader shuffles rows between tasks. A
+point lookup reads one bucket's files, and compacting a set of buckets
+needs no rows from any other bucket.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import ray.data
 from etl_ray.state import manifest as mf
 from etl_ray.state import schema as schema_mod
 from etl_ray.state.merge import KEY_COLS, bucket_of
-from etl_ray.util import key_hash64, lww_keep_indices, take_runs
+from etl_ray.util import key_hash64, lww_keep_indices, run_tasks, take_runs
 
 
 def _resolve_bucket(files: list[str], bucket: int, P: int, B: int,
@@ -378,7 +379,7 @@ def compact(lake_dir: str, buckets: list[int] | None = None) -> int:
         if not any(vis.values()):
             return 0
 
-    def _write_base(bucket: int, files: list[str]) -> pa.Table:
+    def _write_base(bucket: int, files: list[str]) -> dict:
         t = _resolve_bucket(files, bucket, P, num_buckets, schema)
         n = len(t)
         rel = os.path.join(mf.DATA_DIR, f"bucket={bucket}",
@@ -395,22 +396,13 @@ def compact(lake_dir: str, buckets: list[int] | None = None) -> int:
         for sh in t["content_sha256"].to_pylist():
             if sh is not None:
                 checksum ^= int(sh[:16], 16)
-        return pa.table({
-            "pid": pa.array([bucket], pa.int32()),
-            "files": pa.array([[rel]], pa.list_(pa.string())),
-            "lsn_min": pa.array([0], pa.int64()),
-            "lsn_max": pa.array([0], pa.int64()),
-            "n_events": pa.array([0], pa.int64()),
-            "n_upserts": pa.array([0], pa.int64()),
-            "n_deletes": pa.array([0], pa.int64()),
-            "n_rows": pa.array([n], pa.int64()),
-            "n_quarantined": pa.array([0], pa.int64()),
-            "checksum": pa.array([f"{checksum:016x}"], pa.string()),
-            "hwm": pa.array([-1], pa.int64()),
-        })
+        return {"pid": bucket, "files": [rel], "lsn_min": 0, "lsn_max": 0,
+                "n_events": 0, "n_upserts": 0, "n_deletes": 0,
+                "n_rows": n, "n_quarantined": 0,
+                "checksum": f"{checksum:016x}", "hwm": -1}
 
-    rows = (_per_bucket(vis, _write_base).take_all()
-            if any(vis.values()) else [])
+    rows = run_tasks(_write_base,
+                     [(k, fs) for k, fs in sorted(vis.items()) if fs])
     # a bucket left without live rows wrote no file: it gets the empty
     # covered-bucket entry below
     partitions = {int(r["pid"]): {k: r[k] for k in r if k != "pid"}

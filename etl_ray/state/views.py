@@ -199,7 +199,9 @@ def refresh_view(lake_dir: str, view_dir: str,
         return meta  # nothing newer; idempotent no-op
 
     feed = changes_between(lake_dir, f_epoch, t_epoch)
-    feed_tables = [t for t in ray.get(feed.to_arrow_refs()) if t.num_rows]
+    feed_tables = [t for t in feed.iter_batches(batch_size=None,
+                                                batch_format="pyarrow")
+                   if t.num_rows]
     if not feed_tables:
         meta["as_of_epoch"] = int(t_epoch)
         _write_state(view_dir, read_view(view_dir).to_pandas(), meta)

@@ -18,6 +18,8 @@ import polars as pl
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
+
 # Arrow-pool page-retention tuning. Fresh-page faults are the resource
 # this host's guest kernel collapses under at full width (BASELINE.md
 # parallel-fault axis) — the multi-tenant-cluster analogue of
@@ -376,3 +378,19 @@ def lww_keep_indices(kh: np.ndarray, lsn: np.ndarray,
     return np.sort(order[~dup]), mixed
 
 
+@ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError],
+            scheduling_strategy="DEFAULT")
+def _call(fn, *args):
+    return fn(*args)
+
+
+def run_tasks(fn, calls: list[tuple], num_cpus: float = 1) -> list:
+    """``[fn(*args) for args in calls]``, one Ray task per call, results
+    in call order. The tasks take the options Ray Data gives its map
+    tasks (``ray/data/_internal/remote_fn.py``): system errors retried
+    without limit, default scheduling (no inherited placement group).
+    An exception ``fn`` raises is not retried; it raises here. Three
+    such tasks take ~6 ms where a Ray Data execution of the same three
+    takes ~64 ms (SURVEY.md, write-task sizing)."""
+    task = _call.options(num_cpus=num_cpus)
+    return ray.get([task.remote(fn, *args) for args in calls])

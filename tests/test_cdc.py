@@ -220,6 +220,61 @@ def test_auto_compact_bounds_file_count(tmp_path):
         for v in ref.values())
 
 
+def test_replay_and_auto_compact_run_no_ray_data(wal_dir, ref_state,
+                                                 tmp_path, monkeypatch):
+    """A replay, its auto-compaction and a snapshot export run their
+    planned tasks as plain Ray tasks: with Ray Data's item source and
+    ``take_all`` patched to raise, they still complete, and the lake
+    equals the reference."""
+    import ray.data
+
+    from etl_ray.state.export import export_snapshot
+
+    def _no_ray_data(*a, **kw):
+        raise AssertionError("Ray Data execution started")
+
+    monkeypatch.setattr(ray.data, "from_items", _no_ray_data)
+    monkeypatch.setattr(ray.data.Dataset, "take_all", _no_ray_data)
+    lake = str(tmp_path / "lake")
+    s = replay(wal_dir, lake, N_EPOCHS, num_partitions=P, window=1,
+               auto_compact=1)
+    out = export_snapshot(lake, str(tmp_path / "export"))
+    monkeypatch.undo()
+    assert s["epochs_applied"] == N_EPOCHS
+    assert s["n_compactions"] >= 1
+    assert lake_shas(lake) == ref_shas(ref_state)
+    assert out["n_rows"] == len(ref_state)
+
+
+def test_replay_failed_task_commits_nothing_past_checkpoint(
+        wal_dir, ref_state, tmp_path, monkeypatch):
+    """A writer that raises inside its ingest task fails the replay
+    with the writer's own error; no manifest past the checkpoint is
+    committed, and a clean re-run converges on the reference."""
+    from etl_ray.pipelines import cdc
+
+    lake = str(tmp_path / "lake")
+    replay(wal_dir, lake, N_EPOCHS, num_partitions=P, stop_after=1)
+    assert mf.last_committed(lake) == 0
+
+    def _poisoned_writer(*a, **kw):
+        def _write(batch):
+            raise RuntimeError("injected writer failure")
+        return _write
+
+    # patched on the driver, so the poisoned closure is what the tasks get
+    monkeypatch.setattr(cdc, "make_fragment_writer", _poisoned_writer)
+    with pytest.raises(RuntimeError, match="injected writer failure"):
+        replay(wal_dir, lake, N_EPOCHS, num_partitions=P)
+    monkeypatch.undo()
+    assert mf.last_committed(lake) == 0
+    assert mf.last_wal_epoch(lake) == 0
+
+    s = replay(wal_dir, lake, N_EPOCHS, num_partitions=P)
+    assert s["first_epoch"] == 1
+    assert lake_shas(lake) == ref_shas(ref_state)
+
+
 def test_pruned_read_across_schema_evolution(wal_dir, tmp_path):
     """Column-pruned read_lake must work for a column ADDED mid-stream
     (absent from pre-evolution delta files → backfilled null), and an
@@ -994,6 +1049,39 @@ def test_incremental_view_maintenance(wal_dir, tmp_path, P):
     meta = refresh_view(lake, vdir)
     assert meta["as_of_epoch"] == N_EPOCHS - 1
     assert read_view(vdir).to_pandas().equals(before)
+
+
+def test_change_feed_gathers_run_their_plan_once(wal_dir, tmp_path,
+                                                monkeypatch):
+    """The view refresh and the ``cdc_changes`` query gather their
+    change feeds without ``to_arrow_refs`` on a lazy plan, which would
+    run the plan a second time to fetch its schema."""
+    import ray.data
+    from ray.data.dataset import MaterializedDataset
+
+    from etl_ray.pipelines import cdcq
+    from etl_ray.state.views import create_view, refresh_view, view_meta
+
+    orig = ray.data.Dataset.to_arrow_refs
+
+    def _materialized_only(self, *a, **kw):
+        assert isinstance(self, MaterializedDataset), \
+            "to_arrow_refs on a lazy plan runs it twice"
+        return orig(self, *a, **kw)
+
+    monkeypatch.setattr(ray.data.Dataset, "to_arrow_refs",
+                        _materialized_only)
+    lake = str(tmp_path / "lake")
+    replay(wal_dir, lake, N_EPOCHS, num_partitions=P)
+    vdir = str(tmp_path / "view")
+    create_view(lake, vdir, ["lang"], ["size"], as_of_epoch=0)
+    assert refresh_view(lake, vdir)["as_of_epoch"] == N_EPOCHS - 1
+    assert view_meta(vdir)["as_of_epoch"] == N_EPOCHS - 1
+    sf = str(tmp_path / "sf")
+    try:
+        assert len(cdcq.cdc_changes(sf)) > 0
+    finally:
+        shutil.rmtree(cdcq._workdir(sf, "changes"), ignore_errors=True)
 
 
 def test_export_snapshot_resumable_and_salt_correct(wal_dir, ref_state,

@@ -45,8 +45,9 @@ def main() -> None:
         lww_keep_indices
 
     wal_dir = bench._ensure_wal(bench.WAL_DIR)
-    # read epoch-0 files directly (single process, no Ray) in the same
-    # 64k batch granularity the fused read hands the writer
+    # read epoch-0 files directly (single process, no Ray) in 64k-row
+    # batches; a replay task hands the writer packed blocks of Ray's
+    # target block size instead (wal.read_blocks)
     files = sorted(
         os.path.join(r, n) for r, _, ns in os.walk(wal_dir) for n in ns
         if n.endswith(".parquet") and "epoch=0" in r + n)
