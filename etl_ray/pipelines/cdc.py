@@ -66,6 +66,7 @@ import ray
 from ray.data import DataContext
 
 from etl_ray.sources import wal as wal_mod
+from etl_ray.state import lake as lake_mod
 from etl_ray.state import lineage as lineage_mod
 from etl_ray.state import manifest as mf
 from etl_ray.state import schema as schema_mod
@@ -117,19 +118,25 @@ def apply_window(wal_dir: str, lake_dir: str, epochs: list[int],
     (monotonic fencing). A window-unified schema keeps all fragments of
     the window mutually compatible.
     """
-    epochs = [k for k in epochs if k > mf.last_wal_epoch(lake_dir)]
+    return _apply_window(wal_dir, mf.snapshot(lake_dir), epochs,
+                         num_partitions)[1]
+
+
+def _apply_window(wal_dir: str, snap: mf.Snapshot, epochs: list[int],
+                  num_partitions: int) -> tuple[mf.Snapshot, list[dict]]:
+    """``apply_window`` on ``snap``: also returns the snapshot after."""
+    epochs = [k for k in epochs if k > snap.wal_epoch]
     if not epochs:
-        return []
+        return snap, []
     task_cpus = _task_cpus()
     wal_schema, groups = wal_mod.plan_scan(wal_dir, epochs, task_cpus)
-    unified = schema_mod.unify(mf.current_schema(lake_dir),
-                               payload_schema(wal_schema))
+    unified = schema_mod.unify(snap.schema, payload_schema(wal_schema))
     schema_b64 = schema_mod.to_b64(unified)
-    hwm_ref = ray.put(mf.high_watermarks(lake_dir))
+    hwm_ref = ray.put(snap.hwm)
 
     num_buckets = max(1, num_partitions // BUCKET_SPAN)
     prep = prepare_events(num_partitions)
-    write = make_fragment_writer(lake_dir, schema_b64, hwm_ref,
+    write = make_fragment_writer(snap.lake_dir, schema_b64, hwm_ref,
                                  num_partitions, num_buckets)
     block_bytes = DataContext.get_current().target_max_block_size
 
@@ -142,9 +149,9 @@ def apply_window(wal_dir: str, lake_dir: str, epochs: list[int],
     rows = [r for rs in run_tasks(_ingest, [(g,) for g in groups],
                                   task_cpus) for r in rs]
 
-    committed = mf.commit_entry_rows(lake_dir, epochs, rows, unified,
-                                     num_partitions, num_buckets)
-    return [{
+    snap, committed = mf.commit_entry_rows(snap, epochs, rows, unified,
+                                           num_partitions, num_buckets)
+    return snap, [{
         "epoch": k,
         "n_events": sum(e["n_events"] for e in partitions.values()),
         "n_rows": sum(e["n_rows"] for e in partitions.values()),
@@ -156,11 +163,9 @@ def apply_window(wal_dir: str, lake_dir: str, epochs: list[int],
 def apply_epoch(wal_dir: str, lake_dir: str, epoch: int,
                 num_partitions: int) -> dict:
     """Apply one WAL epoch to the lake; returns the epoch's lineage summary."""
-    if epoch <= mf.last_wal_epoch(lake_dir):
-        # already committed — replaying it is a no-op (exactly-once)
-        return {"epoch": epoch, "n_events": 0, "n_rows": 0, "n_quarantined": 0,
-                "skipped": True}
-    return apply_window(wal_dir, lake_dir, [epoch], num_partitions)[0]
+    out = apply_window(wal_dir, lake_dir, [epoch], num_partitions)
+    return out[0] if out else {"epoch": epoch, "n_events": 0, "n_rows": 0,
+                               "n_quarantined": 0, "skipped": True}
 
 
 # live fragments per bucket before the replay loop schedules a
@@ -182,15 +187,15 @@ def replay(wal_dir: str, lake_dir: str, n_epochs: int, num_partitions: int = 32,
     with events/sec over the epochs actually applied.
     """
     os.makedirs(lake_dir, exist_ok=True)
-    last_man = mf.last_manifest(lake_dir)
-    if last_man is not None:
-        # refuse a lake routed under another key-hash/layout version
-        # before writing any fragment into it
-        mf.check_key_hash(lake_dir)
+    snap = mf.snapshot(lake_dir)  # the commits below fold into it
+    # refuse a lake routed under another key-hash/layout version
+    # before writing any fragment into it
+    snap.check_key_hash()
+    if snap.last is not None:
         # a resumed replay must keep the original partitioning: bucket
         # ownership (routing + high-watermarks) is defined by P
-        num_partitions = last_man["num_partitions"]
-    start = mf.last_wal_epoch(lake_dir) + 1
+        num_partitions = snap.num_partitions
+    start = snap.wal_epoch + 1
     end = n_epochs if stop_after is None else min(n_epochs, start + stop_after)
     t0 = time.perf_counter()
     total_events = 0
@@ -198,27 +203,21 @@ def replay(wal_dir: str, lake_dir: str, n_epochs: int, num_partitions: int = 32,
     applied = []
     for w0 in range(start, end, window):
         tw = time.perf_counter()
-        ss = apply_window(wal_dir, lake_dir, list(range(w0, min(w0 + window, end))),
-                          num_partitions)
+        snap, ss = _apply_window(wal_dir, snap,
+                                 list(range(w0, min(w0 + window, end))),
+                                 num_partitions)
         dw = round(time.perf_counter() - tw, 3)
         for s in ss:
             s["window_wall_s"] = dw
             total_events += s["n_events"]
             applied.append(s)
         if auto_compact:
-            counts = mf.live_file_counts(lake_dir)
-            over = [k for k, v in counts.items() if v > auto_compact]
-            if over:
-                from etl_ray.state.lake import compact
-
-                # PARTIAL compaction: only the over-threshold buckets
-                # (plus their shared-file closure) get rewritten —
-                # compaction write amplification tracks the hot buckets,
-                # not the lake
-                compact(lake_dir, buckets=over)
+            compacted = lake_mod.auto_compact(snap, auto_compact)
+            if compacted is not None:
+                snap = compacted
                 n_compactions += 1
     wall = time.perf_counter() - t0
-    lineage_mod.write_lineage(lake_dir)
+    lineage_mod.write_snapshot_lineage(snap)
     out = {
         "epochs_applied": len(applied),
         "first_epoch": start,
@@ -242,7 +241,9 @@ def _write_run_metrics(lake_dir: str, summary: dict) -> None:
     d = os.path.join(lake_dir, "_metrics")
     os.makedirs(d, exist_ok=True)
     seq = len([n for n in os.listdir(d) if n.startswith("run-")])
-    tmp = os.path.join(d, f".run-{seq}.tmp")
-    with open(tmp, "w") as f:
-        json.dump(summary, f)
-    os.replace(tmp, os.path.join(d, f"run-{seq}.json"))
+    while True:
+        try:  # put-if-absent: a run finishing alongside may take seq
+            return mf.put_if_absent(os.path.join(d, f"run-{seq}.json"),
+                                    json.dumps(summary))
+        except FileExistsError:
+            seq += 1

@@ -28,6 +28,7 @@ from ray.data.datasource import WriteResult
 
 from etl_ray.state import manifest as mf
 from etl_ray.state import schema as schema_mod
+from etl_ray.state.lake import auto_compact
 from etl_ray.state.merge import (BUCKET_SPAN, make_fragment_writer,
                                  payload_schema, prepare_events)
 
@@ -67,16 +68,15 @@ class LakeSink(Datasink):
         import os
 
         os.makedirs(self.lake_dir, exist_ok=True)
-        last = mf.last_manifest(self.lake_dir)
-        if last is not None:
-            mf.check_key_hash(self.lake_dir)
+        snap = mf.snapshot(self.lake_dir)
+        snap.check_key_hash()
+        if snap.last is not None:
             # resumed lake: partitioning is defined by the manifest log
-            self.num_partitions = last["num_partitions"]
-            self.num_buckets = last["num_buckets"]
-        self._hwm_ref = ray.put(mf.high_watermarks(self.lake_dir))
+            self.num_partitions = snap.num_partitions
+            self.num_buckets = snap.num_buckets
+        self._hwm_ref = ray.put(snap.hwm)
         if self._schema is not None:
-            current = mf.current_schema(self.lake_dir)
-            self._schema = schema_mod.unify(current, self._schema)
+            self._schema = schema_mod.unify(snap.schema, self._schema)
             self._schema_b64 = schema_mod.to_b64(self._schema)
 
     def write(self, blocks: Iterable[pa.Table], ctx) -> list[dict]:
@@ -124,13 +124,14 @@ class LakeSink(Datasink):
                                for r in task_rows]
         if not entries:
             return
+        snap = mf.snapshot(self.lake_dir)  # the commits build on it
         schema = self._schema
         if schema is None:
             # schema wasn't given: union of every write task's unified
             # payload schema (shipped in the entry rows) + the lake's
             # current schema — mixed-evolution datasets commit the
             # widened union, narrow fragments backfill as nulls on read
-            schema = mf.current_schema(self.lake_dir)
+            schema = snap.schema
             for b64 in {r.get("schema_b64") for r in entries} - {None}:
                 schema = schema_mod.unify(schema, schema_mod.from_b64(b64))
             if schema is None:  # no task saw a non-empty block
@@ -145,15 +146,10 @@ class LakeSink(Datasink):
                     [f for f in file_schema
                      if f.name not in ("lsn", "op", "content_sha256")])
         epochs = sorted({int(r["epoch"]) for r in entries})
-        mf.commit_entry_rows(self.lake_dir, epochs, entries, schema,
-                             self.num_partitions, self.num_buckets)
+        snap, _ = mf.commit_entry_rows(snap, epochs, entries, schema,
+                                       self.num_partitions, self.num_buckets)
         if self.auto_compact:
-            counts = mf.live_file_counts(self.lake_dir)
-            over = [p for p, v in counts.items() if v > self.auto_compact]
-            if over:
-                from etl_ray.state.lake import compact
-
-                compact(self.lake_dir, buckets=over)
+            auto_compact(snap, self.auto_compact)
 
     def get_name(self) -> str:
         return f"LakeSink({self.lake_dir})"

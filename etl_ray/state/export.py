@@ -29,7 +29,6 @@ import os
 import pyarrow.parquet as pq
 
 from etl_ray.state import manifest as mf
-from etl_ray.state import schema as schema_mod
 from etl_ray.state.lake import _resolve_bucket
 from etl_ray.util import run_tasks
 
@@ -39,19 +38,16 @@ def export_snapshot(lake_dir: str, out_dir: str,
     """Export the converged (or time-travelled) lake state to
     ``out_dir/bucket=K/part-e<epoch>.parquet``; returns a summary.
     Re-running after a crash skips finished buckets (see module doc)."""
-    man = (mf.last_manifest(lake_dir) if as_of_epoch is None
-           else mf.manifest_as_of(lake_dir, as_of_epoch))
-    if man is None:
+    snap = mf.snapshot(lake_dir, as_of_epoch)
+    if snap.last is None:
         raise FileNotFoundError(f"no committed manifest in {lake_dir}")
     # the per-bucket row filter recomputes the key hash; a lake
     # persisted under another hash version would export stale or
     # missing rows with no error — fence at read time (ADVICE r3)
-    mf.check_key_hash(lake_dir)
-    epoch = (mf.last_wal_epoch(lake_dir) if as_of_epoch is None
-             else as_of_epoch)
-    P, B = man["num_partitions"], man["num_buckets"]
-    schema = schema_mod.from_b64(man["schema_b64"])
-    vis = mf.visible_entry_files(lake_dir, as_of_epoch=as_of_epoch)
+    snap.check_key_hash()
+    epoch = snap.wal_epoch if as_of_epoch is None else as_of_epoch
+    P, B, schema = snap.num_partitions, snap.num_buckets, snap.schema
+    vis = snap.visible_files()
 
     def _export_bucket(bucket: int, files: list[str]) -> dict:
         """Resolve one bucket with the shared kernel and write one

@@ -16,6 +16,8 @@ needs no rows from any other bucket.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -25,7 +27,7 @@ import ray.data
 
 from etl_ray.state import manifest as mf
 from etl_ray.state import schema as schema_mod
-from etl_ray.state.merge import KEY_COLS, bucket_of
+from etl_ray.state.merge import KEY_COLS, _atomic_write, bucket_of
 from etl_ray.util import key_hash64, lww_keep_indices, run_tasks, take_runs
 
 
@@ -100,14 +102,18 @@ def read_lake(lake_dir: str, keep_sha: bool = True,
     at or before the epoch (vacuum deletes older deltas, the standard
     VACUUM/time-travel trade-off).
     """
+    return read_snapshot(mf.snapshot(lake_dir, as_of_epoch), keep_sha,
+                         columns)
+
+
+def read_snapshot(snap: mf.Snapshot, keep_sha: bool = True,
+                  columns: list[str] | None = None) -> "ray.data.Dataset":
+    """``read_lake`` of a folded (maybe time-travelled) snapshot."""
     # the per-bucket row filter replays the manifest's routing with
     # this build's key hash; an older lake would lose rows silently
-    mf.check_key_hash(lake_dir)
-    vis = mf.visible_entry_files(lake_dir, as_of_epoch=as_of_epoch)
-    man = (mf.last_manifest(lake_dir) if as_of_epoch is None
-           else mf.manifest_as_of(lake_dir, as_of_epoch))
-    schema = (None if man is None
-              else schema_mod.from_b64(man["schema_b64"]))
+    snap.check_key_hash()
+    vis = snap.visible_files()
+    schema = snap.schema
     if not any(vis.values()) or schema is None:
         return ray.data.from_arrow(
             pa.Table.from_pylist([], schema=schema or pa.schema([])))
@@ -119,7 +125,7 @@ def read_lake(lake_dir: str, keep_sha: bool = True,
                 f"schema has {schema.names}")
         schema = pa.schema([f for f in schema
                             if f.name in set(columns) | set(KEY_COLS)])
-    P, B = man["num_partitions"], man["num_buckets"]
+    P, B = snap.num_partitions, snap.num_buckets
 
     def _resolve(bucket: int, files: list[str]) -> pa.Table:
         t = _resolve_bucket(files, bucket, P, B, schema)
@@ -153,20 +159,18 @@ def lookup(lake_dir: str, repo: str, path: str) -> dict | None:
     """
     import pyarrow.parquet as pq
 
-    man = mf.last_manifest(lake_dir)
-    if man is None:
+    snap = mf.snapshot(lake_dir)
+    if snap.last is None:
         return None
     # the bucket probe below replays PERSISTED routing — a lake written
     # under another key-hash version would silently return None / stale
     # rows, so fence at read time too (ADVICE r3)
-    mf.check_key_hash(lake_dir)
+    snap.check_key_hash()
     kh = key_hash64(pa.table({"repo": pa.array([repo]),
                               "path": pa.array([path])}), KEY_COLS)
-    bucket = int(bucket_of(kh, man["num_partitions"], man["num_buckets"])[0])
+    bucket = int(bucket_of(kh, snap.num_partitions, snap.num_buckets)[0])
     # manifest-pruned file set: the bucket's visible files
-    # (visible_entry_files handles full AND partial compaction bases)
-    vis = mf.visible_entry_files(lake_dir)
-    files = list(dict.fromkeys(vis.get(bucket, [])))
+    files = list(dict.fromkeys(snap.visible_files().get(bucket, [])))
 
     # step 1: winning version (lsn, op, file) from the key columns only
     key_schema = pa.schema([("repo", pa.string()), ("path", pa.string()),
@@ -192,7 +196,7 @@ def lookup(lake_dir: str, repo: str, path: str) -> dict | None:
                                        ("path", "=", path),
                                        ("lsn", "=", lsn)])
     row_schema = pa.schema(
-        list(schema_mod.from_b64(man["schema_b64"]))
+        list(snap.schema)
         + [pa.field("lsn", pa.int64()),
            pa.field("content_sha256", pa.string())])
     return schema_mod.conform(t.slice(0, 1), row_schema).to_pylist()[0]
@@ -211,17 +215,20 @@ def changes_between(lake_dir: str, from_epoch: int,
     exactly (tested) — the engine is therefore both a CDC consumer and
     a CDC producer for downstream incremental pipelines.
     """
-    mf.check_key_hash(lake_dir)  # same routing fence as read_lake
-    files = mf.change_files(lake_dir, from_epoch, to_epoch)
-    man = mf.manifest_as_of(lake_dir, to_epoch)
-    if not any(files.values()) or man is None:
+    return read_changes(mf.snapshot(lake_dir, to_epoch), from_epoch)
+
+
+def read_changes(snap: mf.Snapshot, from_epoch: int) -> "ray.data.Dataset":
+    """``changes_between`` from ``from_epoch`` to ``snap``'s epoch."""
+    snap.check_key_hash()  # same routing fence as read_lake
+    files = snap.change_files(from_epoch)
+    if not any(files.values()) or snap.last is None:
         return ray.data.from_arrow(pa.Table.from_pylist(
             [], schema=pa.schema([("repo", pa.string()),
                                   ("path", pa.string()),
                                   ("op", pa.string()),
                                   ("lsn", pa.int64())])))
-    schema = schema_mod.from_b64(man["schema_b64"])
-    P, B = man["num_partitions"], man["num_buckets"]
+    schema, P, B = snap.schema, snap.num_partitions, snap.num_buckets
     return _per_bucket(files, lambda bucket, fs: _resolve_bucket(
         fs, bucket, P, B, schema, keep_deletes=True))
 
@@ -244,16 +251,16 @@ def audit_lake(lake_dir: str, verify_content: bool = False) -> dict:
     """
     from etl_ray.util import sha256_hex_with_prefix
 
-    man = mf.last_manifest(lake_dir)
+    snap = mf.snapshot(lake_dir)
     empty = {"rows_expected": 0, "rows_scanned": 0, "checksum_ok": True,
              "content_mismatches": 0}
-    if man is None:
+    if snap.last is None:
         return empty
 
     # expected global (xor of entry checksums, sum of rows) over the
     # same visible entries the readers merge, and their files
     exp_xor, exp_rows, files = 0, 0, {}
-    for es in mf.visible_entries(lake_dir).values():
+    for es in snap.visible.values():
         for e in es:
             exp_xor ^= int(e["checksum"], 16)
             exp_rows += e["n_rows"]
@@ -309,8 +316,6 @@ def vacuum(lake_dir: str) -> dict:
     run concurrently with an active writer (an in-flight epoch's
     phase-1 files are not yet referenced). Returns deletion counts.
     """
-    import os
-
     referenced = {os.path.abspath(p) for p in mf.committed_files(lake_dir)}
     data_root = os.path.join(lake_dir, mf.DATA_DIR)
     n_data = n_tmp = 0
@@ -344,23 +349,32 @@ def compact(lake_dir: str, buckets: list[int] | None = None) -> int:
     lsn=0 / op="I" (any later event out-lives them under LWW),
     tombstones are dropped, and entries carry n_events=0 (rewrites, not
     WAL events — lineage event sums stay equal to the WAL count).
-    Returns the compacted live-row count.
+    Returns the compacted live-row count. A commit that lands between
+    the snapshot and the base makes it raise (``manifest.commit_base``).
     """
-    import os
+    return compact_snapshot(mf.snapshot(lake_dir), buckets)[1]
 
-    from etl_ray.state.merge import _atomic_write
 
-    man = mf.last_manifest(lake_dir)
-    if man is None:
-        return 0
+def auto_compact(snap: mf.Snapshot, threshold: int) -> mf.Snapshot | None:
+    """Compact only the buckets with more than ``threshold`` live files;
+    the snapshot after the base, or None if no bucket is over."""
+    over = [k for k, fs in snap.visible_files().items()
+            if len(set(fs)) > threshold]
+    return compact_snapshot(snap, over)[0] if over else None
+
+
+def compact_snapshot(snap: mf.Snapshot, buckets: list[int] | None = None
+                     ) -> tuple[mf.Snapshot, int]:
+    """``compact`` on ``snap``: (the snapshot after, live-row count)."""
+    if snap.last is None:
+        return snap, 0
     # compaction re-buckets rows with THIS build's key hash and carries
     # hwm/covered buckets from the persisted manifests — version-mixed
     # routing would commit a base that loses keys; fence first
-    mf.check_key_hash(lake_dir)
-    schema = schema_mod.from_b64(man["schema_b64"])
-    P, num_buckets = man["num_partitions"], man["num_buckets"]
-    seq = mf.last_committed(lake_dir) + 1
-    vis = mf.visible_entry_files(lake_dir)
+    snap.check_key_hash()
+    lake_dir, schema, seq = snap.lake_dir, snap.schema, snap.seq + 1
+    P, num_buckets = snap.num_partitions, snap.num_buckets
+    vis = snap.visible_files()
 
     targets: set[int] | None = None
     if buckets is not None:
@@ -377,7 +391,7 @@ def compact(lake_dir: str, buckets: list[int] | None = None) -> int:
             targets = grown
         vis = {k: vis.get(k, []) for k in targets}
         if not any(vis.values()):
-            return 0
+            return snap, 0
 
     def _write_base(bucket: int, files: list[str]) -> dict:
         t = _resolve_bucket(files, bucket, P, num_buckets, schema)
@@ -399,7 +413,7 @@ def compact(lake_dir: str, buckets: list[int] | None = None) -> int:
         return {"pid": bucket, "files": [rel], "lsn_min": 0, "lsn_max": 0,
                 "n_events": 0, "n_upserts": 0, "n_deletes": 0,
                 "n_rows": n, "n_quarantined": 0,
-                "checksum": f"{checksum:016x}", "hwm": -1}
+                "checksum": f"{checksum:016x}"}
 
     rows = run_tasks(_write_base,
                      [(k, fs) for k, fs in sorted(vis.items()) if fs])
@@ -416,21 +430,13 @@ def compact(lake_dir: str, buckets: list[int] | None = None) -> int:
                 f"{sorted(targets)} — committing would reset un-rewritten "
                 "buckets and lose their deltas")
     n_live = sum(e["n_rows"] for e in partitions.values())
-    # carry forward high-watermarks so resume-after-compact still fences
-    hwm = mf.high_watermarks(lake_dir)
-    for p, e in partitions.items():
-        e["hwm"] = max(e["hwm"], hwm.get(p, -1))
-    # covered buckets that became empty (all rows deleted or no rows in
-    # the subset) still need their hwm carried / files reset
-    covered = (set(hwm) if targets is None else targets)
-    for p in covered:
-        if p not in partitions:
-            partitions[p] = {
-                "files": [], "lsn_min": -1, "lsn_max": -1, "n_events": 0,
-                "n_upserts": 0, "n_deletes": 0, "n_rows": 0,
-                "n_quarantined": 0, "checksum": "0" * 16,
-                "hwm": hwm.get(p, -1),
-            }
-    mf.commit_base(lake_dir, schema, partitions, P, num_buckets,
-                   partial=targets is not None)
-    return int(n_live)
+    # every covered bucket carries its high-watermark forward, so
+    # resume-after-compact still fences; one left without live rows (all
+    # deleted, or none in the subset) gets an empty entry: files reset
+    for p in (set(snap.hwm) if targets is None else targets):
+        partitions.setdefault(p, {
+            "files": [], "lsn_min": -1, "lsn_max": -1, "n_events": 0,
+            "n_upserts": 0, "n_deletes": 0, "n_rows": 0, "n_quarantined": 0,
+            "checksum": "0" * 16})["hwm"] = snap.hwm.get(p, -1)
+    return (mf.commit_base(snap, partitions, partial=targets is not None),
+            int(n_live))

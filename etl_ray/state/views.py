@@ -43,7 +43,9 @@ import pyarrow.parquet as pq
 import ray
 
 from etl_ray.state import manifest as mf
-from etl_ray.state.lake import changes_between, read_lake
+# read_lake, changes_between: perfbench's tracer wraps them here
+from etl_ray.state.lake import (changes_between, read_changes,  # noqa: F401
+                                read_lake, read_snapshot)
 from etl_ray.util import key_hash64
 
 _KEY_COLS = ["repo", "path"]
@@ -174,10 +176,9 @@ def create_view(lake_dir: str, view_dir: str, group_cols: list[str],
     ... FROM lake GROUP BY group_cols`` at a checkpoint (default: the
     lake's latest committed epoch), one full scan."""
     sum_cols = sum_cols or []
-    epoch = (mf.last_wal_epoch(lake_dir)
-             if as_of_epoch is None else as_of_epoch)
-    ds = read_lake(lake_dir, columns=group_cols + sum_cols,
-                   as_of_epoch=epoch, keep_sha=False)
+    snap = mf.snapshot(lake_dir, as_of_epoch)
+    epoch = snap.wal_epoch if as_of_epoch is None else as_of_epoch
+    ds = read_snapshot(snap, columns=group_cols + sum_cols, keep_sha=False)
     df = _combine([_agg_partials(ds, group_cols, sum_cols, +1)],
                   group_cols, sum_cols)
     meta = {"group_cols": group_cols, "sum_cols": sum_cols,
@@ -193,12 +194,12 @@ def refresh_view(lake_dir: str, view_dir: str,
     meta = view_meta(view_dir)
     group_cols, sum_cols = meta["group_cols"], meta["sum_cols"]
     f_epoch = meta["as_of_epoch"]
-    t_epoch = (mf.last_wal_epoch(lake_dir)
-               if to_epoch is None else to_epoch)
+    snap = mf.snapshot(lake_dir)
+    t_epoch = snap.wal_epoch if to_epoch is None else to_epoch
     if t_epoch <= f_epoch:
         return meta  # nothing newer; idempotent no-op
 
-    feed = changes_between(lake_dir, f_epoch, t_epoch)
+    feed = read_changes(snap.as_of(t_epoch), f_epoch)
     feed_tables = [t for t in feed.iter_batches(batch_size=None,
                                                 batch_format="pyarrow")
                    if t.num_rows]
@@ -229,8 +230,8 @@ def refresh_view(lake_dir: str, view_dir: str,
         mask = np.isin(key_hash64(t, _KEY_COLS), _memo[0])
         return t.filter(pa.array(mask))
 
-    old = (read_lake(lake_dir, columns=group_cols + sum_cols,
-                     as_of_epoch=f_epoch, keep_sha=False)
+    old = (read_snapshot(snap.as_of(f_epoch), columns=group_cols + sum_cols,
+                         keep_sha=False)
            .map_batches(_only_changed, batch_format="pyarrow"))
     sub_df = _agg_partials(old, group_cols, sum_cols, -1)
 

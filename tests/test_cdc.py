@@ -954,6 +954,27 @@ def test_run_metrics_persisted(wal_dir, tmp_path):
     assert {"epochs_applied", "wall_s", "n_compactions"} <= set(m)
 
 
+def test_run_metrics_never_overwrite_a_record(tmp_path):
+    """A run whose record number another run already took (two runs
+    finishing together) writes the next free number instead of
+    replacing that record."""
+    import json
+    import os
+
+    from etl_ray.pipelines.cdc import _write_run_metrics
+
+    lake = str(tmp_path / "lake")
+    d = os.path.join(lake, "_metrics")
+    os.makedirs(d)
+    with open(os.path.join(d, "run-1.json"), "w") as f:
+        json.dump({"run": "other"}, f)
+    _write_run_metrics(lake, {"run": "this"})
+    assert sorted(os.listdir(d)) == ["run-1.json", "run-2.json"]
+    for name, want in (("run-1.json", "other"), ("run-2.json", "this")):
+        with open(os.path.join(d, name)) as f:
+            assert json.load(f) == {"run": want}
+
+
 def test_lineage_counts(wal_dir, tmp_path):
     from etl_ray.state.lineage import lineage_table
     lake = str(tmp_path / "lake")
@@ -1308,3 +1329,143 @@ def test_view_int_group_column(wal_dir, tmp_path):
            .sort_values("size", ignore_index=True))
     assert got["n"].astype("int64").equals(want["n"].astype("int64"))
     assert got["size"].astype("int64").equals(want["size"].astype("int64"))
+
+
+def test_compaction_racing_a_wal_commit_fails_loudly(wal_dir, ref_state,
+                                                     tmp_path, monkeypatch):
+    """A WAL commit that lands between a compaction's per-bucket resolve
+    and its base commit makes the compaction raise, not commit a base
+    that hides the epoch: the lake equals the reference before and after
+    vacuum reclaims the orphan base, and a later compaction succeeds."""
+    from etl_ray.pipelines.cdc import apply_epoch
+    from etl_ray.state import lake as lake_mod
+    from etl_ray.state.lake import vacuum
+
+    lake = str(tmp_path / "lake")
+    replay(wal_dir, lake, N_EPOCHS, num_partitions=P,
+           stop_after=N_EPOCHS - 1)
+    resolve = lake_mod.run_tasks
+
+    def resolve_then_wal_commit(*args, **kwargs):
+        out = resolve(*args, **kwargs)
+        apply_epoch(wal_dir, lake, N_EPOCHS - 1, P)
+        return out
+
+    monkeypatch.setattr(lake_mod, "run_tasks", resolve_then_wal_commit)
+    with pytest.raises(mf.EpochFencingError):
+        compact(lake)
+    monkeypatch.undo()
+    want = ref_shas(ref_state)
+    assert mf.last_wal_epoch(lake) == N_EPOCHS - 1
+    assert lake_shas(lake) == want
+    assert vacuum(lake)["deleted_data_files"] >= 1  # the orphan base
+    assert lake_shas(lake) == want
+    assert compact(lake) == len(want)
+    assert mf.last_manifest(lake)["base"]
+    assert lake_shas(lake) == want
+
+
+def _rival_commits_first(monkeypatch, rival) -> None:
+    """The next manifest write first runs ``rival`` (a whole commit):
+    the writer folded the log before the rival committed and links its
+    doc after it."""
+    write = mf._write_doc
+
+    def rival_then_write(*args):
+        monkeypatch.setattr(mf, "_write_doc", write)
+        rival()
+        return write(*args)
+
+    monkeypatch.setattr(mf, "_write_doc", rival_then_write)
+
+
+def test_commit_racing_a_commit_of_its_epoch_is_a_noop(wal_dir, tmp_path,
+                                                        monkeypatch):
+    """Two commits of one WAL epoch that folded the same sequence: the
+    rival's manifest is not overwritten, and the later commit is the
+    idempotent no-op for an already committed epoch."""
+    lake = str(tmp_path / "lake")
+    replay(wal_dir, lake, N_EPOCHS, num_partitions=P,
+           stop_after=N_EPOCHS - 1)
+    seq, epoch = mf.last_committed(lake) + 1, N_EPOCHS - 1
+    schema = mf.current_schema(lake)
+    ghost = {"files": [], "lsn_min": -1, "lsn_max": -1, "n_events": 0,
+             "n_upserts": 0, "n_deletes": 0, "n_rows": 0,
+             "n_quarantined": 0, "checksum": "0" * 16, "hwm": 99}
+    _rival_commits_first(monkeypatch, lambda: mf.commit_epoch(
+        lake, epoch, schema, {}, P))
+    assert mf.commit_epoch(lake, epoch, schema, {0: ghost}, P) is False
+    assert mf.last_committed(lake) == seq
+    assert mf.read_manifest(lake, seq)["partitions"] == {}
+    assert mf.last_wal_epoch(lake) == epoch
+
+
+def test_commit_racing_a_compaction_lands_at_next_sequence(
+        wal_dir, ref_state, tmp_path, monkeypatch):
+    """A WAL commit that folded the sequence a compaction base then took
+    re-folds and lands at the next sequence; the base stays and the lake
+    equals the reference."""
+    from etl_ray.pipelines.cdc import apply_epoch
+
+    lake = str(tmp_path / "lake")
+    replay(wal_dir, lake, N_EPOCHS, num_partitions=P,
+           stop_after=N_EPOCHS - 1)
+    seq = mf.last_committed(lake) + 1
+    _rival_commits_first(monkeypatch, lambda: compact(lake))
+    assert apply_epoch(wal_dir, lake, N_EPOCHS - 1, P)["n_events"] > 0
+    assert mf.read_manifest(lake, seq)["base"]
+    assert mf.read_manifest(lake, seq + 1)["epoch"] == N_EPOCHS - 1
+    assert mf.last_committed(lake) == seq + 1
+    assert lake_shas(lake) == ref_shas(ref_state)
+
+
+def test_engine_calls_fold_the_manifest_log_once(wal_dir, tmp_path,
+                                                 monkeypatch):
+    """On a lake of N >= 8 manifests, one replay call that applies one
+    epoch (no compaction) reads each manifest at most once, and read_lake,
+    lookup, changes_between and compact each read at most N; every call
+    lists _manifests/ at most once."""
+    import os
+
+    from etl_ray.state import lake as lake_mod
+
+    lake = str(tmp_path / "lake")
+    replay(wal_dir, lake, N_EPOCHS, num_partitions=P,
+           stop_after=N_EPOCHS - 1)
+    for _ in range(5):
+        compact(lake)
+    n = mf.last_committed(lake) + 1
+    assert n >= 8
+    reads, lists = [], []
+    read, listdir = mf.read_manifest, os.listdir
+
+    def counted_read(lake_dir, seq):
+        reads.append(seq)
+        return read(lake_dir, seq)
+
+    def counted_listdir(path="."):
+        if str(path).rstrip("/").endswith(mf.MANIFEST_DIR):
+            lists.append(path)
+        return listdir(path)
+
+    monkeypatch.setattr(mf, "read_manifest", counted_read)
+    monkeypatch.setattr(os, "listdir", counted_listdir)
+
+    def counted(call):
+        reads.clear()
+        lists.clear()
+        out = call()
+        assert len(lists) <= 1
+        return out, list(reads)
+
+    s, got = counted(lambda: replay(wal_dir, lake, N_EPOCHS,
+                                    num_partitions=P))
+    assert s["epochs_applied"] == 1 and s["n_compactions"] == 0
+    assert len(got) == len(set(got)) and set(got) <= set(range(n))
+    n += 1
+    for call in (lambda: lake_mod.read_lake(lake),
+                 lambda: lake_mod.read_lake(lake, as_of_epoch=1),
+                 lambda: lake_mod.lookup(lake, "org0/repo0", "src/a.py"),
+                 lambda: lake_mod.changes_between(lake, 1, N_EPOCHS - 1),
+                 lambda: compact(lake)):
+        assert len(counted(call)[1]) <= n
