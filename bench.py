@@ -19,9 +19,9 @@ steady-state throughput. Scaling children write their lake under
 ``$RAY_GRAFT_SCALING_LAKE`` (default /dev/shm/etl_ray_bench).
 
 ``host_cpus`` (the affinity mask), ``warmup`` (whether the timed
-replay followed an untimed one) and ``arrow_pool`` (the driver's Arrow
-allocator) record the protocol: walls compare only between records
-that agree on them.
+replay followed an untimed one) and ``arrow_pool`` (the Arrow allocator
+an engine task runs on, from one ``util.run_tasks`` probe) record the
+protocol: walls compare only between records that agree on them.
 
 Owns its Ray session (scripts do; library code never calls ray.init).
 """
@@ -121,10 +121,15 @@ def _preread(wal_dir: str) -> None:
 
 
 def _protocol(warmup: bool) -> dict:
-    import pyarrow as pa
+    from etl_ray.util import run_tasks
+
+    def _task_pool() -> str:
+        import pyarrow as pa
+
+        return pa.default_memory_pool().backend_name
 
     return {"host_cpus": len(os.sched_getaffinity(0)), "warmup": warmup,
-            "arrow_pool": pa.default_memory_pool().backend_name}
+            "arrow_pool": run_tasks(_task_pool, [()])[0]}
 
 
 def _consume(res) -> int:

@@ -27,7 +27,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from etl_ray.util import key_hash64
+from etl_ray.util import key_hash64, session_cpus
 
 # Shard-count cap for the key-hash exchange. At sf0.01 this is plenty;
 # a cluster run sizes it to ~2×cores with 64–128 MiB blocks.
@@ -44,16 +44,16 @@ Kernel = Callable[[pa.Table], pa.Table]
 
 
 def join_partitions(cap: int = JOIN_PARTITIONS) -> int:
-    """Shard count of the key-hash exchange: the session's CPUs, capped.
+    """Shard count of the key-hash exchange: the session's CPUs, capped,
+    and never below 2.
 
     One kernel call per shard; more shards than CPUs only add calls,
-    fewer leave reduce tasks without a whole shard to work on.
+    fewer leave reduce tasks without a whole shard to work on. At 1
+    shard the sort's boundaries would be ``[]``, which Ray reads as none
+    given: it would sample the input and keep its block count, the path
+    :func:`_exchange` exists to avoid.
     """
-    try:
-        n = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:  # noqa: BLE001 — uninitialised session
-        n = 8
-    return max(1, min(cap, n))
+    return max(2, min(cap, session_cpus()))
 
 
 def shard_of(t: pa.Table, keys: Sequence[str], n: int) -> np.ndarray:

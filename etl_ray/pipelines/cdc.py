@@ -3,6 +3,8 @@
 Replay processes the WAL in **windows of epochs**. Each window is one
 Ray task per planned group, with no shuffle and no Ray Data execution:
 
+    open_lake                                  # driver, once: fence,
+                                               #   resumed P
     wal.plan_scan(wal, window)                 # S2: footers, read once
                                                #   on the driver →
                                                #   schema + row-group
@@ -11,12 +13,19 @@ Ray task per planned group, with no shuffle and no Ray Data execution:
       wal.read_blocks                          # row groups packed into
                                                #   blocks of Ray's target
                                                #   block size
-      → prepare_events, per block              # M9 audit + key hash
-      → make_fragment_writer, per block        # A1/A3/A4: per-task LWW
+      → make_ingest's function:
+        prepare_events, per block              # M9 audit + key hash
+        → make_fragment_writer, per block      # A1/A3/A4: per-task LWW
                                                #   reduce, M7 sha256,
                                                #   bucket fragment writes
-      → manifest entry rows                    # tiny, one per
+        → manifest entry rows                  # tiny, one per
                                                #   (epoch, bucket, block)
+    commit_rows                                # driver: fenced commits,
+                                               #   auto-compaction
+
+``open_lake``, ``make_ingest`` and ``commit_rows`` are the one ingest
+path: ``state.datasink.LakeSink`` runs the same three from Ray Data's
+write hooks.
 
 The driver reads each window file's Parquet footer once: the footers
 give the window's unified schema and each row group's row count. It
@@ -61,18 +70,20 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterable
+
+import pyarrow as pa
 
 import ray
 from ray.data import DataContext
 
 from etl_ray.sources import wal as wal_mod
 from etl_ray.state import lake as lake_mod
-from etl_ray.state import lineage as lineage_mod
 from etl_ray.state import manifest as mf
 from etl_ray.state import schema as schema_mod
 from etl_ray.state.merge import (BUCKET_SPAN, make_fragment_writer,
                                  payload_schema, prepare_events)
-from etl_ray.util import run_tasks
+from etl_ray.util import retain_heap, run_tasks, session_cpus
 
 # epochs per window; bounds the entry rows and the
 # uncommitted fragments a crash can lose (tune to cluster size at scale)
@@ -93,10 +104,7 @@ DEFAULT_WINDOW = 8
 
 def _task_cpus() -> float:
     """Per-task CPU request implementing the slot reservation above."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:  # noqa: BLE001 — uninitialised session
-        cpus = 8
+    cpus = session_cpus()
     reserve = max(1, cpus // 8)
     if cpus - reserve < 1:  # 1-CPU session: nothing to reserve
         return 1.0
@@ -105,59 +113,110 @@ def _task_cpus() -> float:
     return max(1.0, cpus / (cpus - reserve) - 0.002)
 
 
+def open_lake(lake_dir: str, num_partitions: int) -> tuple[mf.Snapshot, int]:
+    """Ingest phase 0 (driver): create the lake, take its snapshot and
+    refuse a lake routed under another key-hash or layout version before
+    any fragment is written into it. A resumed lake keeps its original
+    partitioning, since bucket ownership (routing and high-watermarks)
+    is defined by P. Returns the snapshot and the P to ingest with."""
+    os.makedirs(lake_dir, exist_ok=True)
+    snap = mf.snapshot(lake_dir)
+    snap.check_key_hash()
+    if snap.last is not None:
+        num_partitions = snap.num_partitions
+    return snap, num_partitions
+
+
+def make_ingest(lake_dir: str, schema_b64: str, hwm_ref,
+                num_partitions: int):
+    """Ingest phase 1: the function a worker runs over an iterable of
+    WAL-shaped blocks. Per block it audits and key-hashes the events
+    (``prepare_events``), then LWW-reduces them and writes the bucket
+    fragments, conformed to ``schema_b64`` (``make_fragment_writer``).
+    It returns the manifest entry rows, one per (epoch, bucket, block),
+    and runs under the worker's heap policy (``util.retain_heap``)."""
+    prep = prepare_events(num_partitions)
+    write = make_fragment_writer(lake_dir, schema_b64, hwm_ref,
+                                 num_partitions, _num_buckets(num_partitions))
+
+    def _ingest(blocks: Iterable[pa.Table]) -> list[dict]:
+        retain_heap()
+        return [r for block in blocks for r in write(prep(block)).to_pylist()]
+
+    return _ingest
+
+
+def commit_rows(snap: mf.Snapshot, epochs: list[int], rows: list[dict],
+                schema: pa.Schema, num_partitions: int,
+                auto_compact: int | None
+                ) -> tuple[mf.Snapshot, dict[int, dict[int, dict]], bool]:
+    """Ingest phase 2 (driver): the fenced per-epoch commits of the entry
+    rows (``manifest.commit_entry_rows``), then a compaction of every
+    bucket with more than ``auto_compact`` live files (None disables).
+    Returns the snapshot after, epoch → its committed partitions, and
+    whether a compaction ran."""
+    snap, committed = mf.commit_entry_rows(snap, epochs, rows, schema,
+                                           num_partitions,
+                                           _num_buckets(num_partitions))
+    compacted = (lake_mod.auto_compact(snap, auto_compact)
+                 if auto_compact else None)
+    if compacted is None:
+        return snap, committed, False
+    return compacted, committed, True
+
+
+def _num_buckets(num_partitions: int) -> int:
+    return max(1, num_partitions // BUCKET_SPAN)
+
+
 def apply_window(wal_dir: str, lake_dir: str, epochs: list[int],
                  num_partitions: int) -> list[dict]:
     """Apply a window of epochs; commit each in ascending order.
 
     One Ray task per ingest slot reads its row-group group of the
-    window (unified schema), runs the stateless prep, and reduces +
-    writes bucket fragments block by block
-    (``merge.make_fragment_writer`` handles multi-epoch batches). Entry
-    rows carry their epoch; the commit loop
-    (``manifest.commit_entry_rows``) stays strictly sequential per epoch
+    window (unified schema) and runs :func:`make_ingest`'s function
+    over it, block by block (``merge.make_fragment_writer`` handles
+    multi-epoch batches). Entry rows carry their epoch; the commit loop
+    (:func:`commit_rows`) stays strictly sequential per epoch
     (monotonic fencing). A window-unified schema keeps all fragments of
     the window mutually compatible.
     """
-    return _apply_window(wal_dir, mf.snapshot(lake_dir), epochs,
-                         num_partitions)[1]
+    snap, num_partitions = open_lake(lake_dir, num_partitions)
+    return _apply_window(wal_dir, snap, epochs, num_partitions, None)[1]
 
 
 def _apply_window(wal_dir: str, snap: mf.Snapshot, epochs: list[int],
-                  num_partitions: int) -> tuple[mf.Snapshot, list[dict]]:
-    """``apply_window`` on ``snap``: also returns the snapshot after."""
+                  num_partitions: int, auto_compact: int | None
+                  ) -> tuple[mf.Snapshot, list[dict], bool]:
+    """``apply_window`` on ``snap``, then ``auto_compact``: also returns
+    the snapshot after and whether a compaction ran."""
     epochs = [k for k in epochs if k > snap.wal_epoch]
     if not epochs:
-        return snap, []
+        return snap, [], False
     task_cpus = _task_cpus()
     wal_schema, groups = wal_mod.plan_scan(wal_dir, epochs, task_cpus)
     unified = schema_mod.unify(snap.schema, payload_schema(wal_schema))
     schema_b64 = schema_mod.to_b64(unified)
     hwm_ref = ray.put(snap.hwm)
-
-    num_buckets = max(1, num_partitions // BUCKET_SPAN)
-    prep = prepare_events(num_partitions)
-    write = make_fragment_writer(snap.lake_dir, schema_b64, hwm_ref,
-                                 num_partitions, num_buckets)
+    ingest = make_ingest(snap.lake_dir, schema_b64, hwm_ref, num_partitions)
     block_bytes = DataContext.get_current().target_max_block_size
 
-    def _ingest(group: list[wal_mod.Piece]) -> list[dict]:
-        return [r for block in wal_mod.read_blocks(wal_schema, group,
-                                                   block_bytes)
-                for r in write(prep(block)).to_pylist()]
+    def _read_and_ingest(group: list[wal_mod.Piece]) -> list[dict]:
+        return ingest(wal_mod.read_blocks(wal_schema, group, block_bytes))
 
     # ≤ (epochs × buckets × blocks) tiny rows
-    rows = [r for rs in run_tasks(_ingest, [(g,) for g in groups],
+    rows = [r for rs in run_tasks(_read_and_ingest, [(g,) for g in groups],
                                   task_cpus) for r in rs]
 
-    snap, committed = mf.commit_entry_rows(snap, epochs, rows, unified,
-                                           num_partitions, num_buckets)
+    snap, committed, compacted = commit_rows(snap, epochs, rows, unified,
+                                             num_partitions, auto_compact)
     return snap, [{
         "epoch": k,
         "n_events": sum(e["n_events"] for e in partitions.values()),
         "n_rows": sum(e["n_rows"] for e in partitions.values()),
         "n_quarantined": sum(e["n_quarantined"]
                              for e in partitions.values()),
-    } for k, partitions in committed.items()]
+    } for k, partitions in committed.items()], compacted
 
 
 def apply_epoch(wal_dir: str, lake_dir: str, epoch: int,
@@ -186,15 +245,8 @@ def replay(wal_dir: str, lake_dir: str, n_epochs: int, num_partitions: int = 32,
     live data-file count exceeds it (None disables). Returns a summary
     with events/sec over the epochs actually applied.
     """
-    os.makedirs(lake_dir, exist_ok=True)
-    snap = mf.snapshot(lake_dir)  # the commits below fold into it
-    # refuse a lake routed under another key-hash/layout version
-    # before writing any fragment into it
-    snap.check_key_hash()
-    if snap.last is not None:
-        # a resumed replay must keep the original partitioning: bucket
-        # ownership (routing + high-watermarks) is defined by P
-        num_partitions = snap.num_partitions
+    # the commits below fold into the snapshot
+    snap, num_partitions = open_lake(lake_dir, num_partitions)
     start = snap.wal_epoch + 1
     end = n_epochs if stop_after is None else min(n_epochs, start + stop_after)
     t0 = time.perf_counter()
@@ -203,21 +255,16 @@ def replay(wal_dir: str, lake_dir: str, n_epochs: int, num_partitions: int = 32,
     applied = []
     for w0 in range(start, end, window):
         tw = time.perf_counter()
-        snap, ss = _apply_window(wal_dir, snap,
-                                 list(range(w0, min(w0 + window, end))),
-                                 num_partitions)
+        snap, ss, compacted = _apply_window(
+            wal_dir, snap, list(range(w0, min(w0 + window, end))),
+            num_partitions, auto_compact)
         dw = round(time.perf_counter() - tw, 3)
         for s in ss:
             s["window_wall_s"] = dw
             total_events += s["n_events"]
             applied.append(s)
-        if auto_compact:
-            compacted = lake_mod.auto_compact(snap, auto_compact)
-            if compacted is not None:
-                snap = compacted
-                n_compactions += 1
+        n_compactions += compacted
     wall = time.perf_counter() - t0
-    lineage_mod.write_snapshot_lineage(snap)
     out = {
         "epochs_applied": len(applied),
         "first_epoch": start,

@@ -18,7 +18,6 @@ triples or per-bucket candidate sets, never full documents.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -457,22 +456,6 @@ def simhash_batch(t: pa.Table, text_col: str = "text") -> np.ndarray:
     acc = np.zeros((len(t), 64), dtype=np.int64)
     np.add.at(acc, seg, signs)
     return ((acc > 0).astype(np.uint64) << _SIM_BITS).sum(axis=1)
-
-
-def dedup_simhash(sf_dir: str):
-    """SimHash signatures + 16-bit LSH band per document (unregistered —
-    gate-checked via text_signals, which emits the same columns)."""
-    ds = read(sf_dir, "documents", ["doc_id", "text"])
-
-    def _f(t: pa.Table) -> pa.Table:
-        sim = simhash_batch(t)
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "simhash": pa.array([f"{v:016x}" for v in sim], pa.string()),
-            "band16": pa.array((sim >> np.uint64(48)).astype(np.int64)),
-        })
-
-    return ds.map_batches(_f, batch_format="pyarrow")
 
 
 @register(

@@ -320,22 +320,6 @@ class FrameSampler:
         })
 
 
-def multimodal_frame_sample(sf_dir: str):
-    """Video-column pipeline: attach fake video payloads, explode every
-    8th frame via an actor pool. Rows-only oracle (deterministic count:
-    sum over docs of ceil(n_frames/8))."""
-    ds = read(sf_dir, "documents", ["doc_id"])
-
-    def _attach(t: pa.Table) -> pa.Table:
-        payloads = [encode_fake_video(i) for i in t["doc_id"].to_pylist()]
-        return pa.table({"doc_id": t["doc_id"],
-                         "video": pa.array(payloads, pa.binary())})
-
-    with_vid = ds.map_batches(_attach, batch_format="pyarrow")
-    return with_vid.map_batches(FrameSampler, batch_format="pyarrow",
-                                batch_size=128, concurrency=2)
-
-
 def multimodal_decode(sf_dir: str):
     """Binary-column pipeline: attach fake payloads, decode via actor
     pool, emit typed metadata. Rows-only oracle (decode is a stub)."""

@@ -291,38 +291,6 @@ def join_semi_anti(sf_dir: str):
     return semi.union(anti)
 
 
-def broadcast_lookup(sf_dir: str):
-    """J3: small dimension broadcast via ray.put — no shuffle join.
-
-    nation (25 rows) is put in the object store once; every map task
-    reads the same copy and resolves keys with a vectorized
-    pc.index_in + take (no per-row Python probe). The only shuffle is
-    the final tiny groupby on n_name. (Unregistered — the driver gate
-    covers J3 through join_star_region, which uses the same probe.)
-    """
-    import pyarrow.parquet as pq
-
-    nation = pq.read_table(f"{sf_dir}/nation.parquet",
-                           columns=["n_nationkey", "n_name"])
-    ref = ray.put((nation["n_nationkey"].combine_chunks(),
-                   nation["n_name"].combine_chunks()))
-
-    cust = read(sf_dir, "customer", ["c_nationkey", "c_acctbal"])
-
-    def _probe(t: pa.Table) -> pa.Table:
-        keys, names = ray.get(ref)
-        idx = pc.index_in(t["c_nationkey"], value_set=keys)
-        return (t.append_column("n_name", pc.take(names, idx))
-                .drop_columns(["c_nationkey"]))
-
-    out = (cust.map_batches(_probe, batch_format="pyarrow")
-           .groupby("n_name")
-           .aggregate(Count(alias_name="n_customers"),
-                      Sum("c_acctbal", alias_name="total_bal_c")))
-    return out.map_batches(lambda t: fixed_point(t, "total_bal_c", 100),
-                           batch_format="pyarrow")
-
-
 @register(
     "join_star_region",
     """SELECT r_name, COUNT(*) AS n_orders,
@@ -467,14 +435,6 @@ def sort_topk(sf_dir: str):
     """O1/O2: distributed sort + limit (per-block top-k then merge)."""
     ds = read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
     return ds.sort("o_totalprice", descending=True).limit(10)
-
-
-def distinct_one(sf_dir: str):
-    """G4 single-column distinct via Dataset.unique (unregistered — the
-    driver gate covers G4 through distinct_multi)."""
-    ds = read(sf_dir, "customer", ["c_mktsegment"])
-    vals = sorted(ds.unique("c_mktsegment"))
-    return pa.table({"c_mktsegment": pa.array(vals, pa.string())})
 
 
 @register(

@@ -194,23 +194,6 @@ def json_extract(sf_dir: str):
     return ds.map_batches(_f, batch_format="pyarrow")
 
 
-def json_agg(sf_dir: str):
-    """M6 extraction feeding a grouped aggregate (unregistered — the
-    driver gate covers M6 through json_extract's per-row check)."""
-    from ray.data.aggregate import Sum
-
-    ds = read(sf_dir, "events", ["event_type", "props"])
-
-    def _f(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "event_type": t["event_type"],
-            "k": expr.json_extract_int64(t["props"], "k"),
-        })
-
-    return (ds.map_batches(_f, batch_format="pyarrow")
-            .groupby("event_type").aggregate(Sum("k", alias_name="sum_k")))
-
-
 @register(
     "hash_sha256",
     "SELECT doc_id, sha256(text) AS sha FROM documents",

@@ -127,32 +127,6 @@ def ann_topk(sf_dir: str):
     })
 
 
-def embedding_norms(sf_dir: str):
-    """Vector feature extraction: L2 norm per embedding, vectorized as
-    one numpy reduction per batch (unregistered — vector math is
-    gate-checked via embedding_neardup / ann_topk).
-
-    Both sides square/sum the same float32-valued doubles left-to-right
-    vs pairwise — the e4 fixed-point absorbs the last-bit difference.
-    """
-    ds = read(sf_dir, "embeddings", ["vec_id", "label", "embedding"])
-
-    def _f(t: pa.Table) -> pa.Table:
-        M = embedding_matrix(t["embedding"])
-        # match DuckDB list_sum's sequential left-to-right accumulation
-        acc = np.zeros(len(M))
-        for j in range(M.shape[1]):
-            acc += M[:, j] * M[:, j]
-        norm = np.sqrt(acc)
-        return pa.table({
-            "vec_id": t["vec_id"],
-            "label": t["label"],
-            "norm_e4": pa.array(np.floor(norm * 10000 + 0.5).astype(np.int64)),
-        })
-
-    return ds.map_batches(_f, batch_format="pyarrow")
-
-
 def fit_centroids(ds, n_cells: int) -> np.ndarray:
     """Deterministic normalized k-means centroids (8 Lloyd iterations
     from evenly-strided seeds) over a DISTRIBUTED sample (every

@@ -24,18 +24,6 @@ def _token_lists(t: pa.Table, col: str = "text"):
     return as_array(toks)
 
 
-def token_count(sf_dir: str):
-    """T10 token counting (unregistered — text_quality's oracle-paired
-    n_tokens column is the driver-gate check for this op)."""
-    ds = read(sf_dir, "documents", ["doc_id", "text"])
-
-    def _f(t: pa.Table) -> pa.Table:
-        n = pc.cast(pc.list_value_length(_token_lists(t)), pa.int64())
-        return pa.table({"doc_id": t["doc_id"], "n_tokens": n})
-
-    return ds.map_batches(_f, batch_format="pyarrow")
-
-
 @register(
     "text_quality",
     """SELECT doc_id,
@@ -113,13 +101,6 @@ class LangId:
         })
 
 
-def lang_id(sf_dir: str):
-    """T8 language ID alone (unregistered — gate-checked via text_signals)."""
-    ds = read(sf_dir, "documents", ["doc_id", "text"])
-    return ds.map_batches(LangId, batch_format="pyarrow", batch_size=4096,
-                          concurrency=2).drop_columns(["text"])
-
-
 FP_W = 4
 _FP_B = np.uint64(1000003)
 
@@ -142,21 +123,6 @@ def fingerprint_batch(t: pa.Table, text_col: str = "text") -> np.ndarray:
         return np.zeros(len(t), dtype=np.uint64)
     offs = np.concatenate([[0], np.cumsum(counts)])[:-1].astype(np.int64)
     return np.minimum.reduceat(vals, offs)
-
-
-def fingerprint(sf_dir: str):
-    """T11 fingerprinting alone (unregistered — gate-checked via
-    text_signals). Deterministic; stability asserted in tests."""
-    ds = read(sf_dir, "documents", ["doc_id", "text"])
-
-    def _f(t: pa.Table) -> pa.Table:
-        fps = fingerprint_batch(t)
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "fp": pa.array([f"{v:016x}" for v in fps], pa.string()),
-        })
-
-    return ds.map_batches(_f, batch_format="pyarrow")
 
 
 @register("text_signals")

@@ -46,7 +46,7 @@ import ray.data
 
 from etl_ray.sources.corpus import _VOCAB, SEED
 from etl_ray.state import schema as schema_mod
-from etl_ray.util import key_hash64
+from etl_ray.util import key_hash64, session_cpus
 
 DELETE_P = 0.15
 ZIPF_A = 1.3
@@ -334,10 +334,6 @@ def plan_scan(wal_dir: str, epochs: list[int],
     split by :func:`group_pieces` into one group per ingest slot. A
     slot is a task of ``num_cpus``; the session fits ``floor(cpus /
     num_cpus)`` of them at once."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:  # noqa: BLE001 — uninitialised session
-        cpus = 8
     sch, pieces, rows = None, [], []
     for k in epochs:
         d = f"{wal_dir}/epoch={k}"
@@ -352,7 +348,7 @@ def plan_scan(wal_dir: str, epochs: list[int],
     if not pieces:
         raise FileNotFoundError(f"no WAL row groups for epochs {epochs} "
                                 f"under {wal_dir}")
-    return sch, group_pieces(pieces, rows, int(cpus // num_cpus))
+    return sch, group_pieces(pieces, rows, int(session_cpus() // num_cpus))
 
 
 def group_pieces(pieces: list[Piece], rows: list[int],

@@ -30,6 +30,7 @@ import pyarrow.parquet as pq
 
 from etl_ray.state import manifest as mf
 from etl_ray.state.lake import _resolve_bucket
+from etl_ray.state.merge import _atomic_write
 from etl_ray.util import run_tasks
 
 
@@ -54,20 +55,13 @@ def export_snapshot(lake_dir: str, out_dir: str,
         Parquet file (atomic, skip-if-exists)."""
         out_path = os.path.join(out_dir, f"bucket={bucket}",
                                 f"part-e{epoch}.parquet")
-        skipped = os.path.exists(out_path)
-        if skipped:
-            n = pq.read_metadata(out_path).num_rows
-        else:
-            table = _resolve_bucket(files, bucket, P, B, schema)
-            os.makedirs(os.path.dirname(out_path), exist_ok=True)
-            tmp = f"{out_path}.tmp.{os.getpid()}"
-            # level 3: smaller + faster-decoding than the default
-            # (merge.py note)
-            pq.write_table(table, tmp, compression="zstd",
-                           compression_level=3)
-            os.replace(tmp, out_path)
-            n = len(table)
-        return {"n_rows": n, "skipped": skipped}
+        if os.path.exists(out_path):
+            return {"n_rows": pq.read_metadata(out_path).num_rows,
+                    "skipped": True}
+        table = _resolve_bucket(files, bucket, P, B, schema)
+        os.makedirs(os.path.dirname(out_path), exist_ok=True)
+        _atomic_write(table, out_path)  # the lake's one write policy
+        return {"n_rows": len(table), "skipped": False}
 
     results = run_tasks(_export_bucket,
                         [(k, fs) for k, fs in sorted(vis.items()) if fs])

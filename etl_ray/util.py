@@ -1,17 +1,24 @@
-"""Shared vectorized helpers: hashing, partition-id routing, table utils.
+"""Shared vectorized helpers: hashing, partition-id routing, table
+utils, and the engine's task runner.
 
-These run inside ``map_batches`` hot paths, so everything here is either a
-pyarrow.compute kernel, a numpy/pandas vectorized call, or (for sha256,
-which has no vectorized kernel anywhere in the stack) a tight Python loop
-over an Arrow column that is explicitly the per-row invariant hash
-mandated by BASELINE.json:2 ("100% sha256 row-equality").
+The helpers run inside ``map_batches`` hot paths, so everything here is
+either a pyarrow.compute kernel, a numpy/pandas vectorized call, or (for
+sha256, which has no vectorized kernel anywhere in the stack) a tight
+Python loop over an Arrow column that is explicitly the per-row invariant
+hash mandated by BASELINE.json:2 ("100% sha256 row-equality").
+
+Importing this module changes no process-wide state. The heap policy
+(:func:`retain_heap`) is applied by the engine's own tasks
+(:func:`run_tasks` and the ingest), in the worker that runs them.
 """
 
 from __future__ import annotations
 
 import binascii
+import ctypes
+import ctypes.util
+import functools
 import hashlib
-import os
 
 import numpy as np
 import polars as pl
@@ -19,59 +26,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
-
-# Arrow-pool page-retention tuning. Fresh-page faults are the resource
-# this host's guest kernel collapses under at full width (BASELINE.md
-# parallel-fault axis) — the multi-tenant-cluster analogue of
-# kernel-side memory contention — so the engine keeps batch buffers
-# MAPPED between batches instead of re-faulting them.
-#
-# Two layers, both bounded by each worker's PEAK heap (retention frees
-# later / never, it never grows peak):
-#
-# 1. ETL_RAY_JEMALLOC_DECAY_MS (default 10000, "0" disables): Arrow-
-#    jemalloc dirty-page decay. Covers ALLOCATIONS < the jemalloc
-#    oversize threshold only — measured (alloc micro + substep audit,
-#    round 5): huge-class buffers (the ~100 MB+ string columns a 64k-row
-#    gather produces) are purged IMMEDIATELY on free regardless of
-#    decay, re-faulting their full size every batch (take_runs alone:
-#    0.46 f/ev).
-# 2. ETL_RAY_ARROW_POOL=system-retain (default; "jemalloc" restores the
-#    old pool): switch the Arrow pool to glibc malloc and, via
-#    mallopt, disable heap trim (M_TRIM_THRESHOLD → max) and raise the
-#    mmap threshold to 1 GiB so huge column buffers are served from the
-#    retained heap instead of fresh mmaps. Measured: repeated 131 MB
-#    take() → 0 faults/iter (vs 131 MB/iter under jemalloc, mimalloc,
-#    or untuned glibc); full-replay fault volume drops accordingly
-#    (BASELINE.md round 5). Applied at import so every Ray worker that
-#    loads the engine gets it.
-_decay_ms = os.environ.get("ETL_RAY_JEMALLOC_DECAY_MS", "10000")
-if _decay_ms and _decay_ms != "0":
-    try:
-        pa.jemalloc_set_decay_ms(int(_decay_ms))
-    except (ValueError, NotImplementedError, OSError):
-        pass
-
-_pool = os.environ.get("ETL_RAY_ARROW_POOL", "system-retain")
-if _pool == "system-retain":
-    try:
-        import ctypes
-        import ctypes.util
-
-        _libc = ctypes.CDLL(ctypes.util.find_library("c") or "libc.so.6",
-                            use_errno=True)
-        # glibc mallopt params: M_TRIM_THRESHOLD=-1, M_MMAP_THRESHOLD=-3,
-        # M_ARENA_MAX=-8
-        _libc.mallopt(-1, 2**31 - 1)   # never trim the heap top
-        _libc.mallopt(-3, 1 << 30)     # mmap only above 1 GiB
-        _arena_max = os.environ.get("ETL_RAY_MALLOC_ARENA_MAX")
-        if _arena_max and _arena_max.isdigit() and int(_arena_max) > 0:
-            # fewer arenas → Arrow's decode threads reuse each other's
-            # freed buffers instead of faulting fresh ones per arena
-            _libc.mallopt(-8, int(_arena_max))
-        pa.set_memory_pool(pa.system_memory_pool())
-    except (OSError, AttributeError, ValueError):
-        pass  # non-glibc platform: keep the default (jemalloc) pool
 
 # Version tag for the key-hash function (recorded in lake manifests:
 # partition routing is persisted, so a lake written under one hash
@@ -378,9 +332,50 @@ def lww_keep_indices(kh: np.ndarray, lsn: np.ndarray,
     return np.sort(order[~dup]), mixed
 
 
+@functools.cache
+def retain_heap() -> bool:
+    """Keep freed batch buffers mapped in this process; idempotent.
+
+    Fresh-page faults are what a wide ingest collapses under on a
+    shared host (BASELINE.md, parallel-fault axis), so engine tasks
+    reuse their heap instead of re-faulting it between batches. glibc's
+    ``mallopt`` turns off heap trimming (``M_TRIM_THRESHOLD``) and
+    serves buffers up to 1 GiB from the heap (``M_MMAP_THRESHOLD``), and
+    Arrow's pool becomes glibc malloc: jemalloc purges its huge-class
+    buffers on free, whatever its decay setting. Measured: a repeated
+    131 MB ``take()`` faults 0 pages per iteration, against 131 MB
+    under untuned jemalloc or glibc (BASELINE.md round 5). The pool is
+    swapped only when both ``mallopt`` calls return 1, so on a non-glibc
+    platform the process keeps Arrow's default pool. Called by the
+    engine's own tasks (:func:`run_tasks`, the ingest), never at import.
+    Returns whether the policy is in force.
+    """
+    try:
+        mallopt = ctypes.CDLL(ctypes.util.find_library("c")
+                              or "libc.so.6").mallopt
+    except (OSError, AttributeError):  # no glibc
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    # M_TRIM_THRESHOLD = -1, M_MMAP_THRESHOLD = -3
+    if mallopt(-1, 2**31 - 1) != 1 or mallopt(-3, 1 << 30) != 1:
+        return False
+    pa.set_memory_pool(pa.system_memory_pool())
+    return True
+
+
+def session_cpus() -> int:
+    """CPUs of the connected Ray session (8 when there is none)."""
+    try:
+        return int(ray.cluster_resources().get("CPU", 8))
+    except Exception:  # noqa: BLE001 — uninitialised session
+        return 8
+
+
 @ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError],
             scheduling_strategy="DEFAULT")
 def _call(fn, *args):
+    retain_heap()
     return fn(*args)
 
 
@@ -389,8 +384,9 @@ def run_tasks(fn, calls: list[tuple], num_cpus: float = 1) -> list:
     in call order. The tasks take the options Ray Data gives its map
     tasks (``ray/data/_internal/remote_fn.py``): system errors retried
     without limit, default scheduling (no inherited placement group).
-    An exception ``fn`` raises is not retried; it raises here. Three
-    such tasks take ~6 ms where a Ray Data execution of the same three
-    takes ~64 ms (SURVEY.md, write-task sizing)."""
+    An exception ``fn`` raises is not retried; it raises here. Each
+    task runs under :func:`retain_heap`. Three such tasks take ~6 ms
+    where a Ray Data execution of the same three takes ~64 ms
+    (SURVEY.md, write-task sizing)."""
     task = _call.options(num_cpus=num_cpus)
     return ray.get([task.remote(fn, *args) for args in calls])

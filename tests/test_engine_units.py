@@ -425,21 +425,25 @@ def test_sha256_hex_chunked_nulls_and_empties():
 
 def test_import_leaves_data_context_untouched():
     """Importing the driver contract and building the query registry
-    must not change the process-wide Ray Data DataContext (a separate
-    process, so no earlier test has imported the engine)."""
+    must not change the process-wide Ray Data DataContext, nor Arrow's
+    default memory pool (a separate process, so no earlier test has
+    imported the engine)."""
     import subprocess
     import sys
 
     script = """
+import pyarrow as pa
 from ray.data import DataContext
 ctx = DataContext.get_current()
 before = {k: repr(v) for k, v in vars(ctx).items()}
+pool = pa.default_memory_pool().backend_name
 import __ray_entry__
 __ray_entry__.queries()
 after = {k: repr(v) for k, v in vars(DataContext.get_current()).items()}
 changed = sorted(k for k in before.keys() | after.keys()
                  if before.get(k) != after.get(k))
 assert DataContext.get_current() is ctx and not changed, changed
+assert pa.default_memory_pool().backend_name == pool, pool
 print("OK", len(before))
 """
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -448,3 +452,17 @@ print("OK", len(before))
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0 and r.stdout.startswith("OK"), \
         r.stdout + r.stderr[-3000:]
+
+
+def test_engine_tasks_run_on_the_system_pool():
+    """An engine task (``util.run_tasks``) runs under the heap policy:
+    glibc's mallopt accepts both settings, so the worker's Arrow pool
+    is the system allocator, whatever the driver's pool is."""
+    from etl_ray.util import run_tasks
+
+    def _pool() -> str:
+        import pyarrow as pa
+
+        return pa.default_memory_pool().backend_name
+
+    assert run_tasks(_pool, [(), ()]) == ["system", "system"]

@@ -489,10 +489,13 @@ def test_queries_finish_in_one_cpu_session():
     import subprocess
     import sys
 
+    TIMEOUT_S, DUMP_AFTER_S = 240, 220
     names = ["join_inner", "join_left_count", "join_semi_anti",
              "join_star_region", "count_distinct"]
     script = f"""
-import hashlib, json, sys
+import faulthandler, hashlib, json, sys
+# a stall prints every driver thread's stack before the test's timeout
+faulthandler.dump_traceback_later({DUMP_AFTER_S})
 import duckdb, pyarrow as pa, ray
 ray.init(address="local", num_cpus=1, include_dashboard=False,
          logging_level="ERROR")
@@ -525,11 +528,12 @@ ray.shutdown()
                             stderr=subprocess.STDOUT, text=True,
                             start_new_session=True)
     try:
-        out, _ = proc.communicate(timeout=240)
+        out, _ = proc.communicate(timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("queries did not finish in a 1-CPU session within 240 s")
+        out, _ = proc.communicate()
+        pytest.fail(f"queries did not finish in a 1-CPU session within "
+                    f"{TIMEOUT_S} s; child output tail:\n{out[-6000:]}")
     lines = [ln for ln in out.splitlines() if ln.startswith("RESULT ")]
     assert proc.returncode == 0 and lines, out[-3000:]
     assert json.loads(lines[-1][len("RESULT "):]) == {n: True for n in names}
