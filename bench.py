@@ -8,7 +8,8 @@ both walls recorded. Prints ONE JSON line:
 
     {"metric": "bench_total_sec", "value": N, "unit": "sec",
      "queries": {...}, "sf": ..., "num_cpus": N, "host_cpus": N,
-     "warmup": false, "arrow_pool": "...", "cdc_events_per_s": N, ...}
+     "warmup": false, "arrow_pool": "...", "cdc_events_per_s": N,
+     "ledger_us": {stage: µs/event of the best replay's ledger}, ...}
 
 ``--scaling``: replays the same WAL in a fresh child process per
 parallelism level of ``SCALING_PAIRS``, interleaving the levels in
@@ -188,6 +189,8 @@ def run_queries() -> dict:
         "cdc_events_per_s": round(best["events_per_s"], 1),
         "cdc_n_events": best["n_events"],
         "cdc_trial_walls": [round(r["wall_s"], 3) for r in runs],
+        "ledger_us": {k: round(v, 2)
+                      for k, v in best["ledger"]["us_per_event"].items()},
         "query_trial_walls": trials,
     }
 

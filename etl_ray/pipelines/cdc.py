@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from collections.abc import Iterable
 
 import pyarrow as pa
@@ -83,7 +84,8 @@ from etl_ray.state import manifest as mf
 from etl_ray.state import schema as schema_mod
 from etl_ray.state.merge import (BUCKET_SPAN, make_fragment_writer,
                                  payload_schema, prepare_events)
-from etl_ray.util import retain_heap, run_tasks, session_cpus
+from etl_ray.util import (count, lap, mark, retain_heap, run_tasks,
+                          session_cpus, take_ledger)
 
 # epochs per window; bounds the entry rows and the
 # uncommitted fragments a crash can lose (tune to cluster size at scale)
@@ -133,15 +135,19 @@ def make_ingest(lake_dir: str, schema_b64: str, hwm_ref,
     WAL-shaped blocks. Per block it audits and key-hashes the events
     (``prepare_events``), then LWW-reduces them and writes the bucket
     fragments, conformed to ``schema_b64`` (``make_fragment_writer``).
-    It returns the manifest entry rows, one per (epoch, bucket, block),
-    and runs under the worker's heap policy (``util.retain_heap``)."""
+    It runs under the worker's heap policy (``util.retain_heap``) and
+    returns the manifest entry rows, one per (epoch, bucket, block),
+    and the task's ledger (``util.take_ledger``)."""
     prep = prepare_events(num_partitions)
     write = make_fragment_writer(lake_dir, schema_b64, hwm_ref,
                                  num_partitions, _num_buckets(num_partitions))
 
-    def _ingest(blocks: Iterable[pa.Table]) -> list[dict]:
-        retain_heap()
-        return [r for block in blocks for r in write(prep(block)).to_pylist()]
+    def _ingest(blocks: Iterable[pa.Table]) -> tuple[list[dict], Counter]:
+        heap = retain_heap()
+        take_ledger()  # drop what this worker timed outside an ingest
+        rows = [r for block in blocks for r in write(prep(block)).to_pylist()]
+        count("tasks_off_heap_policy", not heap)
+        return rows, take_ledger()
 
     return _ingest
 
@@ -154,12 +160,15 @@ def commit_rows(snap: mf.Snapshot, epochs: list[int], rows: list[dict],
     rows (``manifest.commit_entry_rows``), then a compaction of every
     bucket with more than ``auto_compact`` live files (None disables).
     Returns the snapshot after, epoch → its committed partitions, and
-    whether a compaction ran."""
+    whether a compaction ran. Times the ``commit`` and ``compact`` stages."""
+    m = mark()
     snap, committed = mf.commit_entry_rows(snap, epochs, rows, schema,
                                            num_partitions,
                                            _num_buckets(num_partitions))
+    m = lap("commit", m)
     compacted = (lake_mod.auto_compact(snap, auto_compact)
                  if auto_compact else None)
+    lap("compact", m)
     if compacted is None:
         return snap, committed, False
     return compacted, committed, True
@@ -187,12 +196,14 @@ def apply_window(wal_dir: str, lake_dir: str, epochs: list[int],
 
 def _apply_window(wal_dir: str, snap: mf.Snapshot, epochs: list[int],
                   num_partitions: int, auto_compact: int | None
-                  ) -> tuple[mf.Snapshot, list[dict], bool]:
+                  ) -> tuple[mf.Snapshot, list[dict], bool, list[Counter]]:
     """``apply_window`` on ``snap``, then ``auto_compact``: also returns
-    the snapshot after and whether a compaction ran."""
+    the snapshot after, whether a compaction ran and the ingest tasks'
+    ledgers. Times the ``plan`` and ``tasks`` stages."""
     epochs = [k for k in epochs if k > snap.wal_epoch]
     if not epochs:
-        return snap, [], False
+        return snap, [], False, []
+    m = mark()
     task_cpus = _task_cpus()
     wal_schema, groups = wal_mod.plan_scan(wal_dir, epochs, task_cpus)
     unified = schema_mod.unify(snap.schema, payload_schema(wal_schema))
@@ -201,12 +212,15 @@ def _apply_window(wal_dir: str, snap: mf.Snapshot, epochs: list[int],
     ingest = make_ingest(snap.lake_dir, schema_b64, hwm_ref, num_partitions)
     block_bytes = DataContext.get_current().target_max_block_size
 
-    def _read_and_ingest(group: list[wal_mod.Piece]) -> list[dict]:
+    def _read_and_ingest(group: list[wal_mod.Piece]) -> tuple[list, Counter]:
         return ingest(wal_mod.read_blocks(wal_schema, group, block_bytes))
 
+    m = lap("plan", m)
+    done = run_tasks(_read_and_ingest, [(g,) for g in groups], task_cpus)
+    lap("tasks", m)
     # ≤ (epochs × buckets × blocks) tiny rows
-    rows = [r for rs in run_tasks(_read_and_ingest, [(g,) for g in groups],
-                                  task_cpus) for r in rs]
+    outs, ledgers = zip(*done)
+    rows = [r for rs in outs for r in rs]
 
     snap, committed, compacted = commit_rows(snap, epochs, rows, unified,
                                              num_partitions, auto_compact)
@@ -216,7 +230,7 @@ def _apply_window(wal_dir: str, snap: mf.Snapshot, epochs: list[int],
         "n_rows": sum(e["n_rows"] for e in partitions.values()),
         "n_quarantined": sum(e["n_quarantined"]
                              for e in partitions.values()),
-    } for k, partitions in committed.items()], compacted
+    } for k, partitions in committed.items()], compacted, list(ledgers)
 
 
 def apply_epoch(wal_dir: str, lake_dir: str, epoch: int,
@@ -243,19 +257,22 @@ def replay(wal_dir: str, lake_dir: str, n_epochs: int, num_partitions: int = 32,
     ``stop_after=k`` simulates a crash after k epochs (for resume tests).
     ``auto_compact`` schedules a compaction whenever any bucket's
     live data-file count exceeds it (None disables). Returns a summary
-    with events/sec over the epochs actually applied.
+    with events/sec over the epochs actually applied and the run's
+    stage ledger (:func:`_run_ledger`).
     """
     # the commits below fold into the snapshot
     snap, num_partitions = open_lake(lake_dir, num_partitions)
+    seq0 = snap.seq
     start = snap.wal_epoch + 1
     end = n_epochs if stop_after is None else min(n_epochs, start + stop_after)
+    take_ledger()  # drop what this process timed before the run
     t0 = time.perf_counter()
     total_events = 0
     n_compactions = 0
-    applied = []
+    applied, windows = [], []
     for w0 in range(start, end, window):
         tw = time.perf_counter()
-        snap, ss, compacted = _apply_window(
+        snap, ss, compacted, wt = _apply_window(
             wal_dir, snap, list(range(w0, min(w0 + window, end))),
             num_partitions, auto_compact)
         dw = round(time.perf_counter() - tw, 3)
@@ -264,6 +281,7 @@ def replay(wal_dir: str, lake_dir: str, n_epochs: int, num_partitions: int = 32,
             total_events += s["n_events"]
             applied.append(s)
         n_compactions += compacted
+        windows.append(wt)
     wall = time.perf_counter() - t0
     out = {
         "epochs_applied": len(applied),
@@ -273,9 +291,48 @@ def replay(wal_dir: str, lake_dir: str, n_epochs: int, num_partitions: int = 32,
         "events_per_s": total_events / wall if wall > 0 else 0.0,
         "n_compactions": n_compactions,
         "summaries": applied,
+        "ledger": _run_ledger(snap, seq0, windows, total_events),
     }
     _write_run_metrics(lake_dir, out)
     return out
+
+
+WORKER_STAGES = ("decode", "prep", "filter", "quarantine", "lww", "sort",
+                 "gather", "sha256", "conform", "write")
+DRIVER_STAGES = ("plan", "tasks", "commit", "compact")
+
+
+def _run_ledger(snap: mf.Snapshot, seq0: int, windows: list[list[Counter]],
+                n_events: int) -> dict:
+    """The run record's ``ledger``: the ingest tasks' ledgers summed with
+    this process's, per event; max / mean rows per bucket committed
+    after ``seq0`` and events per task in the worst window."""
+    led = sum((t for w in windows for t in w), take_ledger())
+    rows = Counter()
+    for seq, doc in snap.docs:
+        if seq > seq0 and not doc.get("base"):
+            for b, e in doc["partitions"].items():
+                rows[b] += e["n_rows"]
+    ev, stages = max(1, n_events), WORKER_STAGES + DRIVER_STAGES
+    return {
+        "n_events": n_events,
+        "us_per_event": {k: round(led[k + "_s"] / ev * 1e6, 3)
+                         for k in stages},
+        "faults_per_event": {k: round(led[k + "_flt"] / ev, 4)
+                             for k in stages},
+        **{c: led[c] for c in ("rows_in", "rows_out", "bytes_in",
+                               "bytes_out")},
+        "bucket_row_skew": _skew([rows[str(b)] for b in range(
+            snap.num_buckets or 1)]),
+        "task_event_skew": max((_skew([t["rows_in"] for t in w])
+                                for w in windows), default=0.0),
+        "heap_policy": led["tasks_off_heap_policy"] == 0,
+    }
+
+
+def _skew(xs: list[int]) -> float:
+    """max / mean (0 for no rows)."""
+    return round(max(xs) * len(xs) / sum(xs), 3) if sum(xs) else 0.0
 
 
 def _write_run_metrics(lake_dir: str, summary: dict) -> None:

@@ -380,8 +380,7 @@ reach(node, lbl) AS (
 SELECT node AS doc_id, MIN(lbl) AS canon_id, node = MIN(lbl) AS keep
 FROM reach GROUP BY node""",
 )
-def dedup_clusters(sf_dir: str, threshold: float = 0.5,
-                   distributed: bool | None = None):
+def dedup_clusters(sf_dir: str, threshold: float = 0.5):
     """Near-dup CLUSTERS: verified MinHash pairs → connected components
     → canonical representative (min doc_id) per component.
 
@@ -396,22 +395,18 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.5,
     near-dup pair set, ~linear in true-dup count. Cluster equality vs
     a brute-force closure stays pinned in tests.
 
-    Two equivalent component engines (equality tested): driver-side
-    union-find for ≤ CLUSTER_DRIVER_MAX_PAIRS verified pairs (the pair
-    set is ~linear in true-dup count — LSH bucketing + the mega-bucket
-    star-pair cap bound it), and distributed min-label propagation
-    (_cc_label_propagation) beyond that or when ``distributed=True``.
+    Two equivalent component engines (equality tested), chosen by the
+    pair count: driver-side union-find for ≤ CLUSTER_DRIVER_MAX_PAIRS
+    verified pairs (the pair set is ~linear in true-dup count — LSH
+    bucketing + the mega-bucket star-pair cap bound it), and
+    distributed min-label propagation (_cc_label_propagation) beyond.
     """
     pairs = dedup_minhash(sf_dir, threshold)
-    is_ds = not isinstance(pairs, pa.Table)
-    if is_ds:
+    if not isinstance(pairs, pa.Table):
         pairs = pairs.materialize()  # bounded; reused by count + read
-    if distributed is None:
-        distributed = is_ds and pairs.count() > CLUSTER_DRIVER_MAX_PAIRS
-    if distributed:
-        edges = (pairs if is_ds else ray.data.from_arrow(pairs)) \
-            .select_columns(["doc_a", "doc_b"])
-        return _cc_label_propagation(edges)
+        if pairs.count() > CLUSTER_DRIVER_MAX_PAIRS:
+            return _cc_label_propagation(
+                pairs.select_columns(["doc_a", "doc_b"]))
     df = pairs.to_pandas() if hasattr(pairs, "to_pandas") else pairs
     parent: dict[int, int] = {}
 

@@ -32,54 +32,6 @@ import pyarrow.compute as pc
 from etl_ray.pipelines._qutil import read
 from etl_ray.pipelines.queries import register
 
-MAGIC = b"FIMG"
-
-
-def encode_fake_image(doc_id: int, text: str) -> bytes:
-    """Deterministic fake image payload: 12-byte header + pseudo-pixels.
-
-    Header: MAGIC, width:uint16, height:uint16, channels:uint32.
-    """
-    w = 16 + (doc_id * 7) % 48
-    h = 16 + (doc_id * 13) % 32
-    header = MAGIC + struct.pack("<HHI", w, h, 3)
-    rng = np.random.RandomState(doc_id % (2**31))
-    body = rng.randint(0, 256, min(w * h * 3, 4096), dtype=np.uint8).tobytes()
-    return header + body
-
-
-class FakeImageDecoder:
-    """Actor-pool decode stage (STUB — see module docstring).
-
-    __init__ is where a real decoder loads its library/model once per
-    actor; __call__ decodes a batch. Batches are kept small
-    (batch_size≤256) because each row carries a binary payload.
-    """
-
-    def __init__(self):
-        self.magic = MAGIC  # stands in for expensive library init
-
-    def _decode_one(self, payload: bytes) -> tuple[int, int, int]:
-        if payload[:4] != self.magic:
-            raise NotImplementedError(
-                "real image decoding not available in this environment; "
-                "only FIMG fake payloads are supported")
-        w, h, c = struct.unpack("<HHI", payload[4:12])
-        return w, h, c
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        dims = [self._decode_one(p.as_py()) for p in t["image"]]
-        w, h, c = (np.array(x, dtype=np.int64) for x in zip(*dims))
-        sizes = pa.array([len(p.as_py()) for p in t["image"]], pa.int64())
-        return pa.table({
-            "doc_id": t["doc_id"],
-            "width": pa.array(w),
-            "height": pa.array(h),
-            "channels": pa.array(c),
-            "n_bytes": sizes,
-        })
-
-
 # ------------------------------------------------ REAL PNG codec (stdlib)
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
@@ -318,23 +270,6 @@ class FrameSampler:
             "frame_index": pa.array(fidx, pa.int64()),
             "frame": pa.array(frames, pa.binary()),
         })
-
-
-def multimodal_decode(sf_dir: str):
-    """Binary-column pipeline: attach fake payloads, decode via actor
-    pool, emit typed metadata. Rows-only oracle (decode is a stub)."""
-    ds = read(sf_dir, "documents", ["doc_id", "text"])
-
-    def _attach(t: pa.Table) -> pa.Table:
-        payloads = [encode_fake_image(i, s)
-                    for i, s in zip(t["doc_id"].to_pylist(),
-                                    t["text"].to_pylist())]
-        return pa.table({"doc_id": t["doc_id"],
-                         "image": pa.array(payloads, pa.binary())})
-
-    with_img = ds.map_batches(_attach, batch_format="pyarrow")
-    return with_img.map_batches(FakeImageDecoder, batch_format="pyarrow",
-                                batch_size=256, concurrency=2)
 
 
 class _PngDecodeKeep(PngCodec):

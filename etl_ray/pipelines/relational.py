@@ -272,23 +272,23 @@ def join_left_count(sf_dir: str):
 )
 def join_semi_anti(sf_dir: str):
     """J2 semi + anti join in one tagged result: orders whose customer
-    IS / IS NOT in the high-balance set. Both joins share the filtered
-    right side; the tag column disambiguates the union for the oracle."""
+    IS / IS NOT in the high-balance set, from one left-outer join (one
+    exchange). A matched order carries its customer's balance and is
+    ``semi``, an unmatched one a null and is ``anti``; ``c_custkey`` is
+    unique, so no order is duplicated."""
+    def _tag(t: pa.Table) -> pa.Table:
+        # no high-balance customer at all: the right side sends no columns
+        hit = (pc.is_valid(t["c_acctbal"]) if "c_acctbal" in t.column_names
+               else pa.array(np.zeros(len(t), bool)))
+        return t.select(["o_orderkey", "o_custkey"]).append_column(
+            "tag", pc.if_else(hit, "semi", "anti"))
+
     orders = read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     rich = read(sf_dir, "customer", ["c_custkey", "c_acctbal"]).map_batches(
-        lambda t: t.filter(pc.greater(t["c_acctbal"], 5000)).select(["c_custkey"]),
+        lambda t: t.filter(pc.greater(t["c_acctbal"], 5000)),
         batch_format="pyarrow")
-
-    def _tag(tag: str):
-        def _f(t: pa.Table) -> pa.Table:
-            return t.append_column("tag", pa.array([tag] * len(t), pa.string()))
-        return _f
-
-    semi = shard_join(orders, rich, "left_semi", on=("o_custkey",),
-                      right_on=("c_custkey",), then=_tag("semi"))
-    anti = shard_join(orders, rich, "left_anti", on=("o_custkey",),
-                      right_on=("c_custkey",), then=_tag("anti"))
-    return semi.union(anti)
+    return shard_join(orders, rich, "left_outer", on=("o_custkey",),
+                      right_on=("c_custkey",), then=_tag)
 
 
 @register(

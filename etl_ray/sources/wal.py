@@ -36,7 +36,6 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.fs as pafs
 import pyarrow.parquet as pq
@@ -46,7 +45,7 @@ import ray.data
 
 from etl_ray.sources.corpus import _VOCAB, SEED
 from etl_ray.state import schema as schema_mod
-from etl_ray.util import key_hash64, session_cpus
+from etl_ray.util import count, key_hash64, lap, mark, session_cpus
 
 DELETE_P = 0.15
 ZIPF_A = 1.3
@@ -375,11 +374,16 @@ def read_pieces(schema: pa.Schema,
                 pieces: Iterable[Piece]) -> Iterator[pa.Table]:
     """Decode pieces one row group at a time, in order, under the
     unified schema: pre-evolution files get ``stars`` = null and
-    ``size`` widened."""
+    ``size`` widened. Each decode is the ledger's ``decode`` stage
+    (``read_blocks``' concat is zero-copy and not timed)."""
     fs, fmt = pafs.LocalFileSystem(), pads.ParquetFileFormat()
     for path, rg in pieces:
-        yield fmt.make_fragment(path, fs,
-                                row_groups=[rg]).to_table(schema=schema)
+        m = mark()
+        t = fmt.make_fragment(path, fs,
+                              row_groups=[rg]).to_table(schema=schema)
+        lap("decode", m)
+        count("bytes_in", t.nbytes)
+        yield t
 
 
 def read_blocks(schema: pa.Schema, pieces: Iterable[Piece],

@@ -11,7 +11,8 @@ can be loaded with the native write API:
 
 The sink runs the replay's own ingest path (``pipelines.cdc``):
 ``on_write_start`` is ``open_lake``, each ``write`` task runs
-``make_ingest``'s function over its blocks, and ``on_write_complete`` is
+``make_ingest``'s function over its blocks (dropping its stage ledger:
+the sink writes no run record), and ``on_write_complete`` is
 ``commit_rows`` on the driver. A failed job commits nothing and the
 orphan fragments stay invisible to readers (manifest.py fencing rules).
 """
@@ -76,8 +77,8 @@ class LakeSink(Datasink):
         for b in blocks:
             schema = schema_mod.unify(schema, payload_schema(b.schema))
         b64 = schema_mod.to_b64(schema)
-        rows = make_ingest(self.lake_dir, b64, self._hwm_ref,
-                           self.num_partitions)(blocks)
+        rows, _ = make_ingest(self.lake_dir, b64, self._hwm_ref,
+                              self.num_partitions)(blocks)
         for r in rows:  # the commit schema is the union over tasks
             r["schema_b64"] = b64
         return rows

@@ -28,7 +28,8 @@ import ray.data
 from etl_ray.state import manifest as mf
 from etl_ray.state import schema as schema_mod
 from etl_ray.state.merge import KEY_COLS, _atomic_write, bucket_of
-from etl_ray.util import key_hash64, lww_keep_indices, run_tasks, take_runs
+from etl_ray.util import (key_hash64, lww_keep_indices, run_tasks,
+                          sha256_hex_with_prefix, sha_prefix64, take_runs)
 
 
 def _resolve_bucket(files: list[str], bucket: int, P: int, B: int,
@@ -249,8 +250,6 @@ def audit_lake(lake_dir: str, verify_content: bool = False) -> dict:
     ``content_sha256`` no longer matches (a full integrity pass instead
     of trusting stored hashes).
     """
-    from etl_ray.util import sha256_hex_with_prefix
-
     snap = mf.snapshot(lake_dir)
     empty = {"rows_expected": 0, "rows_scanned": 0, "checksum_ok": True,
              "content_mismatches": 0}
@@ -270,19 +269,18 @@ def audit_lake(lake_dir: str, verify_content: bool = False) -> dict:
                 "checksum_ok": exp_rows == 0}
 
     def _scan(t: pa.Table) -> pa.Table:
-        pre = np.array([int(s[:16], 16) if s is not None else 0
-                        for s in t["content_sha256"].to_pylist()],
-                       dtype=np.uint64)
+        stored = t["content_sha256"]
         bad = 0
         if verify_content:
             sha, _ = sha256_hex_with_prefix(t["content"])
-            bad = sum(1 for a, b in zip(sha.to_pylist(),
-                                        t["content_sha256"].to_pylist())
-                      if a != b)
-        x = (np.bitwise_xor.reduce(pre) if len(pre) else np.uint64(0))
+            # a null on one side only is a mismatch too
+            bad = pc.sum(pc.coalesce(
+                pc.not_equal(sha, stored),
+                pc.not_equal(pc.is_null(sha), pc.is_null(stored)))
+            ).as_py() or 0
         return pa.table({
-            # signed VIEW of the uint64 xor (int64 column type)
-            "xor": pa.array([int(np.uint64(x).astype(np.int64))], pa.int64()),
+            "xor": pa.array([np.bitwise_xor.reduce(sha_prefix64(stored))],
+                            pa.uint64()),
             "n": pa.array([len(t)], pa.int64()),
             "bad_content": pa.array([bad], pa.int64()),
         })
@@ -291,9 +289,7 @@ def audit_lake(lake_dir: str, verify_content: bool = False) -> dict:
         list(files), columns=["content_sha256"]
         + (["content"] if verify_content else []))
     got = ds.map_batches(_scan, batch_format="pyarrow").to_pandas()
-    got_xor = 0
-    for x in got.xor:
-        got_xor ^= int(x) & 0xFFFFFFFFFFFFFFFF
+    got_xor = int(np.bitwise_xor.reduce(got.xor.to_numpy(np.uint64)))
     rows = int(got.n.sum())
     return {
         "rows_expected": exp_rows,
@@ -406,10 +402,8 @@ def compact_snapshot(snap: mf.Snapshot, buckets: list[int] | None = None
             path = os.path.join(lake_dir, rel)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             _atomic_write(base, path)
-        checksum = 0
-        for sh in t["content_sha256"].to_pylist():
-            if sh is not None:
-                checksum ^= int(sh[:16], 16)
+        checksum = int(np.bitwise_xor.reduce(
+            sha_prefix64(t["content_sha256"])))
         return {"pid": bucket, "files": [rel], "lsn_min": 0, "lsn_max": 0,
                 "n_events": 0, "n_upserts": 0, "n_deletes": 0,
                 "n_rows": n, "n_quarantined": 0,

@@ -41,6 +41,7 @@ Fencing rules:
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import os
 import tempfile
@@ -220,7 +221,8 @@ def change_files(lake_dir: str, from_epoch: int,
 
 def put_if_absent(path: str, text: str) -> None:
     """Create ``path`` holding ``text`` by ``os.link`` of a fsynced temp
-    file; FileExistsError if the name is taken (nothing is replaced)."""
+    file; FileExistsError if the name is taken (nothing is replaced).
+    Needs hard links: some FUSE and SMB mounts cannot hold a lake."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".",
                                suffix=".tmp")
     try:
@@ -229,6 +231,12 @@ def put_if_absent(path: str, text: str) -> None:
             f.flush()
             os.fsync(f.fileno())
         os.link(tmp, path)
+    except OSError as e:  # FileExistsError (EEXIST) passes unchanged
+        if e.errno not in (errno.EPERM, errno.ENOTSUP, errno.EOPNOTSUPP):
+            raise
+        raise OSError(e.errno, "manifest commits need hard links (os.link) "
+                      f"on the lake's filesystem; {os.path.dirname(path)} "
+                      f"refused one: {e.strerror}") from e
     finally:
         os.unlink(tmp)
 

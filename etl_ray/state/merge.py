@@ -33,7 +33,7 @@ import ray
 
 from etl_ray.state import manifest as mf
 from etl_ray.state import schema as schema_mod
-from etl_ray.util import (key_hash64, lww_keep_indices,
+from etl_ray.util import (count, key_hash64, lap, lww_keep_indices, mark,
                           sha256_hex_with_prefix, take_runs)
 
 KEY_COLS = ["repo", "path"]
@@ -72,9 +72,12 @@ def prepare_events(num_partitions: int):
     the fragment writer quarantines and counts them per bucket. ``pid``
     is the key's hash partition ``kh % P``; it rides into quarantine
     side files, while the writer routes rows with :func:`bucket_of`.
+    Each call is the ledger's ``prep`` stage (``util.lap``).
     """
 
     def _prep(t: pa.Table) -> pa.Table:
+        m = mark()
+        count("rows_in", len(t))
         is_del = pc.equal(t["op"], "D")
         ok = pc.and_(
             pc.is_in(t["op"], value_set=pa.array(VALID_OPS)),
@@ -95,7 +98,9 @@ def prepare_events(num_partitions: int):
         kh = key_hash64(t, KEY_COLS)
         t = t.append_column("_kh", pa.array(kh, pa.uint64()))
         pid = (kh % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("pid", pa.array(pid, pa.int32()))
+        t = t.append_column("pid", pa.array(pid, pa.int32()))
+        lap("prep", m)
+        return t
 
     return _prep
 
@@ -130,7 +135,9 @@ def make_fragment_writer(lake_dir: str, schema_b64: str, hwm_ref,
     manifest and stay invisible to readers.
 
     Returns one manifest-entry row per (epoch, bucket) per batch; the
-    driver merges rows per bucket before the phase-2 commit.
+    driver merges rows per bucket before the phase-2 commit. Each step
+    is a stage of the process's ledger (``util.lap``), from ``filter``
+    to ``write`` (Parquet encode and file writes).
     """
     schema = schema_mod.from_b64(schema_b64)
 
@@ -148,6 +155,7 @@ def make_fragment_writer(lake_dir: str, schema_b64: str, hwm_ref,
         empty = pa.Table.from_pylist([], schema=_ENTRY_SCHEMA)
         if len(batch) == 0:
             return empty
+        m = mark()
         lsn = batch["lsn"].to_numpy()
         epochs = batch["epoch"].to_numpy().astype(np.int64)
         kh = batch["_kh"].to_numpy()
@@ -160,6 +168,7 @@ def make_fragment_writer(lake_dir: str, schema_b64: str, hwm_ref,
         audit_ok = batch["audit_ok"].to_numpy(zero_copy_only=False)
         audit_ok = audit_ok.astype(bool)
         good = live & audit_ok
+        m = lap("filter", m)
 
         # quarantine audit failures (M9): content-addressed side files,
         # one per epoch present in the batch
@@ -178,6 +187,7 @@ def make_fragment_writer(lake_dir: str, schema_b64: str, hwm_ref,
                 qpath = os.path.join(qdir, f"epoch={int(k)}-{digest}.parquet")
                 os.makedirs(qdir, exist_ok=True)
                 _atomic_write(take_runs(batch, sub_i), qpath)
+        m = lap("quarantine", m)
 
         gi = np.flatnonzero(good)
         rows: list[dict] = []
@@ -191,20 +201,26 @@ def make_fragment_writer(lake_dir: str, schema_b64: str, hwm_ref,
                 kh[gi], lsn[gi],
                 take_runs(batch.select(KEY_COLS), gi),
                 extra=epochs[gi])
+            m = lap("lww", m)
             keep = gi[keep_g]
             # one gather: dedup + (epoch, bucket, lsn) file order
             # together. take_runs, not Table.take: the read stage hands
             # multi-chunk blocks and take's internal combine_chunks was
             # the engine's largest fresh-page fault source.
             fin = keep[np.lexsort((lsn[keep], bucket[keep], epochs[keep]))]
+            m = lap("sort", m)
             reduced = take_runs(batch, fin)
+            m = lap("gather", m)
             sha, shp = sha256_hex_with_prefix(reduced["content"])
+            m = lap("sha256", m)
             payload = schema_mod.conform(
                 reduced.drop_columns([c for c in reduced.column_names
                                       if c not in schema.names]), schema)
             for c in ("lsn", "op"):
                 payload = payload.append_column(c, reduced[c])
             payload = payload.append_column("content_sha256", sha)
+            m = lap("conform", m)
+            count("rows_out", len(payload))
 
             eb_f = eb_key[fin]
             bounds = (np.flatnonzero(np.diff(eb_f)) + 1).tolist()
@@ -246,6 +262,7 @@ def make_fragment_writer(lake_dir: str, schema_b64: str, hwm_ref,
                 path = os.path.join(lake_dir, rel)
                 os.makedirs(os.path.dirname(path), exist_ok=True)
                 _atomic_write(payload.slice(gs, ge - gs), path)
+                count("bytes_out", os.path.getsize(path))
                 for s, e, k_s, b in slices[gi_start:gi_end + 1]:
                     checksum = int(np.bitwise_xor.reduce(
                         shp[s:e].astype(np.uint64)))
@@ -279,6 +296,7 @@ def make_fragment_writer(lake_dir: str, schema_b64: str, hwm_ref,
                 "n_upserts": 0, "n_deletes": 0, "n_rows": 0,
                 "n_quarantined": c, "checksum": "0" * 16, "hwm": -1,
             })
+        lap("write", m)
         return pa.Table.from_pylist(rows, schema=_ENTRY_SCHEMA)
 
     return _write

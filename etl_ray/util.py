@@ -19,6 +19,9 @@ import ctypes
 import ctypes.util
 import functools
 import hashlib
+import resource
+import time
+from collections import Counter
 
 import numpy as np
 import polars as pl
@@ -130,6 +133,23 @@ def sha256_hex_with_prefix(
         [vbuf, pa.py_buffer(out_offs), pa.py_buffer(hexdata)],
         null_count=null_count)
     return out, pre
+
+
+def sha_prefix64(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    """The uint64 prefix (first 16 hex digits; null → 0) of each hex
+    ``content_sha256`` that manifest checksums xor, in one unhexlify."""
+    n = len(col)
+    if n == 0:
+        return np.zeros(0, dtype=np.uint64)
+    hx = as_array(pc.fill_null(pc.utf8_slice_codeunits(col, 0, 16),
+                               "0" * 16).cast(pa.string()))
+    offs = np.frombuffer(hx.buffers()[1], dtype=np.int32, count=n + 1,
+                         offset=hx.offset * 4)
+    if offs[-1] - offs[0] != 16 * n:
+        raise ValueError("content_sha256 holds a value of fewer than 16 "
+                         "hex digits")
+    raw = binascii.unhexlify(memoryview(hx.buffers()[2])[offs[0]:offs[-1]])
+    return np.frombuffer(raw, dtype=">u8").astype(np.uint64)
 
 
 def take_runs(t: pa.Table, indices: np.ndarray) -> pa.Table:
@@ -362,6 +382,40 @@ def retain_heap() -> bool:
         return False
     pa.set_memory_pool(pa.system_memory_pool())
     return True
+
+
+# This process's stage ledger: ``<stage>_s`` (wall seconds) and
+# ``<stage>_flt`` (minor faults) per stage, plus row and byte counters.
+# Ingest stages add to it (:func:`lap`, :func:`count`: module functions,
+# so a closure shipped to a worker reaches the worker's ledger, not a
+# pickled copy); the ingest and replay take it.
+_LEDGER: Counter = Counter()
+
+
+def mark() -> tuple[float, int]:
+    """(wall clock, minor faults of this process and its threads)."""
+    return (time.perf_counter(),
+            resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+
+
+def lap(stage: str, since: tuple[float, int]) -> tuple[float, int]:
+    """Add the wall time and minor faults since ``since`` (a
+    :func:`mark`) to ``stage``; returns the mark of now."""
+    now = mark()
+    _LEDGER[stage + "_s"] += now[0] - since[0]
+    _LEDGER[stage + "_flt"] += now[1] - since[1]
+    return now
+
+
+def count(name: str, n: int) -> None:
+    _LEDGER[name] += n
+
+
+def take_ledger() -> Counter:
+    """This process's ledger since the last take; resets it."""
+    out = Counter(_LEDGER)
+    _LEDGER.clear()
+    return out
 
 
 def session_cpus() -> int:

@@ -62,11 +62,12 @@ def test_bench_headline_fits_driver_tail(tmp_path, monkeypatch,
     line = json.dumps(result)
     assert len(line) <= 2000, len(line)
     for key in ("metric", "value", "unit", "queries", "num_cpus", "host_cpus",
-                "warmup", "arrow_pool", "cdc_events_per_s"):
+                "warmup", "arrow_pool", "cdc_events_per_s", "ledger_us"):
         assert key in result, key
     assert set(result["queries"]) == {"cdc_replay", "agg_group_q1",
                                       "token_histogram"}
     assert len(result["cdc_trial_walls"]) == 2
+    assert {"decode", "write", "plan", "commit"} <= set(result["ledger_us"])
     assert result["warmup"] is False
     assert result["host_cpus"] == len(os.sched_getaffinity(0))
     # the run's lake sits beside the WAL

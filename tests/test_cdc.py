@@ -952,6 +952,21 @@ def test_run_metrics_persisted(wal_dir, tmp_path):
     assert m["first_epoch"] == 2
     assert m["n_events"] > 0 and m["events_per_s"] > 0
     assert {"epochs_applied", "wall_s", "n_compactions"} <= set(m)
+    # the stage ledger the engine's own tasks and driver measured
+    import math
+
+    led = m["ledger"]
+    stages = {"decode", "prep", "filter", "quarantine", "lww", "sort",
+              "gather", "sha256", "conform", "write",
+              "plan", "tasks", "commit", "compact"}
+    assert set(led["us_per_event"]) == set(led["faults_per_event"]) == stages
+    assert led["n_events"] == m["n_events"] == led["rows_in"]
+    nums = [*led["us_per_event"].values(), *led["faults_per_event"].values(),
+            *(led[k] for k in ("rows_out", "bytes_in", "bytes_out",
+                               "bucket_row_skew", "task_event_skew"))]
+    assert all(math.isfinite(v) and v >= 0 for v in nums)
+    assert led["us_per_event"]["decode"] > 0 and led["bytes_out"] > 0
+    assert led["heap_policy"] is True
 
 
 def test_run_metrics_never_overwrite_a_record(tmp_path):

@@ -397,7 +397,7 @@ def test_sha256_hex_chunked_nulls_and_empties():
     all-empty chunks, slices, and large_string."""
     import hashlib
 
-    from etl_ray.util import sha256_hex_with_prefix
+    from etl_ray.util import sha256_hex_with_prefix, sha_prefix64
 
     vals = ["hello", None, "", "x" * 3000, "world", None, "y"]
     exp = [hashlib.sha256(v.encode()).hexdigest() if v is not None
@@ -414,6 +414,10 @@ def test_sha256_hex_chunked_nulls_and_empties():
         sha, pre = sha256_hex_with_prefix(col)
         assert sha.to_pylist() == exp
         assert pre.tolist() == exp_pre
+        # the stored hex parses back to the same prefixes (null → 0)
+        hexes = pa.chunked_array([sha.slice(0, 3), sha.slice(3)])
+        for h in (sha, hexes, hexes.cast(pa.large_string())):
+            assert sha_prefix64(h).tolist() == exp_pre
     sl = pa.array(vals).slice(1, 5)
     sha, pre = sha256_hex_with_prefix(sl)
     assert sha.to_pylist() == exp[1:6]
@@ -421,6 +425,54 @@ def test_sha256_hex_chunked_nulls_and_empties():
     assert sha.to_pylist() == [hashlib.sha256(b"").hexdigest()] * 2
     sha, pre = sha256_hex_with_prefix(pa.array([], pa.string()))
     assert len(sha) == 0 and len(pre) == 0
+
+
+def test_ingest_returns_its_task_ledger(tmp_path, monkeypatch):
+    """Beside its entry rows, the ingest function returns what its
+    stages cost in this process, and counts a task that ran without
+    the heap policy."""
+    from etl_ray.pipelines import cdc
+    from etl_ray.state import schema as schema_mod
+    from etl_ray.state.merge import payload_schema
+
+    t = _wal_table([_ev(1), _ev(2, path="src/b.py"), _ev(3, op="U")])
+    monkeypatch.setattr(cdc, "retain_heap", lambda: False)
+    ingest = cdc.make_ingest(str(tmp_path), schema_mod.to_b64(
+        payload_schema(t.schema)), None, 8)
+    rows, led = ingest([t])
+    assert sum(r["n_events"] for r in rows) == led["rows_in"] == 3
+    assert sum(r["n_rows"] for r in rows) == led["rows_out"] == 2
+    assert led["bytes_out"] > 0 and led["tasks_off_heap_policy"] == 1
+    for k in ("prep", "filter", "quarantine", "lww", "sort", "gather",
+              "sha256", "conform", "write"):
+        assert led[f"{k}_s"] > 0, k
+    _, led = ingest([t])  # each call takes only its own costs
+    assert led["rows_in"] == 3
+
+
+def test_put_if_absent_without_hard_links_fails_clearly(tmp_path,
+                                                       monkeypatch):
+    """A filesystem that refuses hard links fails the commit with an
+    error that names the requirement; nothing is committed and no temp
+    file is left. A taken name still raises FileExistsError as is."""
+    import errno
+
+    from etl_ray.state import manifest as mf
+
+    def _no_link(src, dst):
+        raise PermissionError(errno.EPERM, "Operation not permitted")
+
+    target = tmp_path / "epoch=0.json"
+    monkeypatch.setattr(os, "link", _no_link)
+    with pytest.raises(OSError, match="need hard links") as info:
+        mf.put_if_absent(str(target), "{}")
+    assert info.value.errno == errno.EPERM
+    assert os.listdir(tmp_path) == []
+    monkeypatch.undo()
+    mf.put_if_absent(str(target), "{}")
+    with pytest.raises(FileExistsError):
+        mf.put_if_absent(str(target), "{}")
+    assert os.listdir(tmp_path) == ["epoch=0.json"]
 
 
 def test_import_leaves_data_context_untouched():
