@@ -29,16 +29,16 @@ write hooks.
 
 The driver reads each window file's Parquet footer once: the footers
 give the window's unified schema and each row group's row count. It
-splits the row groups into one group per ingest slot (``floor(cpus /
-_task_cpus())``, the reservation rule below), largest first to the
-least-loaded group (``wal.group_pieces``), and each group is one task
-that reads, preps and writes. Ray's Parquet datasource, with its
-remote footer fetches and sampling, is not used, and neither is a Ray
-Data streaming executor: for a fixed plan it only adds a fixed start
-cost per window (SURVEY.md, write-task sizing). The plan is a pure
-function of the sorted row-group list, the row counts and the slot
-count, so a retried task rewrites byte-identical, content-addressed
-fragments.
+splits the row groups into one group per ingest slot
+(``util.task_slots()``, at the CPU width of every engine task),
+largest first to the least-loaded group (``wal.group_pieces``), and
+each group is one task that reads, preps and writes. Ray's Parquet
+datasource, with its remote footer fetches and sampling, is not used,
+and neither is a Ray Data streaming executor: for a fixed plan it only
+adds a fixed start cost per window (SURVEY.md, write-task sizing). The
+plan is a pure function of the sorted row-group list, the row counts
+and the slot count, so a retried task rewrites byte-identical,
+content-addressed fragments.
 
 Memory: a task decodes its group one row group at a time and packs the
 row groups into blocks of Ray's target block size
@@ -85,34 +85,11 @@ from etl_ray.state import schema as schema_mod
 from etl_ray.state.merge import (BUCKET_SPAN, make_fragment_writer,
                                  payload_schema, prepare_events)
 from etl_ray.util import (count, lap, mark, retain_heap, run_tasks,
-                          session_cpus, take_ledger)
+                          take_ledger, task_slots)
 
 # epochs per window; bounds the entry rows and the
 # uncommitted fragments a crash can lose (tune to cluster size at scale)
 DEFAULT_WINDOW = 8
-
-# Fraction of a node's CPU slots RESERVED (never running ingest tasks)
-# on the read→prep→write ingest tasks: max(1, ⌊cpus/8⌋) slots stay
-# free at every level (32→28, 16→14, 8→7, 4→3 concurrent tasks) for the
-# raylet, the kernel page-fault path, and — on shared hypervisors — for
-# the host to keep guest spinlock holders running. Measured on the bench
-# VM in a contended window: 32 concurrent zstd-decode processes spent
-# 39-84 s of SYSTEM time (page-fault lock contention; walls 4× the
-# 24-process run) while ≤27-wide ran at per-process speed, and the full
-# replay @32 measured 68 s full-width vs 27 s with one slot in eight
-# reserved, same window. Standard capacity practice (Spark/YARN reserve
-# per-node cores the same way), applied to the one fault-heavy path.
-
-
-def _task_cpus() -> float:
-    """Per-task CPU request implementing the slot reservation above."""
-    cpus = session_cpus()
-    reserve = max(1, cpus // 8)
-    if cpus - reserve < 1:  # 1-CPU session: nothing to reserve
-        return 1.0
-    # tiny epsilon below the exact ratio so floor(cpus/task_cpus) is
-    # never one short of the target width through float rounding
-    return max(1.0, cpus / (cpus - reserve) - 0.002)
 
 
 def open_lake(lake_dir: str, num_partitions: int) -> tuple[mf.Snapshot, int]:
@@ -204,8 +181,7 @@ def _apply_window(wal_dir: str, snap: mf.Snapshot, epochs: list[int],
     if not epochs:
         return snap, [], False, []
     m = mark()
-    task_cpus = _task_cpus()
-    wal_schema, groups = wal_mod.plan_scan(wal_dir, epochs, task_cpus)
+    wal_schema, groups = wal_mod.plan_scan(wal_dir, epochs, task_slots())
     unified = schema_mod.unify(snap.schema, payload_schema(wal_schema))
     schema_b64 = schema_mod.to_b64(unified)
     hwm_ref = ray.put(snap.hwm)
@@ -216,7 +192,7 @@ def _apply_window(wal_dir: str, snap: mf.Snapshot, epochs: list[int],
         return ingest(wal_mod.read_blocks(wal_schema, group, block_bytes))
 
     m = lap("plan", m)
-    done = run_tasks(_read_and_ingest, [(g,) for g in groups], task_cpus)
+    done = run_tasks(_read_and_ingest, [(g,) for g in groups])
     lap("tasks", m)
     # ≤ (epochs × buckets × blocks) tiny rows
     outs, ledgers = zip(*done)

@@ -327,12 +327,11 @@ Piece = tuple[str, int]  # (WAL file path, row-group index)
 
 
 def plan_scan(wal_dir: str, epochs: list[int],
-              num_cpus: float) -> tuple[pa.Schema, list[list[Piece]]]:
+              slots: int) -> tuple[pa.Schema, list[list[Piece]]]:
     """Plan a window's WAL scan from its Parquet footers, read once on
     the driver: the unified WAL schema, and the window's row groups
-    split by :func:`group_pieces` into one group per ingest slot. A
-    slot is a task of ``num_cpus``; the session fits ``floor(cpus /
-    num_cpus)`` of them at once."""
+    split by :func:`group_pieces` into one group per slot (a read task
+    the session runs at once)."""
     sch, pieces, rows = None, [], []
     for k in epochs:
         d = f"{wal_dir}/epoch={k}"
@@ -347,7 +346,7 @@ def plan_scan(wal_dir: str, epochs: list[int],
     if not pieces:
         raise FileNotFoundError(f"no WAL row groups for epochs {epochs} "
                                 f"under {wal_dir}")
-    return sch, group_pieces(pieces, rows, int(session_cpus() // num_cpus))
+    return sch, group_pieces(pieces, rows, slots)
 
 
 def group_pieces(pieces: list[Piece], rows: list[int],
@@ -412,7 +411,7 @@ def read_epochs(wal_dir: str, epochs: list[int]) -> "ray.data.Dataset":
     buffer packs them into blocks of its target size). Ray lists,
     samples and footer-fetches nothing, and the whole window is one
     streaming execution."""
-    schema, groups = plan_scan(wal_dir, epochs, 1)
+    schema, groups = plan_scan(wal_dir, epochs, session_cpus())
 
     def _read_group(batch: pa.Table) -> Iterator[pa.Table]:
         yield from read_pieces(schema, zip(batch["path"][0].as_py(),

@@ -7,11 +7,12 @@ every reader resolves bucket by bucket with one kernel,
 ``_resolve_bucket``: scan the bucket's visible files, keep the rows
 routed to the bucket, and keep per (repo, path) the row with the max
 lsn, dropping delete tombstones unless asked for them. ``read_lake``,
-``changes_between``, ``compact`` and ``export`` run it as one task per
-bucket (the first two as a lazy Dataset, the last two as plain Ray
-tasks, ``util.run_tasks``); no reader shuffles rows between tasks. A
-point lookup reads one bucket's files, and compacting a set of buckets
-needs no rows from any other bucket.
+``changes_between``, the views, ``compact`` and ``export`` run it as
+one plain Ray task per bucket (``util.submit_tasks``, at the CPU width
+of every engine task); no reader shuffles rows between tasks. The first
+two return the tasks' tables as a materialized Dataset, the only Ray
+Data object in this module. A point lookup reads one bucket's files,
+and compacting a set of buckets needs no rows from any other bucket.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pds
+import pyarrow.parquet as pq
 
 import ray.data
 
@@ -29,7 +31,8 @@ from etl_ray.state import manifest as mf
 from etl_ray.state import schema as schema_mod
 from etl_ray.state.merge import KEY_COLS, _atomic_write, bucket_of
 from etl_ray.util import (key_hash64, lww_keep_indices, run_tasks,
-                          sha256_hex_with_prefix, sha_prefix64, take_runs)
+                          sha256_hex_with_prefix, sha_prefix64, submit_tasks,
+                          take_runs, task_slots)
 
 
 def _resolve_bucket(files: list[str], bucket: int, P: int, B: int,
@@ -71,15 +74,47 @@ def _resolve_bucket(files: list[str], bucket: int, P: int, B: int,
     return live.drop_columns(["lsn", "op"])
 
 
-def _per_bucket(files: dict[int, list[str]], fn) -> "ray.data.Dataset":
-    """A lazy Dataset with one task per non-empty bucket of ``files``:
-    ``fn(bucket, its files)`` → that bucket's table."""
-    items = [{"bucket": k, "files": fs}
-             for k, fs in sorted(files.items()) if fs]
-    ds = ray.data.from_items(items, override_num_blocks=len(items))
-    return ds.map_batches(lambda b: fn(b["bucket"][0].as_py(),
-                                       b["files"][0].as_py()),
-                          batch_size=1, batch_format="pyarrow")
+def _per_bucket(snap: mf.Snapshot, files: dict[int, list[str]],
+                schema: pa.Schema, then=None, *args,
+                keep_deletes: bool = False) -> list[ray.ObjectRef]:
+    """One plain Ray task per non-empty bucket of ``files``: the
+    bucket's ``_resolve_bucket`` rows under ``schema``, or
+    ``then(rows, *args)`` of them. Returns the tasks' refs in bucket
+    order; the tasks start now. An ObjectRef in ``args`` reaches
+    ``then`` as its value."""
+    P, B = snap.num_partitions, snap.num_buckets
+
+    def _bucket(bucket: int, fs: list[str], *a):
+        t = _resolve_bucket(fs, bucket, P, B, schema, keep_deletes)
+        return t if then is None else then(t, *a)
+
+    return submit_tasks(_bucket, [(k, fs, *args)
+                                  for k, fs in sorted(files.items()) if fs])
+
+
+def _pruned(schema: pa.Schema, columns: list[str] | None) -> pa.Schema:
+    """``schema`` cut to ``columns`` plus the key; KeyError on a name
+    the lake does not have."""
+    if columns is None:
+        return schema
+    unknown = set(columns) - set(schema.names)
+    if unknown:
+        raise KeyError(f"unknown lake columns {sorted(unknown)}; "
+                       f"schema has {schema.names}")
+    return pa.schema([f for f in schema
+                      if f.name in set(columns) | set(KEY_COLS)])
+
+
+def _dataset(refs: list[ray.ObjectRef],
+             empty: pa.Schema) -> "ray.data.Dataset":
+    """The readers' tables as a materialized Dataset (no execution)."""
+    if not refs:
+        return ray.data.from_arrow(empty.empty_table())
+    return ray.data.from_arrow_refs(refs)
+
+
+def _drop_sha(t: pa.Table) -> pa.Table:
+    return t.drop_columns(["content_sha256"])
 
 
 def read_lake(lake_dir: str, keep_sha: bool = True,
@@ -102,6 +137,9 @@ def read_lake(lake_dir: str, keep_sha: bool = True,
     that checkpoint. Reaches back at most to the newest compaction base
     at or before the epoch (vacuum deletes older deltas, the standard
     VACUUM/time-travel trade-off).
+
+    The Dataset is materialized: the bucket tasks start at the call,
+    and the Dataset holds their tables, not a plan.
     """
     return read_snapshot(mf.snapshot(lake_dir, as_of_epoch), keep_sha,
                          columns)
@@ -110,29 +148,26 @@ def read_lake(lake_dir: str, keep_sha: bool = True,
 def read_snapshot(snap: mf.Snapshot, keep_sha: bool = True,
                   columns: list[str] | None = None) -> "ray.data.Dataset":
     """``read_lake`` of a folded (maybe time-travelled) snapshot."""
+    refs = snapshot_refs(snap, columns, None if keep_sha else _drop_sha)
+    return _dataset(refs, snap.schema or pa.schema([]))
+
+
+def snapshot_refs(snap: mf.Snapshot, columns: list[str] | None = None,
+                  then=None, *args, buckets: set[int] | None = None
+                  ) -> list[ray.ObjectRef]:
+    """``read_snapshot``'s bucket tasks (``_per_bucket``), one per
+    bucket with visible files, restricted to ``buckets`` when given;
+    [] for a lake with none."""
     # the per-bucket row filter replays the manifest's routing with
     # this build's key hash; an older lake would lose rows silently
     snap.check_key_hash()
+    if snap.schema is None:
+        return []
+    schema = _pruned(snap.schema, columns)
     vis = snap.visible_files()
-    schema = snap.schema
-    if not any(vis.values()) or schema is None:
-        return ray.data.from_arrow(
-            pa.Table.from_pylist([], schema=schema or pa.schema([])))
-    if columns is not None:
-        unknown = set(columns) - set(schema.names)
-        if unknown:
-            raise KeyError(
-                f"unknown lake columns {sorted(unknown)}; "
-                f"schema has {schema.names}")
-        schema = pa.schema([f for f in schema
-                            if f.name in set(columns) | set(KEY_COLS)])
-    P, B = snap.num_partitions, snap.num_buckets
-
-    def _resolve(bucket: int, files: list[str]) -> pa.Table:
-        t = _resolve_bucket(files, bucket, P, B, schema)
-        return t if keep_sha else t.drop_columns(["content_sha256"])
-
-    return _per_bucket(vis, _resolve)
+    if buckets is not None:
+        vis = {k: fs for k, fs in vis.items() if k in buckets}
+    return _per_bucket(snap, vis, schema, then, *args)
 
 
 def lookup(lake_dir: str, repo: str, path: str) -> dict | None:
@@ -158,8 +193,6 @@ def lookup(lake_dir: str, repo: str, path: str) -> dict | None:
     ``lsn``). At scale this is the index-free read path a serving
     layer would wrap in an actor holding decoded manifests.
     """
-    import pyarrow.parquet as pq
-
     snap = mf.snapshot(lake_dir)
     if snap.last is None:
         return None
@@ -221,17 +254,20 @@ def changes_between(lake_dir: str, from_epoch: int,
 
 def read_changes(snap: mf.Snapshot, from_epoch: int) -> "ray.data.Dataset":
     """``changes_between`` from ``from_epoch`` to ``snap``'s epoch."""
+    return _dataset(change_refs(snap, from_epoch), pa.schema([
+        ("repo", pa.string()), ("path", pa.string()), ("op", pa.string()),
+        ("lsn", pa.int64())]))
+
+
+def change_refs(snap: mf.Snapshot, from_epoch: int,
+                columns: list[str] | None = None) -> list[ray.ObjectRef]:
+    """``read_changes``' bucket tasks, each returning its bucket's feed
+    rows (payload pruned to ``columns``); [] for an empty feed."""
     snap.check_key_hash()  # same routing fence as read_lake
-    files = snap.change_files(from_epoch)
-    if not any(files.values()) or snap.last is None:
-        return ray.data.from_arrow(pa.Table.from_pylist(
-            [], schema=pa.schema([("repo", pa.string()),
-                                  ("path", pa.string()),
-                                  ("op", pa.string()),
-                                  ("lsn", pa.int64())])))
-    schema, P, B = snap.schema, snap.num_partitions, snap.num_buckets
-    return _per_bucket(files, lambda bucket, fs: _resolve_bucket(
-        fs, bucket, P, B, schema, keep_deletes=True))
+    if snap.last is None:
+        return []
+    return _per_bucket(snap, snap.change_files(from_epoch),
+                       _pruned(snap.schema, columns), keep_deletes=True)
 
 
 def audit_lake(lake_dir: str, verify_content: bool = False) -> dict:
@@ -239,9 +275,9 @@ def audit_lake(lake_dir: str, verify_content: bool = False) -> dict:
     bytes actually on disk (the eemeter-style audit step, turned on the
     lake itself).
 
-    A distributed re-read of every visible data file recomputes the
-    GLOBAL xor of content-sha256 prefixes and the total row count and
-    compares them against the same quantities folded from the committed
+    A re-read of every visible data file, one task per slot, recomputes
+    the GLOBAL xor of content-sha256 prefixes and the total row count
+    and compares them against the same quantities folded from the committed
     per-bucket manifest entries (xor is position-invariant, so a range
     fragment serving several bucket entries is read once and still
     checks against all of them; any bit rot, truncation or tampering
@@ -268,34 +304,36 @@ def audit_lake(lake_dir: str, verify_content: bool = False) -> dict:
         return {**empty, "rows_expected": exp_rows,
                 "checksum_ok": exp_rows == 0}
 
-    def _scan(t: pa.Table) -> pa.Table:
-        stored = t["content_sha256"]
-        bad = 0
-        if verify_content:
-            sha, _ = sha256_hex_with_prefix(t["content"])
-            # a null on one side only is a mismatch too
-            bad = pc.sum(pc.coalesce(
-                pc.not_equal(sha, stored),
-                pc.not_equal(pc.is_null(sha), pc.is_null(stored)))
-            ).as_py() or 0
-        return pa.table({
-            "xor": pa.array([np.bitwise_xor.reduce(sha_prefix64(stored))],
-                            pa.uint64()),
-            "n": pa.array([len(t)], pa.int64()),
-            "bad_content": pa.array([bad], pa.int64()),
-        })
+    cols = ["content_sha256"] + (["content"] if verify_content else [])
 
-    ds = ray.data.read_parquet(
-        list(files), columns=["content_sha256"]
-        + (["content"] if verify_content else []))
-    got = ds.map_batches(_scan, batch_format="pyarrow").to_pandas()
-    got_xor = int(np.bitwise_xor.reduce(got.xor.to_numpy(np.uint64)))
-    rows = int(got.n.sum())
+    def _scan(paths: list[str]) -> tuple[int, int, int]:
+        xor, n, bad = np.uint64(0), 0, 0
+        for p in paths:
+            t = pq.read_table(p, columns=cols)
+            stored = t["content_sha256"]
+            xor ^= np.bitwise_xor.reduce(sha_prefix64(stored))
+            n += len(t)
+            if verify_content:
+                sha, _ = sha256_hex_with_prefix(t["content"])
+                # a null on one side only is a mismatch too
+                bad += pc.sum(pc.coalesce(
+                    pc.not_equal(sha, stored),
+                    pc.not_equal(pc.is_null(sha), pc.is_null(stored)))
+                ).as_py() or 0
+        return int(xor), n, bad
+
+    # one task per slot, over an equal share of the files
+    paths = list(files)
+    k = min(len(paths), task_slots())
+    got = run_tasks(_scan, [(paths[i::k],) for i in range(k)])
+    got_xor = int(np.bitwise_xor.reduce(
+        np.array([x for x, _, _ in got], np.uint64)))
+    rows = sum(n for _, n, _ in got)
     return {
         "rows_expected": exp_rows,
         "rows_scanned": rows,
         "checksum_ok": got_xor == exp_xor and rows == exp_rows,
-        "content_mismatches": int(got.bad_content.sum()),
+        "content_mismatches": sum(b for _, _, b in got),
     }
 
 

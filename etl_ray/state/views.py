@@ -8,11 +8,14 @@ A refresh from checkpoint ``f`` to ``t`` reads
   * ``changes_between(lake, f, t)`` — the net per-key after-images and
     tombstones, manifest-pruned to the delta files of epochs (f, t]
     (no full-lake scan), and
-  * the PRIOR contribution of exactly the changed keys — a
-    ``read_lake(as_of_epoch=f)`` scan filtered by a broadcast key-hash
-    set (retraction side),
+  * the PRIOR contribution of exactly the changed keys — the
+    ``read_lake(as_of_epoch=f)`` bucket tasks of only the buckets that
+    hold a changed key, each filtered by the changed key-hash set
+    (retraction side),
 
 and applies ``view += agg(after-images) − agg(prior rows)`` per group.
+Each bucket task aggregates its own rows (``_group_partial``), so only
+a few rows per bucket reach the driver.
 Incremental == recompute is pinned by tests at every epoch split.
 
 Supported aggregates are the retractable ones: ``n`` (row count) and
@@ -44,8 +47,9 @@ import ray
 
 from etl_ray.state import manifest as mf
 # read_lake, changes_between: perfbench's tracer wraps them here
-from etl_ray.state.lake import (changes_between, read_changes,  # noqa: F401
-                                read_lake, read_snapshot)
+from etl_ray.state.lake import (change_refs, changes_between,  # noqa: F401
+                                read_lake, snapshot_refs)
+from etl_ray.state.merge import bucket_of
 from etl_ray.util import key_hash64
 
 _KEY_COLS = ["repo", "path"]
@@ -53,12 +57,12 @@ _KEY_COLS = ["repo", "path"]
 
 def _group_partial(t: pa.Table, group_cols: list[str],
                    sum_cols: list[str]) -> pa.Table:
-    """(count, sums) per group of one table: the per-block step of
-    ``_agg_partials``, and applied directly to driver-held tables."""
+    """(count, sums) per group of one table: what each bucket task
+    returns, and applied directly to driver-held tables."""
     if len(t) == 0:
         # group-column types must come from the INPUT schema — a
         # hardcoded string() conflicts with int group columns
-        # whenever an empty block appears (ADVICE r3), which the
+        # whenever an empty bucket appears (ADVICE r3), which the
         # changed-key filter guarantees
         return pa.table({c: pa.array([], t.schema.field(c).type)
                          for c in group_cols} |
@@ -73,23 +77,24 @@ def _group_partial(t: pa.Table, group_cols: list[str],
     return pa.Table.from_pandas(out.reset_index(), preserve_index=False)
 
 
-def _agg_partials(ds: "ray.data.Dataset", group_cols: list[str],
-                  sum_cols: list[str], sign: int) -> pd.DataFrame:
-    """Per-block partial (count, sums) per group, tiny rows to the
-    driver, combined there — group cardinality is small by contract,
-    so this avoids an all-to-all for what reduces to a few rows."""
-    rows = ds.map_batches(
-        lambda t: _group_partial(t, group_cols, sum_cols),
-        batch_format="pyarrow").take_all()
-    if not rows:
-        cols = group_cols + ["n"] + [f"sum_{c}" for c in sum_cols]
-        return pd.DataFrame(columns=cols)
-    df = pd.DataFrame(rows)
-    agg = df.groupby(group_cols, dropna=False, sort=False).sum(
-        numeric_only=True).reset_index()
+def _changed_partial(t: pa.Table, changed: np.ndarray,
+                     group_cols: list[str], sum_cols: list[str]
+                     ) -> pa.Table:
+    """``_group_partial`` of the rows of ``t`` whose key hash is in
+    ``changed``."""
+    mask = np.isin(key_hash64(t, _KEY_COLS), changed)
+    return _group_partial(t.filter(pa.array(mask)), group_cols, sum_cols)
+
+
+def _partials(refs: list, sum_cols: list[str],
+              sign: int = 1) -> list[pd.DataFrame]:
+    """The bucket tasks' partials, counts and sums times ``sign`` (−1
+    retracts); ``_combine`` merges their groups."""
     num = ["n"] + [f"sum_{c}" for c in sum_cols]
-    agg[num] = agg[num].astype("int64") * sign
-    return agg
+    frames = [t.to_pandas() for t in ray.get(refs) if len(t)]
+    for f in frames:
+        f[num] *= sign
+    return frames
 
 
 def _combine(frames: list[pd.DataFrame], group_cols: list[str],
@@ -178,9 +183,9 @@ def create_view(lake_dir: str, view_dir: str, group_cols: list[str],
     sum_cols = sum_cols or []
     snap = mf.snapshot(lake_dir, as_of_epoch)
     epoch = snap.wal_epoch if as_of_epoch is None else as_of_epoch
-    ds = read_snapshot(snap, columns=group_cols + sum_cols, keep_sha=False)
-    df = _combine([_agg_partials(ds, group_cols, sum_cols, +1)],
-                  group_cols, sum_cols)
+    refs = snapshot_refs(snap, group_cols + sum_cols, _group_partial,
+                         group_cols, sum_cols)
+    df = _combine(_partials(refs, sum_cols), group_cols, sum_cols)
     meta = {"group_cols": group_cols, "sum_cols": sum_cols,
             "as_of_epoch": int(epoch)}
     _write_state(view_dir, df, meta)
@@ -199,44 +204,35 @@ def refresh_view(lake_dir: str, view_dir: str,
     if t_epoch <= f_epoch:
         return meta  # nothing newer; idempotent no-op
 
-    feed = read_changes(snap.as_of(t_epoch), f_epoch)
-    feed_tables = [t for t in feed.iter_batches(batch_size=None,
-                                                batch_format="pyarrow")
-                   if t.num_rows]
-    if not feed_tables:
+    feed = [t for t in ray.get(change_refs(snap.as_of(t_epoch), f_epoch,
+                                           group_cols + sum_cols))
+            if t.num_rows]
+    if not feed:
         meta["as_of_epoch"] = int(t_epoch)
         _write_state(view_dir, read_view(view_dir).to_pandas(), meta)
         return meta
-    keys = pa.concat_tables(
-        [t.select(_KEY_COLS) for t in feed_tables]).combine_chunks()
-    changed = ray.put(np.unique(key_hash64(keys, _KEY_COLS)))
+    keys = pa.concat_tables([t.select(_KEY_COLS) for t in feed])
+    changed = np.unique(key_hash64(keys, _KEY_COLS))
 
     # additions: after-images of upserted keys as of t_epoch, already
     # driver-held — aggregated here, not shipped back through Ray
     adds = pa.concat_tables(
         [t.filter(pc.not_equal(t["op"], "D"))
-          .select(group_cols + sum_cols) for t in feed_tables],
+          .select(group_cols + sum_cols) for t in feed],
         promote_options="default")
     add_df = _group_partial(adds, group_cols, sum_cols).to_pandas()
 
-    # retractions: the changed keys' contribution as of f_epoch —
-    # broadcast hash-set filter inside the pruned time-travel scan
-    # (the ray.get resolves once per worker process, then memoizes)
-    def _only_changed(t: pa.Table, _memo: list = []) -> pa.Table:
-        if len(t) == 0:
-            return t
-        if not _memo:
-            _memo.append(ray.get(changed))
-        mask = np.isin(key_hash64(t, _KEY_COLS), _memo[0])
-        return t.filter(pa.array(mask))
-
-    old = (read_snapshot(snap.as_of(f_epoch), columns=group_cols + sum_cols,
-                         keep_sha=False)
-           .map_batches(_only_changed, batch_format="pyarrow"))
-    sub_df = _agg_partials(old, group_cols, sum_cols, -1)
+    # retractions: the changed keys' contribution as of f_epoch, from
+    # the buckets that hold them only; the hash set is one task argument
+    buckets = set(bucket_of(changed, snap.num_partitions,
+                            snap.num_buckets).tolist())
+    refs = snapshot_refs(snap.as_of(f_epoch), group_cols + sum_cols,
+                         _changed_partial, ray.put(changed), group_cols,
+                         sum_cols, buckets=buckets)
+    subs = _partials(refs, sum_cols, -1)
 
     prior = read_view(view_dir).to_pandas()
-    df = _combine([prior, sub_df, add_df], group_cols, sum_cols)
+    df = _combine([prior, *subs, add_df], group_cols, sum_cols)
     meta["as_of_epoch"] = int(t_epoch)
     _write_state(view_dir, df, meta)
     return meta

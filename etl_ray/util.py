@@ -9,7 +9,7 @@ hash mandated by BASELINE.json:2 ("100% sha256 row-equality").
 
 Importing this module changes no process-wide state. The heap policy
 (:func:`retain_heap`) is applied by the engine's own tasks
-(:func:`run_tasks` and the ingest), in the worker that runs them.
+(:func:`submit_tasks` and the ingest), in the worker that runs them.
 """
 
 from __future__ import annotations
@@ -162,9 +162,10 @@ def take_runs(t: pa.Table, indices: np.ndarray) -> pa.Table:
     takes each run from its chunk alone, and reassembles zero-copy with
     ``Table.from_batches`` — total allocation is exactly the output
     rows. Falls back to plain ``take`` for single-chunk tables and for
-    pathologically interleaved index orders where per-run overhead
-    would dominate (ingest gathers are lsn-run-ordered, so runs ≈
-    chunks × output groups in practice)."""
+    index orders whose runs average fewer than 16 rows, where a take
+    per run costs more than the concat (measured: 155 rows of 2 KB in
+    110 runs over 3 chunks, 3.9 ms run by run against 0.06 ms for
+    ``take``)."""
     idx = np.asarray(indices, dtype=np.int64)
     if len(idx) == 0:
         return t.schema.empty_table()
@@ -177,8 +178,8 @@ def take_runs(t: pa.Table, indices: np.ndarray) -> pa.Table:
     np.cumsum([len(b) for b in batches], out=starts[1:])
     cid = np.searchsorted(starts, idx, side="right") - 1
     cuts = np.flatnonzero(np.diff(cid)) + 1
-    if len(cuts) + 1 > max(256, len(idx) // 16):
-        return t.take(pa.array(idx))  # interleaved: one concat is cheaper
+    if 16 * (len(cuts) + 1) > len(idx):
+        return t.take(pa.array(idx))  # short runs: one concat is cheaper
     pieces = []
     for s, e in zip(np.concatenate(([0], cuts)),
                     np.concatenate((cuts, [len(idx)]))):
@@ -367,7 +368,7 @@ def retain_heap() -> bool:
     under untuned jemalloc or glibc (BASELINE.md round 5). The pool is
     swapped only when both ``mallopt`` calls return 1, so on a non-glibc
     platform the process keeps Arrow's default pool. Called by the
-    engine's own tasks (:func:`run_tasks`, the ingest), never at import.
+    engine's own tasks (:func:`submit_tasks`, the ingest), never at import.
     Returns whether the policy is in force.
     """
     try:
@@ -426,6 +427,38 @@ def session_cpus() -> int:
         return 8
 
 
+# Fraction of a node's CPU slots RESERVED (never running engine tasks):
+# max(1, ⌊cpus/8⌋) slots stay free at every level (32→28, 16→14, 8→7,
+# 4→3 concurrent tasks) for the raylet, the kernel page-fault path, and
+# — on shared hypervisors — for the host to keep guest spinlock holders
+# running. Measured on the bench VM in a contended window: 32 concurrent
+# zstd-decode processes spent 39-84 s of SYSTEM time (page-fault lock
+# contention; walls 4× the 24-process run) while ≤27-wide ran at
+# per-process speed, and the full replay @32 measured 68 s full-width
+# vs 27 s with one slot in eight reserved, same window. Standard
+# capacity practice (Spark/YARN reserve per-node cores the same way).
+# Every engine task (ingest, lake reads, compaction, export, audit) runs
+# at this one width, so a read after an ingest runs on the ingest's
+# workers instead of starting one more worker inside the read.
+
+
+def task_cpus() -> float:
+    """Per-task CPU request of every engine task (the reservation
+    above)."""
+    cpus = session_cpus()
+    reserve = max(1, cpus // 8)
+    if cpus - reserve < 1:  # 1-CPU session: nothing to reserve
+        return 1.0
+    # tiny epsilon below the exact ratio so floor(cpus/task_cpus) is
+    # never one short of the target width through float rounding
+    return max(1.0, cpus / (cpus - reserve) - 0.002)
+
+
+def task_slots() -> int:
+    """Engine tasks the session runs at once: ⌊cpus / task_cpus()⌋."""
+    return int(session_cpus() // task_cpus())
+
+
 @ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError],
             scheduling_strategy="DEFAULT")
 def _call(fn, *args):
@@ -433,14 +466,20 @@ def _call(fn, *args):
     return fn(*args)
 
 
-def run_tasks(fn, calls: list[tuple], num_cpus: float = 1) -> list:
-    """``[fn(*args) for args in calls]``, one Ray task per call, results
-    in call order. The tasks take the options Ray Data gives its map
-    tasks (``ray/data/_internal/remote_fn.py``): system errors retried
-    without limit, default scheduling (no inherited placement group).
-    An exception ``fn`` raises is not retried; it raises here. Each
-    task runs under :func:`retain_heap`. Three such tasks take ~6 ms
-    where a Ray Data execution of the same three takes ~64 ms
-    (SURVEY.md, write-task sizing)."""
-    task = _call.options(num_cpus=num_cpus)
-    return ray.get([task.remote(fn, *args) for args in calls])
+def submit_tasks(fn, calls: list[tuple]) -> list[ray.ObjectRef]:
+    """One Ray task per call of ``fn(*args)``, each at :func:`task_cpus`;
+    their result refs in call order. The tasks take the options Ray
+    Data gives its map tasks (``ray/data/_internal/remote_fn.py``):
+    system errors retried without limit, default scheduling (no
+    inherited placement group). An exception ``fn`` raises is not
+    retried; it raises where the ref is got. Each task runs under
+    :func:`retain_heap`."""
+    task = _call.options(num_cpus=task_cpus())
+    return [task.remote(fn, *args) for args in calls]
+
+
+def run_tasks(fn, calls: list[tuple]) -> list:
+    """``[fn(*args) for args in calls]``, run by :func:`submit_tasks`.
+    Three such tasks take ~6 ms where a Ray Data execution of the same
+    three takes ~64 ms (SURVEY.md, write-task sizing)."""
+    return ray.get(submit_tasks(fn, calls))

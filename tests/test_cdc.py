@@ -68,7 +68,7 @@ def test_replay_plans_its_own_wal_scan(wal_dir, ref_state, tmp_path,
     import ray
     import ray.data
 
-    from etl_ray.pipelines import cdc
+    from etl_ray.util import task_cpus
 
     def _no_parquet_datasource(*a, **kw):
         raise AssertionError("ray.data.read_parquet called")
@@ -82,7 +82,7 @@ def test_replay_plans_its_own_wal_scan(wal_dir, ref_state, tmp_path,
                        .num_row_groups
                        for k in range(N_EPOCHS)
                        for n in os.listdir(f"{wal_dir}/epoch={k}"))
-    slots = math.floor(ray.cluster_resources()["CPU"] / cdc._task_cpus())
+    slots = math.floor(ray.cluster_resources()["CPU"] / task_cpus())
     per_epoch = fragments_per_epoch(lake)
     assert len(per_epoch) == N_EPOCHS
     assert max(per_epoch.values()) <= min(n_row_groups, slots)
@@ -99,7 +99,7 @@ def test_replay_streams_large_groups_in_blocks(wal_dir, ref_state,
     import ray
     from ray.data import DataContext
 
-    from etl_ray.pipelines import cdc
+    from etl_ray.util import task_cpus
 
     ctx = DataContext.get_current()
     target = ctx.target_max_block_size
@@ -112,7 +112,7 @@ def test_replay_streams_large_groups_in_blocks(wal_dir, ref_state,
     assert s["epochs_applied"] == N_EPOCHS
     assert lake_shas(lake) == ref_shas(ref_state)
     # more fragment files in an epoch than tasks: the writer ran per block
-    slots = math.floor(ray.cluster_resources()["CPU"] / cdc._task_cpus())
+    slots = math.floor(ray.cluster_resources()["CPU"] / task_cpus())
     assert max(fragments_per_epoch(lake).values()) > slots
 
 
@@ -244,6 +244,64 @@ def test_replay_and_auto_compact_run_no_ray_data(wal_dir, ref_state,
     assert s["n_compactions"] >= 1
     assert lake_shas(lake) == ref_shas(ref_state)
     assert out["n_rows"] == len(ref_state)
+
+
+def test_readers_run_no_ray_data(wal_dir, ref_state, tmp_path, monkeypatch):
+    """The merge-on-read readers (the scan, the change feed, the view
+    build and refresh) and the audit run their tasks as plain Ray
+    tasks: with Ray Data's sources, ``map_batches``, ``take_all`` and
+    ``iter_batches`` patched to raise, they still complete and agree
+    with the reference replay."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray
+    import ray.data
+
+    from etl_ray.state.lake import audit_lake, changes_between
+    from etl_ray.state.views import create_view, read_view, refresh_view
+
+    lake = str(tmp_path / "lake")
+    replay(wal_dir, lake, N_EPOCHS, num_partitions=64)
+
+    def _no_ray_data(*a, **kw):
+        raise AssertionError("Ray Data execution started")
+
+    for owner, name in ((ray.data, "from_items"), (ray.data, "read_parquet"),
+                        (ray.data.Dataset, "map_batches"),
+                        (ray.data.Dataset, "take_all"),
+                        (ray.data.Dataset, "iter_batches")):
+        monkeypatch.setattr(owner, name, _no_ray_data)
+    state = pa.concat_tables(ray.get(read_lake(lake).to_arrow_refs()))
+    feed = pa.concat_tables(ray.get(
+        changes_between(lake, 1, N_EPOCHS - 1).to_arrow_refs()))
+    vdir = str(tmp_path / "view")
+    create_view(lake, vdir, ["lang"], ["size"], as_of_epoch=1)
+    refresh_view(lake, vdir)
+    audit = audit_lake(lake, verify_content=True)
+    monkeypatch.undo()
+
+    def sha(v):
+        return hashlib.sha256(v["content"].encode()).hexdigest()
+
+    assert sorted(state["content_sha256"].to_pylist()) == ref_shas(ref_state)
+    # the feed applied to the epoch-1 state gives the final state
+    got = {k: sha(v) for k, v in reference_replay(wal_dir, 2).items()}
+    for r in feed.select(["repo", "path", "op", "content_sha256"]).to_pylist():
+        if r["op"] == "D":
+            got.pop((r["repo"], r["path"]), None)
+        else:
+            got[(r["repo"], r["path"])] = r["content_sha256"]
+    assert got == {k: sha(v) for k, v in ref_state.items()}
+    ref = pd.DataFrame(list(ref_state.values())).groupby(
+        "lang", dropna=False)["size"]
+    want = pd.DataFrame({"n": ref.size(), "sum_size": ref.sum()})
+    view = read_view(vdir).to_pandas().set_index("lang")
+    assert view.loc[want.index, ["n", "sum_size"]].astype("int64").equals(
+        want.astype("int64"))
+    assert len(view) == len(want)
+    # the audit reads every visible row version, live or superseded
+    assert audit["checksum_ok"] and audit["content_mismatches"] == 0
+    assert audit["rows_scanned"] == audit["rows_expected"] >= len(ref_state)
 
 
 def test_replay_failed_task_commits_nothing_past_checkpoint(

@@ -286,7 +286,7 @@ def test_rolling_poly_matches_naive_reference():
 
 
 def test_task_cpus_reservation_widths(monkeypatch):
-    """cdc._task_cpus reserves max(1, cpus//8) slots at every level: the
+    """util.task_cpus reserves max(1, cpus//8) slots at every level: the
     effective task width floor(cpus / task_cpus) must be exactly
     cpus - max(1, cpus//8) (32→28, 16→14, 8→7, 4→3), with no float
     rounding losing an extra slot."""
@@ -294,15 +294,16 @@ def test_task_cpus_reservation_widths(monkeypatch):
 
     import ray as ray_mod
 
-    from etl_ray.pipelines import cdc
+    from etl_ray import util
 
     for cpus, want_width in ((1, 1), (2, 1), (3, 2), (4, 3), (8, 7),
                              (16, 14), (32, 28), (64, 56), (256, 224)):
         monkeypatch.setattr(ray_mod, "cluster_resources",
                             lambda c=cpus: {"CPU": float(c)})
-        tc = cdc._task_cpus()
+        tc = util.task_cpus()
         assert tc >= 1.0
         assert math.floor(cpus / tc) == want_width, (cpus, tc)
+        assert util.task_slots() == want_width
 
 
 def test_wal_scan_groups_balanced_and_deterministic():
@@ -389,6 +390,18 @@ def test_take_runs_matches_table_take_across_layouts():
         for idx in idxs:
             exp = tm.take(pa.array(idx.astype(np.int64))).to_pylist()
             assert take_runs(tm, idx).to_pylist() == exp
+
+    # a small interleaved gather (runs of 1-2 rows over 3 chunks) takes
+    # the one-concat path; runs of ≥ 16 rows are gathered run by run
+    small = pa.concat_tables([t.slice(0, 50), t.slice(50, 55),
+                              t.slice(105, 50)])
+    inter = rng.permutation(155)[:100]
+    runs = np.concatenate([np.arange(120, 150), np.arange(0, 40),
+                           np.arange(60, 100)])
+    for idx, chunks in ((inter, 1), (runs, 3)):
+        got = take_runs(small, idx)
+        assert got.to_pylist() == small.take(pa.array(idx)).to_pylist()
+        assert got.column("a").num_chunks == chunks
 
 
 def test_sha256_hex_chunked_nulls_and_empties():
