@@ -5,17 +5,24 @@ repo ``jgoldsmith-gpt/etl`` is characterised there; `/root/reference` is
 empty in this sandbox — see SURVEY.md §0 — so the binding spec is
 BASELINE.json's north rule / north star plus the driver harness).
 
-Architecture (Ray-Data-first):
+Architecture:
 
 - Every logical table is a ``ray.data.Dataset`` whose blocks are
   ``pyarrow.Table`` (``batch_format="pyarrow"`` end-to-end, zero-copy from
   the object store).
-- Stateless transforms are vectorized ``map_batches`` over
-  ``pyarrow.compute`` kernels; stateful stages (the CDC merge applier)
-  are callable classes run as actor pools.
-- Wide steps use ``groupby`` / ``sort`` / ``join``; partial aggregation
-  happens inside ``map_batches`` before any shuffle; small sides are
-  broadcast via ``ray.put``.
+- Query reads and stateless transforms run on Ray Data: column-pruned
+  ``read_parquet`` and vectorized ``map_batches`` over
+  ``pyarrow.compute`` kernels; partial aggregation happens inside
+  ``map_batches``; small sides are broadcast via ``ray.put``. Stateful
+  per-query transforms (language id, media decoders) are callable
+  classes run as Ray Data actor pools.
+- The engine's own wide steps run as plain Ray tasks
+  (``util.submit_tasks``, one per-task CPU width): CDC ingest and
+  compaction, every merge-on-read lake reader, export and audit, and
+  the queries' key-hash exchange (``pipelines/_qutil.py``: joins and
+  keyed aggregates). Those that return a table return a materialized
+  Dataset built from their tasks' refs (``util.dataset``). ``read_epochs`` and ``LakeSink`` still build Ray
+  Data plans. None of these task paths starts an actor.
 - The CDC sink is a two-phase, manifest-committed Parquet lake with
   monotonic epoch fencing (Delta-Lake-style transaction log, see
   PAPERS.md: Delta Lake, VLDB 2020), so replay from any checkpoint

@@ -9,11 +9,13 @@ Every query that needs equal keys together — joins, many-group
 aggregates, sessionization — goes through one key-hash exchange
 (:func:`shard_apply`, :func:`shard_join`): each row is routed to shard
 ``key_hash64(keys) % join_partitions()`` and one vectorized Arrow
-kernel runs per shard. The exchange is Ray Data's task-based sort
-shuffle on the small integer shard column, with one reduce partition
-per shard, followed by one map call per shard: it starts no actors, so
-it runs in a session of any width, and nothing here touches the
-process-wide ``DataContext``.
+kernel runs per shard. The exchange is plain engine tasks
+(``util.submit_tasks``), the map/reduce shape of Exoshuffle (PAPERS.md):
+each input is materialized, one split task per input block returns one
+zero-copy slice per shard, and one reduce task per shard takes those
+slices as arguments, concatenates them and runs the kernel. It starts
+no actors and no Ray Data shuffle, so it runs in a session of any
+width, and nothing here touches the process-wide ``DataContext``.
 """
 
 from __future__ import annotations
@@ -27,15 +29,12 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from etl_ray.util import key_hash64, session_cpus
+from etl_ray.util import dataset, key_hash64, submit_tasks, task_slots
 
 # Shard-count cap for the key-hash exchange. At sf0.01 this is plenty;
 # a cluster run sizes it to ~2×cores with 64–128 MiB blocks.
 JOIN_PARTITIONS = 16
 
-SHARD = "_shard"
-_SIDE = "_side"
-_PREFIX = ("l:", "r:")  # keeps the two sides' columns apart in one block
 JOIN_TYPES = {"inner": "inner", "left_outer": "left outer",
               "right_outer": "right outer", "full_outer": "full outer",
               "left_semi": "left semi", "left_anti": "left anti"}
@@ -44,16 +43,10 @@ Kernel = Callable[[pa.Table], pa.Table]
 
 
 def join_partitions(cap: int = JOIN_PARTITIONS) -> int:
-    """Shard count of the key-hash exchange: the session's CPUs, capped,
-    and never below 2.
-
-    One kernel call per shard; more shards than CPUs only add calls,
-    fewer leave reduce tasks without a whole shard to work on. At 1
-    shard the sort's boundaries would be ``[]``, which Ray reads as none
-    given: it would sample the input and keep its block count, the path
-    :func:`_exchange` exists to avoid.
-    """
-    return max(2, min(cap, session_cpus()))
+    """Shard count of the key-hash exchange: the width of every engine
+    task (``util.task_slots``), capped. One reduce task per shard; more
+    shards than slots only add tasks."""
+    return min(cap, task_slots())
 
 
 def shard_of(t: pa.Table, keys: Sequence[str], n: int) -> np.ndarray:
@@ -63,34 +56,45 @@ def shard_of(t: pa.Table, keys: Sequence[str], n: int) -> np.ndarray:
     return (key_hash64(t, list(keys)) % np.uint64(n)).astype(np.int64)
 
 
-def _exchange(tagged: "ray.data.Dataset", kernel: Kernel,
-              n: int) -> "ray.data.Dataset":
-    """Run ``kernel`` once per shard of rows that carry a SHARD column.
+def _split(t: pa.Table, keys: Sequence[str], n: int) -> tuple[pa.Table, ...]:
+    """One block cut into its ``n`` shards: one take in shard order,
+    then zero-copy slices."""
+    shard = shard_of(t, keys, n)
+    t = t.take(pa.array(np.argsort(shard, kind="stable")))
+    ends = np.cumsum(np.bincount(shard, minlength=n))
+    return tuple(t.slice(s, e - s) for s, e in zip([0, *ends[:-1]], ends))
 
-    The sort's fixed boundaries 1..n-1 make reduce partition i exactly
-    shard i, one block each: no sampling pass, and the output has n
-    blocks whatever the input had (a sampled sort keeps the input's
-    block count, which compounds across chained joins).
-    """
-    def _per_shard(t: pa.Table) -> pa.Table:
-        return kernel(t.drop_columns([SHARD]))
 
-    _per_shard.__name__ = getattr(kernel, "__name__", "exchange")
-    return (tagged.sort(SHARD, boundaries=list(range(1, n)))
-            .map_batches(_per_shard, batch_size=None, batch_format="pyarrow"))
+def _shards(ds: "ray.data.Dataset", keys: Sequence[str],
+            n: int) -> list[list[ray.ObjectRef]]:
+    """The map side: ``ds`` materialized, then per shard the refs of its
+    slice of every input block ([] per shard for an input with none)."""
+    blocks = ds.to_arrow_refs()
+    if n == 1:  # the blocks are the one shard's slices
+        return [blocks]
+    parts = submit_tasks(_split, [(b, keys, n) for b in blocks],
+                         num_returns=n)
+    return [[p[s] for p in parts] for s in range(n)]
+
+
+def _concat(parts: Sequence[pa.Table]) -> pa.Table:
+    return pa.concat_tables(parts, promote_options="default")
 
 
 def shard_apply(ds: "ray.data.Dataset", keys: Sequence[str],
                 kernel: Kernel) -> "ray.data.Dataset":
     """Key-hash exchange: ``kernel`` sees every row of its shard at once,
     so a grouped operator keyed on (a superset of) ``keys`` is exact per
-    shard with one vectorized pass — no per-row Python, no actors."""
-    n = join_partitions()
+    shard with one vectorized pass — no per-row Python, no actors. An
+    input with no block gives one empty block with no columns."""
+    shards = _shards(ds, keys, join_partitions())
+    if not shards[0]:
+        return dataset([], pa.schema([]))
 
-    def _tag(t: pa.Table) -> pa.Table:
-        return t.append_column(SHARD, pa.array(shard_of(t, keys, n)))
+    def _reduce(*parts: pa.Table) -> pa.Table:
+        return kernel(_concat(parts))
 
-    return _exchange(ds.map_batches(_tag, batch_format="pyarrow"), kernel, n)
+    return dataset(submit_tasks(_reduce, shards), pa.schema([]))
 
 
 def shard_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
@@ -99,67 +103,43 @@ def shard_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                then: Kernel | None = None) -> "ray.data.Dataset":
     """Hash equi-join on the key-hash exchange.
 
-    Both sides are routed by their key columns and unioned into one
-    layout — each side's columns prefixed, the other side's null-filled
-    by the shuffle's concat, a ``_side`` tag per row — and each shard
-    runs ``pa.Table.join``. The output is exactly Arrow's: left columns,
-    then the right side's non-key columns (keys coalesced; a null key
-    matches nothing). ``join_type`` is one of JOIN_TYPES. ``then``, if
-    given, runs on each shard's join output in the same task: any
-    aggregate grouped by a superset of the join key is exact there,
-    since all of a group's rows share one shard.
+    Both sides are routed by their key columns to the same shards, and
+    each shard's reduce task concatenates its left and right slices
+    apart and runs ``pa.Table.join``. The output is exactly Arrow's:
+    left columns, then the right side's non-key columns (keys coalesced;
+    a null key matches nothing). ``join_type`` is one of JOIN_TYPES.
+    ``then``, if given, runs on each shard's join output in the same
+    task: any aggregate grouped by a superset of the join key is exact
+    there, since all of a group's rows share one shard.
 
-    A side with rows sends one all-null row per shard, tagged with no
-    side, so every shard sees both sides' column types even where one
-    side has no rows. A side with no rows at all sends nothing; it then
-    joins as a table of only its key columns.
+    A side with no block joins as a table of only its key columns,
+    typed like the other side's; with no block on either side the
+    output is one empty block with no columns.
     """
     if join_type not in JOIN_TYPES:
         raise ValueError(f"join_type {join_type!r} not in {sorted(JOIN_TYPES)}")
-    keys = (list(on), list(right_on or on))
+    lk, rk = list(on), list(right_on or on)
     n = join_partitions()
+    ls, rs = _shards(left, lk, n), _shards(right, rk, n)
+    n_left, n_right = len(ls[0]), len(rs[0])
+    if not n_left and not n_right:
+        return dataset([], pa.schema([]))
 
-    def _tagger(side: int):
-        prefix = _PREFIX[side]
-
-        def _tag(t: pa.Table) -> pa.Table:
-            rows = t.rename_columns([prefix + c for c in t.column_names])
-            carrier = pa.table({f.name: pa.nulls(n, f.type)
-                                for f in rows.schema})
-            out = pa.concat_tables([rows, carrier])
-            sides = np.full(len(out), -1, np.int8)
-            sides[:len(t)] = side
-            shards = np.concatenate([shard_of(t, keys[side], n),
-                                     np.arange(n, dtype=np.int64)])
-            return (out.append_column(_SIDE, pa.array(sides))
-                    .append_column(SHARD, pa.array(shards)))
-
-        _tag.__name__ = f"shard_join_{'lr'[side]}"
-        return _tag
-
-    def _side_rows(t: pa.Table, side: int) -> pa.Table | None:
-        prefix = _PREFIX[side]
-        cols = [c for c in t.column_names if c.startswith(prefix)]
-        if not cols:
-            return None
-        rows = t.filter(pc.equal(t[_SIDE], side)).select(cols)
-        return rows.rename_columns([c[len(prefix):] for c in cols])
-
-    def _join(t: pa.Table) -> pa.Table:
-        lt, rt = _side_rows(t, 0), _side_rows(t, 1)
+    def _join(*parts: pa.Table) -> pa.Table:
+        lt = _concat(parts[:n_left]) if n_left else None
+        rt = _concat(parts[n_left:]) if n_right else None
         if lt is None:  # an empty side: its keys, typed like the other's
             lt = pa.table({k: pa.array([], rt[r].type)
-                           for k, r in zip(*keys)})
+                           for k, r in zip(lk, rk)})
         if rt is None:
             rt = pa.table({r: pa.array([], lt[k].type)
-                           for k, r in zip(*keys)})
-        out = lt.join(rt, keys=keys[0], right_keys=keys[1],
+                           for k, r in zip(lk, rk)})
+        out = lt.join(rt, keys=lk, right_keys=rk,
                       join_type=JOIN_TYPES[join_type])
         return then(out) if then is not None else out
 
-    tagged = (left.map_batches(_tagger(0), batch_format="pyarrow")
-              .union(right.map_batches(_tagger(1), batch_format="pyarrow")))
-    return _exchange(tagged, _join, n)
+    return dataset(submit_tasks(_join, [(*a, *b) for a, b in zip(ls, rs)]),
+                   pa.schema([]))
 
 
 def merge_partials(ds: "ray.data.Dataset", keys: Sequence[str],
@@ -169,7 +149,7 @@ def merge_partials(ds: "ray.data.Dataset", keys: Sequence[str],
     one Arrow ``group_by`` on the driver replaces a second shuffle."""
     parts = [b for b in ds.iter_batches(batch_size=None,
                                         batch_format="pyarrow")
-             if b.num_columns]  # a shard with no rows passes as no columns
+             if b.num_columns]  # an exchange with no input block: none
     if not parts:  # no input rows: no groups
         return pa.table({c: pa.array([]) for c in [*keys, *sums]})
     g = pa.concat_tables(parts).group_by(list(keys)).aggregate(

@@ -121,8 +121,8 @@ def cdc_changes(sf_dir: str):
     from etl_ray.util import key_hash64
 
     def _gather(ds) -> pa.Table:
-        # empty shuffle partitions materialize schema-less blocks;
-        # drop them before concat (at least one non-empty always exists
+        # a bucket task with no row to return gives an empty table;
+        # drop those before concat (at least one non-empty always exists
         # here -- the seeded WAL nets changes every epoch)
         tables = [t for t in ds.iter_batches(batch_size=None,
                                              batch_format="pyarrow")

@@ -25,14 +25,14 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pds
 import pyarrow.parquet as pq
 
-import ray.data
+import ray
 
 from etl_ray.state import manifest as mf
 from etl_ray.state import schema as schema_mod
 from etl_ray.state.merge import KEY_COLS, _atomic_write, bucket_of
-from etl_ray.util import (key_hash64, lww_keep_indices, run_tasks,
-                          sha256_hex_with_prefix, sha_prefix64, submit_tasks,
-                          take_runs, task_slots)
+from etl_ray.util import (dataset, key_hash64, lww_keep_indices,
+                          run_tasks, sha256_hex_with_prefix, sha_prefix64,
+                          submit_tasks, take_runs, task_slots)
 
 
 def _resolve_bucket(files: list[str], bucket: int, P: int, B: int,
@@ -105,14 +105,6 @@ def _pruned(schema: pa.Schema, columns: list[str] | None) -> pa.Schema:
                       if f.name in set(columns) | set(KEY_COLS)])
 
 
-def _dataset(refs: list[ray.ObjectRef],
-             empty: pa.Schema) -> "ray.data.Dataset":
-    """The readers' tables as a materialized Dataset (no execution)."""
-    if not refs:
-        return ray.data.from_arrow(empty.empty_table())
-    return ray.data.from_arrow_refs(refs)
-
-
 def _drop_sha(t: pa.Table) -> pa.Table:
     return t.drop_columns(["content_sha256"])
 
@@ -149,7 +141,7 @@ def read_snapshot(snap: mf.Snapshot, keep_sha: bool = True,
                   columns: list[str] | None = None) -> "ray.data.Dataset":
     """``read_lake`` of a folded (maybe time-travelled) snapshot."""
     refs = snapshot_refs(snap, columns, None if keep_sha else _drop_sha)
-    return _dataset(refs, snap.schema or pa.schema([]))
+    return dataset(refs, snap.schema or pa.schema([]))
 
 
 def snapshot_refs(snap: mf.Snapshot, columns: list[str] | None = None,
@@ -254,7 +246,7 @@ def changes_between(lake_dir: str, from_epoch: int,
 
 def read_changes(snap: mf.Snapshot, from_epoch: int) -> "ray.data.Dataset":
     """``changes_between`` from ``from_epoch`` to ``snap``'s epoch."""
-    return _dataset(change_refs(snap, from_epoch), pa.schema([
+    return dataset(change_refs(snap, from_epoch), pa.schema([
         ("repo", pa.string()), ("path", pa.string()), ("op", pa.string()),
         ("lsn", pa.int64())]))
 

@@ -466,15 +466,16 @@ def _call(fn, *args):
     return fn(*args)
 
 
-def submit_tasks(fn, calls: list[tuple]) -> list[ray.ObjectRef]:
+def submit_tasks(fn, calls: list[tuple], num_returns: int = 1) -> list:
     """One Ray task per call of ``fn(*args)``, each at :func:`task_cpus`;
-    their result refs in call order. The tasks take the options Ray
-    Data gives its map tasks (``ray/data/_internal/remote_fn.py``):
-    system errors retried without limit, default scheduling (no
-    inherited placement group). An exception ``fn`` raises is not
-    retried; it raises where the ref is got. Each task runs under
-    :func:`retain_heap`."""
-    task = _call.options(num_cpus=task_cpus())
+    their result refs in call order. With ``num_returns`` > 1, ``fn``
+    returns that many values and each call gives a list of as many refs.
+    The tasks take the options Ray Data gives its map tasks
+    (``ray/data/_internal/remote_fn.py``): system errors retried without
+    limit, default scheduling (no inherited placement group). An
+    exception ``fn`` raises is not retried; it raises where the ref is
+    got. Each task runs under :func:`retain_heap`."""
+    task = _call.options(num_cpus=task_cpus(), num_returns=num_returns)
     return [task.remote(fn, *args) for args in calls]
 
 
@@ -483,3 +484,15 @@ def run_tasks(fn, calls: list[tuple]) -> list:
     Three such tasks take ~6 ms where a Ray Data execution of the same
     three takes ~64 ms (SURVEY.md, write-task sizing)."""
     return ray.get(submit_tasks(fn, calls))
+
+
+def dataset(refs: list[ray.ObjectRef],
+            empty: pa.Schema) -> "ray.data.Dataset":
+    """The tables behind ``refs`` (engine task results) as a
+    materialized Dataset, no plan: one empty table of schema ``empty``
+    when there are none."""
+    import ray.data
+
+    if not refs:
+        return ray.data.from_arrow(empty.empty_table())
+    return ray.data.from_arrow_refs(refs)

@@ -389,17 +389,25 @@ def test_right_and_full_outer_joins(oracle_con, registry):
         assert got.c_name.isna().sum() == want.c_name.isna().sum(), jt
 
 
-def test_shard_join_edge_cases():
+def test_shard_join_edge_cases(monkeypatch):
     """shard_join against DuckDB on the cases a hash exchange can get
     wrong: null keys (never match; kept unmatched by outer joins),
     many-to-many duplicate keys, the same key name on both sides,
     differently named keys, semi/anti joins, and an empty side. Each
     row carries a unique id (lv / rv), so the multiset of (lv, rv)
-    pairs pins which rows matched which."""
+    pairs pins which rows matched which. The exchange runs as plain
+    engine tasks: with Ray Data's sort and union made to raise, every
+    case still joins."""
     import duckdb
     import ray.data
 
     from etl_ray.pipelines._qutil import shard_join
+
+    def no_shuffle(self, *a, **kw):
+        raise AssertionError("shard_join ran a Ray Data sort or union")
+
+    monkeypatch.setattr(ray.data.Dataset, "sort", no_shuffle)
+    monkeypatch.setattr(ray.data.Dataset, "union", no_shuffle)
 
     L = pa.table({"k": pa.array([1, None, 2, 2, 3, 5, None], pa.int64()),
                   "lv": pa.array(range(7), pa.int64())})
@@ -474,7 +482,7 @@ def test_queries_finish_in_one_cpu_session():
 
     TIMEOUT_S, DUMP_AFTER_S = 240, 220
     names = ["join_inner", "join_left_count", "join_semi_anti",
-             "join_star_region", "count_distinct"]
+             "join_star_region", "count_distinct", "q10_returned_items"]
     script = f"""
 import faulthandler, hashlib, json, sys
 # a stall prints every driver thread's stack before the test's timeout
