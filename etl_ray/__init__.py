@@ -15,14 +15,19 @@ Architecture:
   ``pyarrow.compute`` kernels; partial aggregation happens inside
   ``map_batches``; small sides are broadcast via ``ray.put``. Stateful
   per-query transforms (language id, media decoders) are callable
-  classes run as Ray Data actor pools.
+  classes run as Ray Data actor pools. No query runs a Ray Data
+  shuffle (``Dataset.groupby``/``aggregate``/``sort``): every group,
+  join, distinct and top-k goes through ``pipelines/_qutil.py`` —
+  driver-merged partials for bounded group counts, the key-hash
+  exchange for open key domains, a per-block head for top-k.
 - The engine's own wide steps run as plain Ray tasks
   (``util.submit_tasks``, one per-task CPU width): CDC ingest and
   compaction, every merge-on-read lake reader, export and audit, and
-  the queries' key-hash exchange (``pipelines/_qutil.py``: joins and
-  keyed aggregates). Those that return a table return a materialized
-  Dataset built from their tasks' refs (``util.dataset``). ``read_epochs`` and ``LakeSink`` still build Ray
-  Data plans. None of these task paths starts an actor.
+  the queries' key-hash exchange (``_qutil.shard_apply``,
+  ``shard_join``). Those that return a table return a materialized
+  Dataset built from their tasks' refs (``util.dataset``).
+  ``read_epochs`` and ``LakeSink`` still build Ray Data plans. None of
+  these task paths starts an actor.
 - The CDC sink is a two-phase, manifest-committed Parquet lake with
   monotonic epoch fencing (Delta-Lake-style transaction log, see
   PAPERS.md: Delta Lake, VLDB 2020), so replay from any checkpoint

@@ -5,17 +5,23 @@ Every query reads the driver tables with explicit column pruning
 — at 100 TB a full-width read for a 2-column transform is the first
 thing that breaks (SURVEY.md §"prune at the read").
 
-Every query that needs equal keys together — joins, many-group
-aggregates, sessionization — goes through one key-hash exchange
-(:func:`shard_apply`, :func:`shard_join`): each row is routed to shard
-``key_hash64(keys) % join_partitions()`` and one vectorized Arrow
-kernel runs per shard. The exchange is plain engine tasks
-(``util.submit_tasks``), the map/reduce shape of Exoshuffle (PAPERS.md):
-each input is materialized, one split task per input block returns one
-zero-copy slice per shard, and one reduce task per shard takes those
-slices as arguments, concatenates them and runs the kernel. It starts
-no actors and no Ray Data shuffle, so it runs in a session of any
-width, and nothing here touches the process-wide ``DataContext``.
+Every way the query layer brings equal keys together lives here, and
+none runs a Ray Data shuffle (``Dataset.groupby``/``aggregate``/``sort``):
+:func:`merge_partials` merges per-block partial aggregates on the
+driver where the group count is bounded (flags, one global row);
+:func:`shard_apply` and :func:`shard_join` serve open key domains
+(joins, many-group aggregates, sessionization) with one key-hash
+exchange — row to shard ``key_hash64(keys) % join_partitions()``, one
+vectorized Arrow kernel per shard, :func:`each_group` where a group
+needs Python; :func:`top_k` is a per-block head and a driver sort.
+
+The exchange is plain engine tasks (``util.submit_tasks``), the
+map/reduce shape of Exoshuffle (Luan et al., "Exoshuffle: An Extensible
+Shuffle Architecture", SIGCOMM 2023): each input is materialized, one
+split task per input block returns one zero-copy slice per shard, and
+one reduce task per shard takes those slices as arguments, concatenates
+them and runs the kernel. It starts no actors, so it runs in a session
+of any width, and nothing here touches the process-wide ``DataContext``.
 """
 
 from __future__ import annotations
@@ -142,20 +148,64 @@ def shard_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                    pa.schema([]))
 
 
+def _tables(refs: list[ray.ObjectRef]) -> list[pa.Table]:
+    """The tables behind ``refs`` on the driver, less the column-less
+    block of an exchange with no input."""
+    return [b for b in ray.get(refs) if b.num_columns]
+
+
 def merge_partials(ds: "ray.data.Dataset", keys: Sequence[str],
-                   sums: Sequence[str]) -> pa.Table:
-    """Driver-side final merge of per-task partial aggregates: sum each
-    of ``sums`` per ``keys``. The partials are a few rows per task, so
-    one Arrow ``group_by`` on the driver replaces a second shuffle."""
-    parts = [b for b in ds.iter_batches(batch_size=None,
-                                        batch_format="pyarrow")
-             if b.num_columns]  # an exchange with no input block: none
+                   aggs: Sequence[tuple[str, str]]) -> pa.Table:
+    """Driver-side final merge of per-task partial aggregates: each
+    Arrow ``(column, function)`` of ``aggs`` (``sum``, ``min`` or
+    ``max``) per ``keys`` group, named as its column; ``keys=[]`` merges
+    to one global row. The partials are a few rows per task, so one
+    Arrow ``group_by`` on the driver replaces a shuffle."""
+    names = [*keys, *(c for c, _ in aggs)]
+    parts = _tables(ds.to_arrow_refs())
     if not parts:  # no input rows: no groups
-        return pa.table({c: pa.array([]) for c in [*keys, *sums]})
-    g = pa.concat_tables(parts).group_by(list(keys)).aggregate(
-        [(c, "sum") for c in sums])
-    return pa.table({c: g[c] for c in keys}
-                    | {c: g[f"{c}_sum"] for c in sums})
+        return pa.table({c: pa.array([]) for c in names})
+    g = _concat(parts).group_by(list(keys)).aggregate(list(aggs))
+    return g.select([*keys, *(f"{c}_{f}" for c, f in aggs)]) \
+        .rename_columns(names)
+
+
+def min_max(ds: "ray.data.Dataset", col: str) -> tuple[pa.Scalar, pa.Scalar]:
+    """The least and greatest ``col`` value of ``ds``: one partial row
+    per block, merged on the driver."""
+    g = merge_partials(ds.map_batches(
+        lambda t: pa.table({"lo": [pc.min(t[col])], "hi": [pc.max(t[col])]}),
+        batch_format="pyarrow"), [], [("lo", "min"), ("hi", "max")])
+    return g["lo"][0], g["hi"][0]
+
+
+def top_k(ds: "ray.data.Dataset", sort_keys: Sequence[tuple[str, str]],
+          k: int) -> pa.Table:
+    """The first ``k`` rows of ``ds`` in ``sort_keys`` order (Arrow
+    ``(column, "ascending" | "descending")`` pairs). Each block keeps
+    its own first ``k`` in one engine task — a row outside them is
+    outside the global first ``k`` — and the driver sorts the
+    ≤ k × blocks survivors."""
+    def _head(t: pa.Table) -> pa.Table:
+        return t.take(pc.sort_indices(t, sort_keys=sort_keys)[:k]) \
+            if len(t) else t
+
+    parts = _tables(submit_tasks(_head, [(b,) for b in ds.to_arrow_refs()]))
+    return _head(_concat(parts)) if parts else pa.table({})
+
+
+def each_group(t: pa.Table, keys: Sequence[str],
+               fn: Kernel) -> list[pa.Table]:
+    """``fn`` on every group of ``t`` (rows with equal ``keys``) that
+    has two rows or more. One sort and a vectorized scan for where the
+    keys change find the groups, so Python runs once per such group
+    and never for a singleton."""
+    t = t.sort_by([(k, "ascending") for k in keys])
+    cols = [t[k].to_numpy() for k in keys]
+    starts = np.flatnonzero(np.r_[True, np.any(
+        [c[1:] != c[:-1] for c in cols], axis=0)])
+    ends = np.r_[starts[1:], len(t)]
+    return [fn(t.slice(s, e - s)) for s, e in zip(starts, ends) if e - s > 1]
 
 
 def read(sf_dir: str, table: str, columns: list[str] | None = None) -> "ray.data.Dataset":
@@ -175,11 +225,6 @@ def read(sf_dir: str, table: str, columns: list[str] | None = None) -> "ray.data
     if columns is not None:  # schema must match the projected batches
         sch = pa.schema([sch.field(c) for c in columns])
     return ray.data.read_parquet(path, columns=columns, schema=sch)
-
-
-def one_row_table(row: dict, schema: pa.Schema | None = None) -> pa.Table:
-    """Materialize a global-aggregate result dict as a 1-row Arrow table."""
-    return pa.Table.from_pylist([row], schema=schema)
 
 
 def fixed_point(t: pa.Table, col: str, scale: int) -> pa.Table:

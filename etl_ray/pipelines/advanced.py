@@ -11,14 +11,15 @@ import hashlib
 import shutil
 
 import numpy as np
-import pandas as pd
+import polars as pl
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
-from ray.data.aggregate import Count, Max, Min, Std
 
-from etl_ray.pipelines._qutil import fixed_point, read
+from etl_ray.pipelines._qutil import (fixed_point, fixed_point_scalar,
+                                      half_away_int64, merge_partials,
+                                      min_max, read, shard_apply)
 from etl_ray.pipelines.queries import register
 
 # ------------------------------------------------------------- as-of join
@@ -82,27 +83,21 @@ def asof_join_partitioned(sf_dir: str, n_buckets: int = 8):
 
     Both sides are bucketed by fixed event-time ranges; each bucket
     additionally receives the CARRY-IN mark (the latest rate at or
-    before its start — per-bucket maxima are a tiny groupby, the
+    before its start — per-bucket maxima are merged on the driver, the
     forward-fill over B bucket boundaries is driver-side on B rows), so
-    every bucket resolves its as-of matches locally with one
-    `merge_asof` per group. Shuffle key = the time bucket; neither side
-    is broadcast or materialized whole.
+    every bucket resolves its as-of matches locally. Exchange key = the
+    time bucket; neither side is broadcast or materialized whole.
     """
-    from ray.data.aggregate import Max as _Max
-    from ray.data.aggregate import Min as _Min
-
-    ev = read(sf_dir, "events", ["event_id", "ts"])
-    b = ev.aggregate(_Min("ts", alias_name="lo"), _Max("ts", alias_name="hi"))
-    lo = pd.Timestamp(b["lo"]).value
-    hi = pd.Timestamp(b["hi"]).value
-    edges = np.array([lo + (hi - lo + 1) * i // n_buckets
-                      for i in range(n_buckets + 1)], dtype=np.int64)
-
     unit_mult = {"s": 10**9, "ms": 10**6, "us": 10**3, "ns": 1}
 
     def _ns(col) -> np.ndarray:
         unit = col.type.unit
         return col.cast(pa.int64()).to_numpy() * unit_mult[unit]
+
+    ev = read(sf_dir, "events", ["event_id", "ts"])
+    lo, hi = (x.cast(pa.timestamp("ns")).value for x in min_max(ev, "ts"))
+    edges = np.array([lo + (hi - lo + 1) * i // n_buckets
+                      for i in range(n_buckets + 1)], dtype=np.int64)
 
     # the "rates" side, derived exactly like the registered asof_join
     # (hour marks where hour % 3 == 0) but kept DISTRIBUTED
@@ -112,27 +107,33 @@ def asof_join_partitioned(sf_dir: str, n_buckets: int = 8):
         hod = pc.hour(hours)
         keep = hours.filter(pc.equal(
             pc.subtract(hod, pc.multiply(pc.divide(hod, 3), 3)), 0))
-        ns = _ns(keep)
-        return pa.table({"rts_ns": pa.array(np.unique(ns)),
-                         "rate": pa.array((np.unique(ns) // 10**9) % 97)})
+        ns = np.unique(_ns(keep))
+        return pa.table({"rts_ns": pa.array(ns),
+                         "rate": pa.array((ns // 10**9) % 97)})
 
-    rates = (ev.map_batches(_marks, batch_format="pyarrow")
-             .groupby("rts_ns").aggregate(_Max("rate", alias_name="rate")))
-
-    # carry-in per bucket: latest mark at-or-before each bucket start —
-    # per-bucket maxima (tiny) + driver-side forward fill over B rows
     def _bucket_of(ns: np.ndarray) -> np.ndarray:
         return np.clip(np.searchsorted(edges, ns, side="right") - 1,
                        0, n_buckets - 1)
 
-    rb = rates.map_batches(
-        lambda t: t.append_column(
-            "bucket", pa.array(_bucket_of(t["rts_ns"].to_numpy()),
-                               pa.int64())),
-        batch_format="pyarrow")
-    maxima = rb.groupby("bucket").aggregate(
-        _Max("rts_ns", alias_name="rts_ns")).to_pandas()
-    mark_max = dict(zip(maxima.bucket, maxima.rts_ns))
+    def _tag_rates(t: pa.Table) -> pa.Table:  # distinct marks, bucketed
+        t = t.group_by(["rts_ns", "rate"]).aggregate([])
+        return pa.table({
+            "kind": pa.array(["r"] * len(t), pa.string()),
+            "bucket": pa.array(_bucket_of(t["rts_ns"].to_numpy())),
+            "ts_ns": t["rts_ns"], "event_id": pa.array(
+                np.full(len(t), -1, np.int64)),
+            "rate": t["rate"].cast(pa.int64()),
+        })
+
+    rb = shard_apply(ev.map_batches(_marks, batch_format="pyarrow"),
+                     ["rts_ns"], _tag_rates)
+    # carry-in per bucket: latest mark at-or-before each bucket start —
+    # per-bucket maxima (tiny) + driver-side forward fill over B rows
+    maxima = merge_partials(rb.map_batches(
+        lambda t: t.group_by("bucket").aggregate([("ts_ns", "max")]),
+        batch_format="pyarrow"), ["bucket"], [("ts_ns_max", "max")])
+    mark_max = dict(zip(maxima["bucket"].to_pylist(),
+                        maxima["ts_ns_max"].to_pylist()))
     carry_rows = []
     last = None
     for bkt in range(n_buckets):
@@ -141,49 +142,39 @@ def asof_join_partitioned(sf_dir: str, n_buckets: int = 8):
                                "event_id": -1, "rate": (last // 10**9) % 97})
         if bkt in mark_max:
             last = int(mark_max[bkt])
-    carry = ray.data.from_arrow(pa.Table.from_pylist(
-        carry_rows, schema=pa.schema([
-            ("kind", pa.string()), ("bucket", pa.int64()),
-            ("ts_ns", pa.int64()), ("event_id", pa.int64()),
-            ("rate", pa.int64())]))) if carry_rows else None
-
-    def _tag_rates(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "kind": pa.array(["r"] * len(t)),
-            "bucket": t["bucket"].cast(pa.int64()),
-            "ts_ns": t["rts_ns"],
-            "event_id": pa.array(np.full(len(t), -1, np.int64)),
-            "rate": t["rate"].cast(pa.int64()),
-        })
 
     def _tag_events(t: pa.Table) -> pa.Table:
         ns = _ns(t["ts"].combine_chunks())
         return pa.table({
-            "kind": pa.array(["e"] * len(t)),
+            "kind": pa.array(["e"] * len(t), pa.string()),
             "bucket": pa.array(_bucket_of(ns)),
             "ts_ns": pa.array(ns),
             "event_id": t["event_id"].cast(pa.int64()),
             "rate": pa.array(np.full(len(t), -1, np.int64)),
         })
 
-    both = rb.map_batches(_tag_rates, batch_format="pyarrow").union(
-        ev.map_batches(_tag_events, batch_format="pyarrow"))
-    if carry is not None:
-        both = both.union(carry)
+    both = rb.union(ev.map_batches(_tag_events, batch_format="pyarrow"))
+    if carry_rows:
+        both = both.union(ray.data.from_arrow(pa.Table.from_pylist(
+            carry_rows, schema=rb.schema().base_schema)))
 
-    def _merge(g: pd.DataFrame) -> pd.DataFrame:
-        r = g[g.kind == "r"].sort_values("ts_ns")
-        e = g[g.kind == "e"].sort_values("ts_ns")
-        if len(e) == 0:
-            return pd.DataFrame({"event_id": pd.Series([], dtype="int64"),
-                                 "rate": pd.Series([], dtype="int64")})
-        m = pd.merge_asof(e[["ts_ns", "event_id"]], r[["ts_ns", "rate"]],
-                          on="ts_ns", direction="backward")
-        m = m.dropna(subset=["rate"])  # inner semantics: pre-first-mark out
-        return pd.DataFrame({"event_id": m.event_id.astype("int64"),
-                             "rate": m.rate.astype("int64")})
+    def _merge(t: pa.Table) -> pa.Table:
+        # per bucket, each event takes the rate of the last mark at or
+        # before it: one sort (marks before events at equal ts) and a
+        # running max of mark positions, vectorized over all buckets
+        t = t.sort_by([("bucket", "ascending"), ("ts_ns", "ascending"),
+                       ("kind", "descending")])
+        bkt = t["bucket"].to_numpy()
+        is_r = pc.equal(t["kind"], "r").to_numpy(zero_copy_only=False)
+        pos = np.arange(len(t))
+        last = np.maximum.accumulate(np.where(is_r, pos, -1))
+        ok = ~is_r & (last >= 0) & (bkt[np.maximum(last, 0)] == bkt)
+        return pa.table({
+            "event_id": t["event_id"].filter(pa.array(ok)),
+            "rate": t["rate"].take(pa.array(last[ok])),
+        })
 
-    return both.groupby("bucket").map_groups(_merge, batch_format="pandas")
+    return shard_apply(both, ["bucket"], _merge)
 
 
 # --------------------------------------------------------- window analytics
@@ -198,25 +189,24 @@ def asof_join_partitioned(sf_dir: str, n_buckets: int = 8):
        FROM events""",
 )
 def window_running_sum(sf_dir: str):
-    """Per-key running sum (SQL window function) = groupby(key) +
-    in-group ordered cumsum. The shuffle key is the window partition
-    key; in-group order is (ts, event_id) — total, so the cumulative
-    doubles are bit-identical to the oracle's."""
+    """Per-key running sum (SQL window function) on the key-hash
+    exchange: the exchange key is the window partition key, and each
+    shard runs one sort by (user_id, ts, event_id) — a total in-group
+    order, so the cumulative doubles are bit-identical to the oracle's
+    — and one segmented cumsum (polars ``cum_sum().over``)."""
     ds = read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
-    def _cum(g: pd.DataFrame) -> pd.DataFrame:
-        from etl_ray.pipelines._qutil import half_away_int64
-
-        g = g.sort_values(["ts", "event_id"])
-        run = g["value"].cumsum()
+    def _cum(t: pa.Table) -> pa.Table:
+        t = t.sort_by([("user_id", "ascending"), ("ts", "ascending"),
+                       ("event_id", "ascending")])
+        run = pl.from_arrow(t.select(["user_id", "value"])).select(
+            pl.col("value").cum_sum().over("user_id")).to_series()
         # sign-aware half-away-from-zero = SQL ROUND (floor(x+0.5) would
         # round negative halves the wrong way)
-        return pd.DataFrame({
-            "event_id": g["event_id"],
-            "run_c": half_away_int64(run.to_numpy() * 100),
-        })
+        return pa.table({"event_id": t["event_id"],
+                         "run_c": half_away_int64(run.to_numpy() * 100)})
 
-    return ds.groupby("user_id").map_groups(_cum, batch_format="pandas")
+    return shard_apply(ds, ["user_id"], _cum)
 
 
 @register(
@@ -228,27 +218,34 @@ def window_running_sum(sf_dir: str):
        FROM lineitem GROUP BY l_returnflag""",
 )
 def agg_stats(sf_dir: str):
-    """G2 statistical aggregates (sample stddev, ddof=1 both sides)."""
+    """G2 statistical aggregates (sample stddev, ddof=1 both sides):
+    one Arrow ``group_by`` per key-hash shard, each over whole groups."""
     ds = read(sf_dir, "lineitem", ["l_returnflag", "l_quantity"])
-    out = ds.groupby("l_returnflag").aggregate(
-        Std("l_quantity", ddof=1, alias_name="std_e4"),
-        Min("l_quantity", alias_name="min_qty"),
-        Max("l_quantity", alias_name="max_qty"),
-        Count(alias_name="n"),
-    )
-    return out.map_batches(lambda t: fixed_point(t, "std_e4", 10000),
-                           batch_format="pyarrow")
+
+    def _stats(t: pa.Table) -> pa.Table:
+        g = t.group_by("l_returnflag").aggregate([
+            ("l_quantity", "stddev", pc.VarianceOptions(ddof=1)),
+            ("l_quantity", "min"), ("l_quantity", "max"),
+            ([], "count_all")])
+        return fixed_point(pa.table({
+            "l_returnflag": g["l_returnflag"],
+            "std_e4": g["l_quantity_stddev"],
+            "min_qty": g["l_quantity_min"], "max_qty": g["l_quantity_max"],
+            "n": g["count_all"]}), "std_e4", 10000)
+
+    return shard_apply(ds, ["l_returnflag"], _stats)
 
 
 # ------------------------------------------------------------------ set ops
 
 
-def _sided(ds, col: str, side: int):
-    """Project to (key:int64, side) — per-block distinct pre-reduce so
-    the shuffle moves one row per distinct (key, side) per block."""
+def _sided(ds, col: str, tag: str, side: int):
+    """Project to (tag, key:int64, side) — per-block distinct pre-reduce
+    so the exchange moves one row per distinct (key, side) per block."""
     def _f(t: pa.Table) -> pa.Table:
         k = pc.unique(pc.cast(t[col], pa.int64()).combine_chunks())
-        return pa.table({"key": k,
+        return pa.table({"tag": pa.array([tag] * len(k), pa.string()),
+                         "key": k,
                          "side": pa.array(np.full(len(k), side, np.int64))})
     return ds.map_batches(_f, batch_format="pyarrow")
 
@@ -267,48 +264,32 @@ def _sided(ds, col: str, side: int):
            WHERE o_totalprice > 300000)""",
 )
 def set_ops(sf_dir: str):
-    """U2 intersect + except in one tagged result — as ONE shuffle each,
-    no join: tag every side's distinct keys with a side id, union, and
-    groupby(key) keeping min/max side. intersect = key seen on both
-    sides (min=0, max=1); except = key seen only on the left (max=0).
+    """U2 intersect + except in one tagged result, as ONE key-hash
+    exchange and no join: every side's distinct keys carry their set
+    operation's tag and a side id, and each shard groups by (tag, key)
+    keeping the min/max side. intersect = key seen on both sides
+    (min=0, max=1); except = key seen only on the left (max=0). One
+    all-to-all on pre-reduced pairs serves both operations."""
+    def _keep(t: pa.Table) -> pa.Table:
+        g = t.group_by(["tag", "key"]).aggregate(
+            [("side", "min"), ("side", "max")])
+        want_max = pc.if_else(pc.equal(g["tag"], "intersect"), 1, 0)
+        return g.filter(pc.and_(pc.equal(g["side_min"], 0),
+                                pc.equal(g["side_max"], want_max))
+                        ).select(["tag", "key"])
 
-    Deliberately join-free: a distinct+semi/anti-join formulation feeds
-    a groupby output into ray's hash-shuffle join, and when the distinct
-    key count is smaller than the partition fan-out the empty left
-    partitions trip an Arrow FieldRef error in the join finalize
-    (`ArrowInvalid: No match or multiple matches for key field
-    reference` — the round-1 intersect_keys failure at num_cpus=32).
-    The union+groupby shape is also the better 100-TB plan: one
-    all-to-all on pre-reduced (key, side) pairs instead of two.
-    """
-    from ray.data.aggregate import Max, Min
-
-    def _one(a, b, tag: str, keep_max: int):
-        agg = a.union(b).groupby("key").aggregate(
-            Min("side", alias_name="smin"), Max("side", alias_name="smax"))
-
-        def _f(t: pa.Table) -> pa.Table:
-            m = pc.and_(pc.equal(t["smin"], 0), pc.equal(t["smax"], keep_max))
-            k = t.filter(m)["key"]
-            return pa.table({
-                "tag": pa.array([tag] * len(k), pa.string()),
-                "key": k,
-            })
-
-        return agg.map_batches(_f, batch_format="pyarrow")
-
-    inter = _one(
-        _sided(read(sf_dir, "customer", ["c_nationkey"]), "c_nationkey", 0),
-        _sided(read(sf_dir, "supplier", ["s_nationkey"]), "s_nationkey", 1),
-        "intersect", keep_max=1)
     big = read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
         lambda t: t.filter(pc.greater(t["o_totalprice"], 300000)),
         batch_format="pyarrow")
-    exc = _one(
-        _sided(read(sf_dir, "customer", ["c_custkey"]), "c_custkey", 0),
-        _sided(big, "o_custkey", 1),
-        "except", keep_max=0)
-    return inter.union(exc)
+    sides = [
+        _sided(read(sf_dir, "customer", ["c_nationkey"]), "c_nationkey",
+               "intersect", 0),
+        _sided(read(sf_dir, "supplier", ["s_nationkey"]), "s_nationkey",
+               "intersect", 1),
+        _sided(read(sf_dir, "customer", ["c_custkey"]), "c_custkey",
+               "except", 0),
+        _sided(big, "o_custkey", "except", 1)]
+    return shard_apply(sides[0].union(*sides[1:]), ["tag", "key"], _keep)
 
 
 # ------------------------------------------------------ sampling / staging
@@ -336,8 +317,18 @@ def staging_roundtrip(sf_dir: str):
     shutil.rmtree(out, ignore_errors=True)
     ds = read(sf_dir, "documents", ["doc_id", "lang"])
     ds.write_parquet(out, partition_cols=["lang"])
-    back = ray.data.read_parquet(out)
-    return back.groupby("lang").aggregate(Count(alias_name="n"))
+    return _count_by(ray.data.read_parquet(out), "lang")
+
+
+def _count_by(ds, key: str) -> pa.Table:
+    """(key, n): per-block counts merged on the driver — the key
+    domains counted here (languages, event types) are tiny."""
+    def _f(t: pa.Table) -> pa.Table:
+        g = t.group_by(key).aggregate([([], "count_all")])
+        return pa.table({key: g[key], "n": g["count_all"]})
+
+    return merge_partials(ds.map_batches(_f, batch_format="pyarrow"),
+                          [key], [("n", "sum")])
 
 
 @register(
@@ -370,23 +361,14 @@ def file_roundtrip(sf_dir: str):
     ds.write_json(outs["json"])
     write_orc(ds, outs["orc"])
 
-    def _tag(fmt: str):
-        def _f(t: pa.Table) -> pa.Table:
-            return t.append_column("fmt", pa.array([fmt] * len(t), pa.string()))
-        return _f
-
     parts = []
     for fmt, reader in (("csv", ray.data.read_csv),
                         ("json", ray.data.read_json),
                         ("orc", read_orc)):
-        agg = (reader(outs[fmt]).groupby("event_type")
-               .aggregate(Count(alias_name="n"))
-               .map_batches(_tag(fmt), batch_format="pyarrow"))
-        parts.append(agg)
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
-    return out
+        t = _count_by(reader(outs[fmt]), "event_type")
+        parts.append(t.append_column(
+            "fmt", pa.array([fmt] * len(t), pa.string())))
+    return pa.concat_tables(parts)
 
 
 def _hist_quantile(vals, cnts, q: float) -> float:
@@ -416,14 +398,10 @@ def _hist_quantile(vals, cnts, q: float) -> float:
 def agg_quantile(sf_dir: str):
     """G2 grouped quantiles, the 100-TB-safe way: values are
     bounded-cardinality, so each block pre-aggregates a (key, value,
-    count) histogram, the shuffle moves histograms (not raw rows), and
+    count) histogram, the driver merges histograms (not raw rows), and
     the exact interpolated quantile is computed from the tiny merged
     histogram. For unbounded-cardinality values this becomes a t-digest
     merge with the same pipeline shape."""
-    from ray.data.aggregate import Sum
-
-    from etl_ray.pipelines._qutil import fixed_point_scalar
-
     ds = read(sf_dir, "lineitem", ["l_returnflag", "l_quantity"])
 
     def _partial(t: pa.Table) -> pa.Table:
@@ -433,10 +411,9 @@ def agg_quantile(sf_dir: str):
                          "l_quantity": g["l_quantity"],
                          "n": pc.cast(g["l_quantity_count"], pa.int64())})
 
-    hist = (ds.map_batches(_partial, batch_format="pyarrow")
-            .groupby(["l_returnflag", "l_quantity"])
-            .aggregate(Sum("n", alias_name="n")))
-    df = hist.to_pandas()  # tiny: flags × distinct quantity values
+    df = merge_partials(ds.map_batches(_partial, batch_format="pyarrow"),
+                        ["l_returnflag", "l_quantity"], [("n", "sum")]
+                        ).to_pandas()  # tiny: flags × distinct quantities
     rows = []
     for flag, g in df.groupby("l_returnflag"):
         g = g.sort_values("l_quantity")

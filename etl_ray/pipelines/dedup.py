@@ -1,7 +1,7 @@
 """Deduplication operators for training-data pipelines (SURVEY.md §2.7).
 
-- exact:      content-hash groupby, keep first (oracle-checked)
-- minhash:    3-token shingles → k minhashes → LSH bands → bucket groupby
+- exact:      content-hash group, keep first (oracle-checked)
+- minhash:    3-token shingles → k minhashes → LSH bands → bucket group
               → candidate pairs → exact-Jaccard verify (oracle-checked
               against a from-scratch SQL shingle-Jaccard recompute)
 - simhash:    64-bit simhash per doc (rows-only, deterministic)
@@ -10,8 +10,8 @@
 - embedding:  cosine near-dup pairs over list<float> embeddings
               (oracle-checked against DuckDB's list_cosine_similarity)
 
-Scale notes are on each operator: the shuffle key is always a
-hash-derived bucket so the all-to-all moves (band, bucket, doc_id)
+Scale notes are on each operator: the key-hash exchange key is always
+a hash-derived bucket so the all-to-all moves (band, bucket, doc_id)
 triples or per-bucket candidate sets, never full documents.
 """
 
@@ -23,9 +23,9 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Min
 
-from etl_ray.pipelines._qutil import read, shard_apply, shard_join
+from etl_ray.pipelines._qutil import (each_group, merge_partials, read,
+                                      shard_apply, shard_join)
 from etl_ray.pipelines.queries import register
 from etl_ray.util import (as_array, embedding_matrix, hash64_str, rolling_poly,
                           segment_unique, sha256_hex_array)
@@ -39,20 +39,25 @@ from etl_ray.util import (as_array, embedding_matrix, hash64_str, rolling_poly,
        FROM documents GROUP BY text""",
 )
 def dedup_exact(sf_dir: str):
-    """U3: exact dedup = hash the content, groupby hash, keep min id.
+    """U3: exact dedup = hash the content, group by hash, keep min id.
 
-    The shuffle moves (sha, doc_id) pairs only — content stays put. At
-    100 TB this is the canonical exact-dedup shape: 64-byte keys per
-    row, pre-reduced per block before the groupby.
+    The key-hash exchange moves (sha, doc_id) pairs only — content
+    stays put. At 100 TB this is the canonical exact-dedup shape:
+    64-byte keys per row, pre-reduced per block by the same min-id
+    kernel that each shard then runs.
     """
     ds = read(sf_dir, "documents", ["doc_id", "text"])
 
-    def _hash(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t["doc_id"],
-                         "sha": sha256_hex_array(t["text"])})
+    def _min_id(t: pa.Table) -> pa.Table:
+        g = t.group_by("sha").aggregate([("doc_id", "min")])
+        return pa.table({"doc_id": g["doc_id_min"], "sha": g["sha"]})
 
-    return (ds.map_batches(_hash, batch_format="pyarrow")
-            .groupby("sha").aggregate(Min("doc_id", alias_name="doc_id")))
+    def _hash(t: pa.Table) -> pa.Table:
+        return _min_id(pa.table({"doc_id": t["doc_id"],
+                                 "sha": sha256_hex_array(t["text"])}))
+
+    return shard_apply(ds.map_batches(_hash, batch_format="pyarrow"),
+                       ["sha"], _min_id)
 
 
 # ------------------------------------------------------- minhash helpers
@@ -137,12 +142,19 @@ def minhash_triples(t: pa.Table) -> pa.Table:
 BUCKET_CAP = 1024
 
 
+def _no_pairs(a: str = "doc_a", b: str = "doc_b") -> pa.Table:
+    return pa.table({a: pa.array([], pa.int64()), b: pa.array([], pa.int64())})
+
+
+def _distinct(t: pa.Table) -> pa.Table:
+    return t.group_by(t.column_names).aggregate([])
+
+
 def _bucket_pairs(g: pa.Table) -> pa.Table:
     """Candidate pairs within one (band, bucket) group (capped)."""
     ids = np.unique(g["doc_id"].to_numpy())
     if len(ids) < 2:
-        return pa.table({"doc_a": pa.array([], pa.int64()),
-                         "doc_b": pa.array([], pa.int64())})
+        return _no_pairs()
     if len(ids) > BUCKET_CAP:  # mega-bucket: star pairs, O(n)
         return pa.table({"doc_a": pa.array(np.full(len(ids) - 1, ids[0])),
                          "doc_b": pa.array(ids[1:])})
@@ -187,10 +199,11 @@ BROADCAST_VERIFY_MAX_PAIRS = 100_000
 def dedup_minhash(sf_dir: str, threshold: float = 0.5):
     """MinHash+LSH near-dup detection, verified with exact Jaccard.
 
-    shingle→minhash→band → groupby(band,bucket) → capped per-bucket
-    pairs → DISTRIBUTED pair dedup (groupby on the pair key — the same
-    pair collides in several bands) → join texts back → exact 3-shingle
-    Jaccard filter. Returns (doc_a, doc_b, jacc_e4).
+    shingle→minhash→band → key-hash exchange on (band, bucket) →
+    capped per-bucket pairs, from only the buckets with two docs or
+    more → DISTRIBUTED pair dedup (an exchange on the pair key — the
+    same pair collides in several bands) → join texts back → exact
+    3-shingle Jaccard filter. Returns (doc_a, doc_b, jacc_e4).
 
     VALUE-LEVEL ORACLE (promoted round 5): the SQL recomputes the exact
     3-shingle Jaccard pair set from scratch — tokenize, positional
@@ -208,18 +221,39 @@ def dedup_minhash(sf_dir: str, threshold: float = 0.5):
     docs = read(sf_dir, "documents", ["doc_id", "text"])
     triples = docs.map_batches(minhash_triples, batch_format="pyarrow",
                                batch_size=4096)
-    pairs = triples.groupby(["band", "bucket"]).map_groups(
-        _bucket_pairs, batch_format="pyarrow")
+
+    def _pairs(t: pa.Table) -> pa.Table:  # no Python for singletons
+        return pa.concat_tables(
+            [_no_pairs(), *each_group(t, ["band", "bucket"], _bucket_pairs)])
+
+    pairs = shard_apply(triples, ["band", "bucket"], _pairs)
     # distinct candidate pairs, distributed (never a driver-side
-    # drop_duplicates): shuffle key is the pair itself
-    cand_ds = (pairs.groupby(["doc_a", "doc_b"])
-               .aggregate(Min("doc_a", alias_name="_m"))
-               .drop_columns(["_m"]).materialize())  # small: ~linear in dup count
+    # drop_duplicates): the exchange key is the pair itself
+    cand_ds = shard_apply(pairs, ["doc_a", "doc_b"], _distinct)
+
+    def _verify(t: pa.Table) -> pa.Table:
+        ha, na = _shingle_hashes(t.select(["text_a"]).rename_columns(["text"]))
+        hb, nb = _shingle_hashes(t.select(["text_b"]).rename_columns(["text"]))
+        oa = np.concatenate([[0], np.cumsum(na)])
+        ob = np.concatenate([[0], np.cumsum(nb)])
+        jac = np.zeros(len(t))
+        for i in range(len(t)):  # candidate pairs only — tiny set
+            sa = ha[oa[i]:oa[i + 1]]
+            sb = hb[ob[i]:ob[i + 1]]
+            inter = len(np.intersect1d(sa, sb, assume_unique=True))
+            jac[i] = inter / (len(sa) + len(sb) - inter)
+        out = pa.table({
+            "doc_a": t["doc_a"], "doc_b": t["doc_b"],
+            # half-away-from-zero to match SQL ROUND (np.round is
+            # banker's and can diverge on exact .5 ratios)
+            "jacc_e4": pa.array(np.floor(jac * 10000 + 0.5).astype(np.int64)),
+        })
+        return out.filter(pc.greater_equal(out["jacc_e4"],
+                                           int(threshold * 10000)))
+
     n_cand = cand_ds.count()
     if n_cand == 0:
-        return pa.table({"doc_a": pa.array([], pa.int64()),
-                         "doc_b": pa.array([], pa.int64()),
-                         "jacc_e4": pa.array([], pa.int64())})
+        return _no_pairs().append_column("jacc_e4", pa.array([], pa.int64()))
     if n_cand <= BROADCAST_VERIFY_MAX_PAIRS:
         # broadcast-verify fast path: fetch only the candidate docs
         # (one filtered scan, vectorized pc.is_in), pair texts driver-
@@ -243,33 +277,12 @@ def dedup_minhash(sf_dir: str, threshold: float = 0.5):
             "text_a": pa.array([text_of[i] for i in cand.doc_a], pa.string()),
             "text_b": pa.array([text_of[i] for i in cand.doc_b], pa.string()),
         })
-        j = ray.data.from_arrow(j)
-    else:  # scale path: ship texts to candidates via two key-hash joins
-        a = docs.rename_columns({"text": "text_a"})
-        b = docs.rename_columns({"text": "text_b"})
-        j = shard_join(cand_ds, a, "inner", on=("doc_a",), right_on=("doc_id",))
-        j = shard_join(j, b, "inner", on=("doc_b",), right_on=("doc_id",))
-
-    def _verify(t: pa.Table) -> pa.Table:
-        ha, na = _shingle_hashes(t.select(["text_a"]).rename_columns(["text"]))
-        hb, nb = _shingle_hashes(t.select(["text_b"]).rename_columns(["text"]))
-        oa = np.concatenate([[0], np.cumsum(na)])
-        ob = np.concatenate([[0], np.cumsum(nb)])
-        jac = np.zeros(len(t))
-        for i in range(len(t)):  # candidate pairs only — tiny set
-            sa = ha[oa[i]:oa[i + 1]]
-            sb = hb[ob[i]:ob[i + 1]]
-            inter = len(np.intersect1d(sa, sb, assume_unique=True))
-            jac[i] = inter / (len(sa) + len(sb) - inter)
-        out = pa.table({
-            "doc_a": t["doc_a"], "doc_b": t["doc_b"],
-            # half-away-from-zero to match SQL ROUND (np.round is
-            # banker's and can diverge on exact .5 ratios)
-            "jacc_e4": pa.array(np.floor(jac * 10000 + 0.5).astype(np.int64)),
-        })
-        return out.filter(pc.greater_equal(out["jacc_e4"],
-                                           int(threshold * 10000)))
-
+        return _verify(j)
+    # scale path: ship texts to candidates via two key-hash joins
+    a = docs.rename_columns({"text": "text_a"})
+    b = docs.rename_columns({"text": "text_b"})
+    j = shard_join(cand_ds, a, "inner", on=("doc_a",), right_on=("doc_id",))
+    j = shard_join(j, b, "inner", on=("doc_b",), right_on=("doc_id",))
     return j.map_batches(_verify, batch_format="pyarrow")
 
 
@@ -301,8 +314,6 @@ def _cc_label_propagation(edges, max_rounds: int | None = None) -> pa.Table:
     partial labels. Per-round cost: three key-hash joins + one
     key-hash min per node over the bounded edge/label sets.
     """
-    from ray.data.aggregate import Sum as _Sum
-
     def _init(t: pa.Table) -> pa.Table:
         ids = np.unique(np.concatenate([t["doc_a"].to_numpy(),
                                         t["doc_b"].to_numpy()]))
@@ -354,7 +365,9 @@ def _cc_label_propagation(edges, max_rounds: int | None = None) -> pa.Table:
 
         labels = jumped.map_batches(
             _jump, batch_format="pyarrow").materialize()
-        cur_sum = labels.aggregate(_Sum("lbl", alias_name="s"))["s"]
+        cur_sum = merge_partials(labels.map_batches(
+            lambda t: pa.table({"s": [pc.sum(t["lbl"])]}),
+            batch_format="pyarrow"), [], [("s", "sum")])["s"][0].as_py()
         if cur_sum == prev_sum:
             break  # labels only decrease: unchanged sum == fixpoint
         prev_sum = cur_sum
@@ -625,13 +638,13 @@ def embedding_neardup(sf_dir: str, n_cells: int = 16, n_assign: int = 6):
     (similarity.fit_centroids — the full matrix never leaves the
     workers), broadcast only the tiny centroid matrix, multi-assign
     each vector to its n_assign closest cells inside map_batches,
-    generate candidate pairs WITHIN cells only
-    (groupby(cell).map_groups: one cell² matmul per group), then
-    dedup pairs found in several shared cells with a distributed
-    groupby over the pair itself. Per-cell work is O(cell²) bounded
-    by the cell population — no full-matrix broadcast and no global
-    N² anywhere, so the shape survives 100 TB (cells are the
-    partitioning key; skewed cells can be split by raising n_cells).
+    generate candidate pairs WITHIN cells only (a key-hash exchange on
+    the cell: one cell² matmul per cell), then dedup pairs found in
+    several shared cells with a second exchange on the pair itself.
+    Per-cell work is O(cell²) bounded by the cell population — no
+    full-matrix broadcast and no global N² anywhere, so the shape
+    survives 100 TB (cells are the partitioning key; skewed cells can
+    be split by raising n_cells).
 
     Approximation contract: a qualifying pair is missed only if the
     two vectors share none of their n_assign probe cells. At cosine
@@ -673,11 +686,10 @@ def embedding_neardup(sf_dir: str, n_cells: int = 16, n_assign: int = 6):
             "vec_b": pa.array(ids[bj][keep], type=pa.int64()),
         })
 
-    pairs = (ds.map_batches(_assign, batch_format="pyarrow")
-             .groupby("cell")
-             .map_groups(_cell_pairs, batch_format="pyarrow"))
+    pairs = shard_apply(
+        ds.map_batches(_assign, batch_format="pyarrow"), ["cell"],
+        lambda t: pa.concat_tables([_no_pairs("vec_a", "vec_b"),
+                                    *each_group(t, ["cell"], _cell_pairs)]))
     # a pair can surface in every shared cell — dedup distributed,
-    # shuffle key = the pair itself (same shape as dedup_minhash)
-    return (pairs.groupby(["vec_a", "vec_b"])
-            .aggregate(Min("vec_a", alias_name="_m"))
-            .drop_columns(["_m"]))
+    # exchange key = the pair itself (same shape as dedup_minhash)
+    return shard_apply(pairs, ["vec_a", "vec_b"], _distinct)

@@ -1,9 +1,10 @@
 """Relational operator conformance queries (SURVEY.md §2.2, §2.4–2.7).
 
 Each query is the Ray-Data-first expression of one operator family —
-vectorized Arrow batches, shuffles only where the operator semantically
-requires one (groupby/join/sort/distinct), broadcast for small sides —
-and is paired with the DuckDB SQL the driver checks it against.
+vectorized Arrow batches, equal keys brought together only where the
+operator needs it (group/join/sort/distinct, all through ``_qutil``),
+broadcast for small sides — and is paired with the DuckDB SQL the
+driver checks it against.
 
 Floating-point policy: any column produced by an *aggregation* (whose
 value depends on summation order) is ROUNDed identically on both sides;
@@ -18,12 +19,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
-from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from etl_ray.functions import expr
-from etl_ray.pipelines._qutil import (fixed_point, fixed_point_scalar,
-                                      merge_partials, one_row_table, read,
-                                      shard_apply, shard_join)
+from etl_ray.pipelines._qutil import (fixed_point, merge_partials, read,
+                                      shard_apply, shard_join, top_k)
 from etl_ray.pipelines.queries import register
 
 # ------------------------------------------------------------ filter / project
@@ -96,21 +95,30 @@ def with_column_case(sf_dir: str):
        FROM lineitem""",
 )
 def agg_global(sf_dir: str):
-    """G1: global aggregates — per-block partials combined by Ray Data.
+    """G1: global aggregates — one partial row per block, merged on the
+    driver; the average is (sum, count) after the merge.
 
     sum_qty stays double (quantities are integral, so the sum is exact);
     avg_disc is emitted fixed-point e6 (see _qutil.fixed_point).
     """
     ds = read(sf_dir, "lineitem", ["l_quantity", "l_discount", "l_shipdate"])
-    row = ds.aggregate(
-        Count(alias_name="n"),
-        Sum("l_quantity", alias_name="sum_qty"),
-        Mean("l_discount", alias_name="avg_disc_e6"),
-        Min("l_shipdate", alias_name="min_ship"),
-        Max("l_shipdate", alias_name="max_ship"),
-    )
-    row["avg_disc_e6"] = fixed_point_scalar(row["avg_disc_e6"], 1_000_000)
-    return one_row_table(row)
+
+    def _partial(t: pa.Table) -> pa.Table:
+        return pa.table({
+            "n": [len(t)], "sum_qty": [pc.sum(t["l_quantity"])],
+            "sum_disc": [pc.sum(t["l_discount"])],
+            "n_disc": [pc.count(t["l_discount"])],
+            "min_ship": [pc.min(t["l_shipdate"])],
+            "max_ship": [pc.max(t["l_shipdate"])]})
+
+    g = merge_partials(
+        ds.map_batches(_partial, batch_format="pyarrow"), [],
+        [("n", "sum"), ("sum_qty", "sum"), ("sum_disc", "sum"),
+         ("n_disc", "sum"), ("min_ship", "min"), ("max_ship", "max")])
+    g = g.append_column("avg_disc_e6", pc.divide(
+        g["sum_disc"], pc.cast(g["n_disc"], pa.float64())))
+    return fixed_point(g, "avg_disc_e6", 1_000_000).drop_columns(
+        ["sum_disc", "n_disc"])
 
 
 @register(
@@ -127,13 +135,12 @@ def agg_global(sf_dir: str):
 def agg_group_q1(sf_dir: str):
     """G2: TPC-H Q1-shaped grouped aggregate with MAP-SIDE PARTIALS.
 
-    Ray's groupby shuffle is sort-based over every input row; with ~6
-    groups that is pure waste, so each block pre-aggregates to ≤6 rows
-    of (sums, count) and the distributed groupby only merges
-    6 × n_blocks partial rows — the canonical combiner shape for 100-TB
-    grouped aggregates. The average is derived from (sum, count) after
-    the merge (l_quantity is integral, so the sum — and hence the
-    quotient — is exact in double on both engines).
+    With ~6 groups no shuffle is needed: each block pre-aggregates to
+    ≤6 rows of (sums, count) and the driver merges the 6 × n_blocks
+    partial rows — the canonical combiner shape for 100-TB grouped
+    aggregates. The average is derived from (sum, count) after the
+    merge (l_quantity is integral, so the sum — and hence the quotient
+    — is exact in double on both engines).
     """
     ds = read(sf_dir, "lineitem",
               ["l_returnflag", "l_linestatus", "l_quantity",
@@ -154,25 +161,16 @@ def agg_group_q1(sf_dir: str):
             "count_order": pc.cast(g["l_quantity_count"], pa.int64()),
         })
 
-    out = (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("sum_qty", alias_name="sum_qty"),
-            Sum("sum_base_price_c", alias_name="sum_base_price_c"),
-            Sum("sum_disc_price_r", alias_name="sum_disc_price_r"),
-            Sum("count_order", alias_name="count_order"),
-        )
-    )
-
-    def _fp(t: pa.Table) -> pa.Table:
-        avg = pc.divide(t["sum_qty"], pc.cast(t["count_order"], pa.float64()))
-        t = t.append_column("avg_qty_e4", avg)
-        t = fixed_point(t, "sum_base_price_c", 100)
-        t = fixed_point(t, "sum_disc_price_r", 1)
-        return fixed_point(t, "avg_qty_e4", 10000)
-
-    return out.map_batches(_fp, batch_format="pyarrow")
+    t = merge_partials(
+        ds.map_batches(_partial, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        [(c, "sum") for c in ("sum_qty", "sum_base_price_c",
+                              "sum_disc_price_r", "count_order")])
+    avg = pc.divide(t["sum_qty"], pc.cast(t["count_order"], pa.float64()))
+    t = t.append_column("avg_qty_e4", avg)
+    t = fixed_point(t, "sum_base_price_c", 100)
+    t = fixed_point(t, "sum_disc_price_r", 1)
+    return fixed_point(t, "avg_qty_e4", 10000)
 
 
 @register(
@@ -218,7 +216,7 @@ def count_distinct(sf_dir: str):
                          "n_parts": g["count_all"]})
 
     return merge_partials(shard_apply(local, ["l_partkey"], _count),
-                          ["l_returnflag"], ["n_parts"])
+                          ["l_returnflag"], [("n_parts", "sum")])
 
 
 # ----------------------------------------------------------------------- joins
@@ -336,7 +334,8 @@ def join_star_region(sf_dir: str):
                          "revenue_c": g["o_totalprice_sum"]})
 
     out = merge_partials(j.map_batches(_probe, batch_format="pyarrow"),
-                         ["r_name"], ["n_orders", "revenue_c"])
+                         ["r_name"],
+                         [("n_orders", "sum"), ("revenue_c", "sum")])
     return fixed_point(out, "revenue_c", 100)
 
 
@@ -346,11 +345,9 @@ def join_star_region(sf_dir: str):
 def pivot_qty_by_status(sf_dir: str):
     """PIVOT: one row per l_returnflag, one column per l_linestatus
     value, cells = sum(l_quantity) — conditional-sum partials per block
-    (the scale shape: the shuffle moves one tiny partial row per group
-    per block), then a grouped merge. Unregistered; DuckDB-equivalence
-    pinned in tests. The inverse is :func:`unpivot_qty`."""
-    from ray.data.aggregate import Sum as _Sum
-
+    (one tiny partial row per flag per block), merged on the driver.
+    Unregistered; DuckDB-equivalence pinned in tests. The inverse is
+    :func:`unpivot_qty`."""
     ds = read(sf_dir, "lineitem",
               ["l_returnflag", "l_linestatus", "l_quantity"])
 
@@ -365,27 +362,23 @@ def pivot_qty_by_status(sf_dir: str):
             [("qty_F", "sum"), ("qty_O", "sum")])
         return g.rename_columns(["l_returnflag", "qty_F", "qty_O"])
 
-    return (ds.map_batches(_partial, batch_format="pyarrow")
-            .groupby("l_returnflag")
-            .aggregate(_Sum("qty_F", alias_name="qty_F"),
-                       _Sum("qty_O", alias_name="qty_O")))
+    return merge_partials(ds.map_batches(_partial, batch_format="pyarrow"),
+                          ["l_returnflag"],
+                          [("qty_F", "sum"), ("qty_O", "sum")])
 
 
-def unpivot_qty(ds) -> "ray.data.Dataset":
+def unpivot_qty(t: pa.Table) -> pa.Table:
     """UNPIVOT/melt: the inverse of :func:`pivot_qty_by_status` —
     (l_returnflag, qty_F, qty_O) rows become
-    (l_returnflag, l_linestatus, qty) pairs, vectorized per batch."""
-    def _melt(t: pa.Table) -> pa.Table:
-        n = len(t)
-        return pa.table({
-            "l_returnflag": pa.concat_arrays(
-                [t["l_returnflag"].combine_chunks()] * 2),
-            "l_linestatus": pa.array(["F"] * n + ["O"] * n, pa.string()),
-            "qty": pa.concat_arrays([t["qty_F"].combine_chunks(),
-                                     t["qty_O"].combine_chunks()]),
-        })
-
-    return ds.map_batches(_melt, batch_format="pyarrow")
+    (l_returnflag, l_linestatus, qty) pairs, vectorized."""
+    n = len(t)
+    return pa.table({
+        "l_returnflag": pa.concat_arrays(
+            [t["l_returnflag"].combine_chunks()] * 2),
+        "l_linestatus": pa.array(["F"] * n + ["O"] * n, pa.string()),
+        "qty": pa.concat_arrays([t["qty_F"].combine_chunks(),
+                                 t["qty_O"].combine_chunks()]),
+    })
 
 
 def grouped_topk(sf_dir: str, n: int = 3):
@@ -395,13 +388,13 @@ def grouped_topk(sf_dir: str, n: int = 3):
 
     Scale shape: per-block PARTIAL top-n per group first — safe because
     any row outside its block's per-group top-n cannot be in the global
-    per-group top-n — so the shuffle moves ≤ n rows per (group, block);
-    then a groupby(key) final top-n. Ties broken on o_orderkey asc to
-    match the SQL oracle deterministically.
+    per-group top-n — so the exchange moves ≤ n rows per (group, block);
+    then the same kernel per key-hash shard gives the final top-n. Ties
+    broken on o_orderkey asc to match the SQL oracle deterministically.
     """
     ds = read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
 
-    def _partial(t: pa.Table) -> pa.Table:
+    def _top(t: pa.Table) -> pa.Table:
         # Arrow-native grouped head: one block sort putting each
         # group's rows contiguous in oracle tie order, then a numpy
         # run-length rank < n mask — no pandas, no per-group loop.
@@ -417,13 +410,8 @@ def grouped_topk(sf_dir: str, n: int = 3):
             starts, np.diff(np.r_[starts, len(cust)]))
         return t.filter(pa.array(rank < n))
 
-    def _final(g) -> "pa.Table":
-        g = g.sort_values(["o_totalprice", "o_orderkey"],
-                          ascending=[False, True])
-        return g.head(n)
-
-    return (ds.map_batches(_partial, batch_format="pyarrow")
-            .groupby("o_custkey").map_groups(_final, batch_format="pandas"))
+    return shard_apply(ds.map_batches(_top, batch_format="pyarrow"),
+                       ["o_custkey"], _top)
 
 
 @register(
@@ -432,9 +420,9 @@ def grouped_topk(sf_dir: str, n: int = 3):
        ORDER BY o_totalprice DESC LIMIT 10""",
 )
 def sort_topk(sf_dir: str):
-    """O1/O2: distributed sort + limit (per-block top-k then merge)."""
+    """O1/O2: sort + limit as a per-block top-k, then a driver merge."""
     ds = read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-    return ds.sort("o_totalprice", descending=True).limit(10)
+    return top_k(ds, [("o_totalprice", "descending")], 10)
 
 
 @register(
@@ -442,14 +430,13 @@ def sort_topk(sf_dir: str):
     "SELECT DISTINCT l_returnflag, l_linestatus FROM lineitem",
 )
 def distinct_multi(sf_dir: str):
-    """G4 multi-column distinct: per-block distinct, then grouped distinct."""
-    ds = read(sf_dir, "lineitem", ["l_returnflag", "l_linestatus"])
-    local = ds.map_batches(
-        lambda t: t.group_by(["l_returnflag", "l_linestatus"]).aggregate([]),
-        batch_format="pyarrow")
-    out = local.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Count(alias_name="_c"))
-    return out.drop_columns(["_c"])
+    """G4 multi-column distinct: per-block distinct, then a driver
+    distinct of the partials (the flag × status domain is tiny)."""
+    keys = ["l_returnflag", "l_linestatus"]
+    ds = read(sf_dir, "lineitem", keys)
+    local = ds.map_batches(lambda t: t.group_by(keys).aggregate([]),
+                           batch_format="pyarrow")
+    return merge_partials(local, keys, [])
 
 
 @register(

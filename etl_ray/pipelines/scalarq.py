@@ -13,7 +13,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from etl_ray.functions import expr
-from etl_ray.pipelines._qutil import read
+from etl_ray.pipelines._qutil import read, shard_apply
 from etl_ray.pipelines.queries import register
 from etl_ray.util import as_array, sha256_hex_array
 
@@ -103,30 +103,24 @@ def date_parts(sf_dir: str):
        FROM events GROUP BY hour, event_type""",
 )
 def window_hourly(sf_dir: str):
-    """Tumbling event-time window = truncate + grouped aggregate (G2/§2.9)."""
-    from ray.data.aggregate import Count, Sum
-
+    """Tumbling event-time window = truncate + grouped aggregate
+    (G2/§2.9), one Arrow ``group_by`` per key-hash shard."""
     from etl_ray.pipelines._qutil import fixed_point
 
     ds = read(sf_dir, "events", ["ts", "event_type", "value"])
 
-    # the window key crosses the shuffle as INT64 (cast back after the
-    # aggregate): ray's hash-shuffle aggregator round-trips timestamp
-    # keys through numpy datetime64 and back, logging a per-task
-    # precision warning and paying the conversion on every block
     def _f(t: pa.Table) -> pa.Table:
-        hour = pc.cast(expr.date_trunc(t["ts"], "hour"), pa.int64())
-        return t.append_column("hour", hour).drop_columns(["ts"])
+        return t.append_column("hour", expr.date_trunc(t["ts"], "hour"))
 
-    def _fin(t: pa.Table) -> pa.Table:
-        t = fixed_point(t, "total_c", 100)
-        return t.set_column(t.schema.get_field_index("hour"), "hour",
-                            pc.cast(t["hour"], pa.timestamp("us")))
+    def _agg(t: pa.Table) -> pa.Table:
+        g = t.group_by(["hour", "event_type"]).aggregate(
+            [([], "count_all"), ("value", "sum")])
+        return fixed_point(pa.table({
+            "hour": g["hour"], "event_type": g["event_type"],
+            "n": g["count_all"], "total_c": g["value_sum"]}), "total_c", 100)
 
-    out = (ds.map_batches(_f, batch_format="pyarrow")
-           .groupby(["hour", "event_type"])
-           .aggregate(Count(alias_name="n"), Sum("value", alias_name="total_c")))
-    return out.map_batches(_fin, batch_format="pyarrow")
+    return shard_apply(ds.map_batches(_f, batch_format="pyarrow"),
+                       ["hour", "event_type"], _agg)
 
 
 # -------------------------------------------------------------------- math
@@ -236,22 +230,30 @@ def explode_tokens(sf_dir: str):
 
 def token_histogram(sf_dir: str):
     """Explode → grouped count with a partial pre-aggregate per batch
-    (the 100-TB-safe shape: the shuffle moves one row per distinct token
-    per batch, not one row per token occurrence). Unregistered — the
-    gate covers M8 via explode_tokens and heavy hitters via
-    topk_frequent_tokens; bench.py still times this pipeline."""
-    from ray.data.aggregate import Sum
-
+    (the 100-TB-safe shape: the key-hash exchange moves one row per
+    distinct token per batch, not one row per token occurrence).
+    Unregistered — the gate covers M8 via explode_tokens and heavy
+    hitters via topk_frequent_tokens; bench.py still times this
+    pipeline."""
     ds = read(sf_dir, "documents", ["text"])
 
-    def _partial(t: pa.Table) -> pa.Table:
-        toks = pc.list_flatten(pc.split_pattern(t["text"], " "))
-        counts = pa.table({"token": toks}).group_by("token").aggregate(
-            [("token", "count")])
-        return pa.table({"token": counts["token"],
-                         "n": pc.cast(counts["token_count"], pa.int64())})
+    def _total(t: pa.Table) -> pa.Table:
+        t = sum_counts(t)
+        return t.filter(pc.greater_equal(t["n"], 100))
 
-    out = (ds.map_batches(_partial, batch_format="pyarrow")
-           .groupby("token").aggregate(Sum("n", alias_name="n")))
-    return out.map_batches(lambda t: t.filter(pc.greater_equal(t["n"], 100)),
-                           batch_format="pyarrow")
+    return shard_apply(ds.map_batches(token_counts, batch_format="pyarrow"),
+                       ["token"], _total)
+
+
+def token_counts(t: pa.Table) -> pa.Table:
+    """(token, n): occurrences of each space-separated token of ``text``."""
+    toks = pc.list_flatten(pc.split_pattern(t["text"], " "))
+    g = pa.table({"token": toks}).group_by("token").aggregate(
+        [([], "count_all")])
+    return pa.table({"token": g["token"], "n": g["count_all"]})
+
+
+def sum_counts(t: pa.Table) -> pa.Table:
+    """(token, n) partial counts summed per token."""
+    g = t.group_by("token").aggregate([("n", "sum")])
+    return pa.table({"token": g["token"], "n": g["n_sum"]})

@@ -1,11 +1,11 @@
 """Stream-shaped operators over the bounded events log: sessionization
 and mergeable sketches (SURVEY.md §2.9 + guide patterns).
 
-Ray Data has no watermarks; event-time logic runs as groupby(key) +
-ordered in-group logic (sessionize) or as per-block mergeable state
-(HLL sketch: one small sketch per block, merged in a tiny final stage —
-the canonical way to avoid shuffling raw values for approximate
-aggregates at 100 TB).
+Ray Data has no watermarks; event-time logic runs as a key-hash
+exchange + ordered in-group logic (sessionize) or as per-block
+mergeable state (HLL sketch: one small sketch per block, merged in a
+tiny final stage — the canonical way to avoid shuffling raw values for
+approximate aggregates at 100 TB).
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
-from ray.data.aggregate import Count
 
-from etl_ray.pipelines._qutil import read, shard_apply, shard_of
+from etl_ray.pipelines._qutil import (min_max, read, shard_apply, shard_of,
+                                      top_k)
 from etl_ray.pipelines.queries import register
 
 SESSION_GAP_MIN = 30
@@ -136,13 +136,8 @@ def sessionize_incremental(sf_dir: str, n_windows: int = 6,
     table stands in for a true tailing source; a WAL-backed deployment
     feeds `buffer()` straight from the tailer.
     """
-    from ray.data.aggregate import Max, Min
-
     ds = read(sf_dir, "events", ["user_id", "ts", "event_id"])
-    bounds = ds.aggregate(Min("ts", alias_name="lo"),
-                          Max("ts", alias_name="hi"))
-    lo = pd.Timestamp(bounds["lo"]).value  # ns
-    hi = pd.Timestamp(bounds["hi"]).value
+    lo, hi = (x.cast(pa.timestamp("ns")).value for x in min_max(ds, "ts"))
     edges = [lo + (hi - lo + 1) * i // n_windows for i in range(n_windows + 1)]
 
     shards = [SessionShard.remote(SESSION_GAP_MIN * 60)
@@ -367,34 +362,14 @@ def sketch_quantiles_prices(sf_dir: str, qs=(0.5, 0.95, 0.99)):
        ) WHERE rk <= 15""",
 )
 def topk_frequent_tokens(sf_dir: str):
-    """Heavy hitters: partial per-block counts → grouped sum → top-k.
-    Deterministic tie-break on the token value (matches the oracle's
-    ORDER BY cnt DESC, token)."""
-    import pyarrow.compute as pc
-
-    from ray.data.aggregate import Sum
+    """Heavy hitters: partial per-block counts → per-token sum on the
+    key-hash exchange → ``top_k``. Counts are final after the sum, so
+    only ≤ 15 rows per block reach the driver (the full distinct-token
+    table is billions of rows at web scale). Deterministic tie-break on
+    the token value (matches the oracle's ORDER BY cnt DESC, token)."""
+    from etl_ray.pipelines.scalarq import sum_counts, token_counts
 
     ds = read(sf_dir, "documents", ["text"])
-
-    def _partial(t: pa.Table) -> pa.Table:
-        toks = pc.list_flatten(pc.split_pattern(t["text"], " "))
-        counts = pa.table({"token": toks}).group_by("token").aggregate(
-            [("token", "count")])
-        return pa.table({"token": counts["token"],
-                         "n": pc.cast(counts["token_count"], pa.int64())})
-
-    def _block_topk(t: pa.Table) -> pa.Table:
-        # per-block partial top-k is SAFE here: counts are final after
-        # the grouped sum, so the global top-15 is in some block's
-        # top-15. Only ≤15 rows per block reach the driver (the full
-        # distinct-token table is billions of rows at web scale).
-        idx = pc.sort_indices(t, sort_keys=[("n", "descending"),
-                                            ("token", "ascending")])
-        return t.take(idx[:15])
-
-    total = (ds.map_batches(_partial, batch_format="pyarrow")
-             .groupby("token").aggregate(Sum("n", alias_name="n"))
-             .map_batches(_block_topk, batch_format="pyarrow"))
-    df = total.to_pandas()  # ≤ 15 × n_blocks rows
-    df = df.sort_values(["n", "token"], ascending=[False, True]).head(15)
-    return pa.Table.from_pandas(df.reset_index(drop=True))
+    total = shard_apply(ds.map_batches(token_counts, batch_format="pyarrow"),
+                        ["token"], sum_counts)
+    return top_k(total, [("n", "descending"), ("token", "ascending")], 15)

@@ -7,10 +7,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ray.data.aggregate import Count, Sum
-
-from etl_ray.pipelines._qutil import (fixed_point, fixed_point_scalar, read,
-                                      shard_join)
+from etl_ray.pipelines._qutil import (fixed_point, merge_partials, read,
+                                      shard_join, top_k)
 from etl_ray.pipelines.queries import register
 
 
@@ -46,15 +44,11 @@ def q6_forecast_revenue(sf_dir: str):
                 pc.less(t["l_quantity"], 24)))
         t = t.filter(m)
         rev = pc.multiply(t["l_extendedprice"], t["l_discount"])
-        return pa.table({"revenue_c": rev})
+        return pa.table({"revenue_c": [pc.sum(rev)], "n": [len(t)]})
 
-    out = ds.map_batches(_f, batch_format="pyarrow").aggregate(
-        Sum("revenue_c", alias_name="revenue_c"), Count(alias_name="n"))
-    return pa.table({
-        "revenue_c": pa.array([fixed_point_scalar(out["revenue_c"], 100)],
-                              pa.int64()),
-        "n": pa.array([out["n"]], pa.int64()),
-    })
+    out = merge_partials(ds.map_batches(_f, batch_format="pyarrow"), [],
+                         [("revenue_c", "sum"), ("n", "sum")])
+    return fixed_point(out, "revenue_c", 100)
 
 
 BROADCAST_SEMI_MAX = 4_000_000  # build-side keys; ~32 MB int64 broadcast
@@ -82,7 +76,7 @@ def q3_shipping_priority(sf_dir: str):
     shuffle — ~⅕ of customers qualify, so this removes one of the two
     all-to-all joins); above the cutoff it falls back to a
     `shard_join` left semi-join for genuine large-large cases.
-    Top-k = sort + limit with a deterministic orderkey tie-break
+    Top-k = ``_qutil.top_k`` with a deterministic orderkey tie-break
     matching the oracle.
     """
     import ray
@@ -129,8 +123,8 @@ def q3_shipping_priority(sf_dir: str):
 
     grouped = shard_join(li, j1, "inner", on=("l_orderkey",),
                          right_on=("o_orderkey",), then=_rev)
-    return grouped.sort(["revenue_c", "l_orderkey"],
-                        descending=[True, False]).limit(10)
+    return top_k(grouped, [("revenue_c", "descending"),
+                           ("l_orderkey", "ascending")], 10)
 
 
 @register(
@@ -171,5 +165,5 @@ def q10_returned_items(sf_dir: str):
 
     grouped = shard_join(j1, cust, "inner", on=("o_custkey",),
                          right_on=("c_custkey",), then=_rev)
-    return grouped.sort(["revenue_c", "c_custkey"],
-                        descending=[True, False]).limit(20)
+    return top_k(grouped, [("revenue_c", "descending"),
+                           ("c_custkey", "ascending")], 20)
