@@ -7,9 +7,14 @@ BASELINE.json's north rule / north star plus the driver harness).
 
 Architecture:
 
-- Every logical table is a ``ray.data.Dataset`` whose blocks are
-  ``pyarrow.Table`` (``batch_format="pyarrow"`` end-to-end, zero-copy from
-  the object store).
+- Every block is a ``pyarrow.Table`` (``batch_format="pyarrow"``
+  end-to-end, zero-copy from the object store). A table is either a
+  ``ray.data.Dataset`` or, once small and final (a merged aggregate, a
+  top-k, a driver-built pair frame), a ``pyarrow.Table``.
+- The Ray Data boundary has two directions, both in ``util.py``:
+  ``blocks``/``gather`` bring a plan's blocks back from exactly one
+  execution (materialized first, so no ``limit(1)`` schema probe), and
+  ``dataset`` wraps engine task results as a materialized Dataset.
 - Query reads and stateless transforms run on Ray Data: column-pruned
   ``read_parquet`` and vectorized ``map_batches`` over
   ``pyarrow.compute`` kernels; partial aggregation happens inside
@@ -24,10 +29,9 @@ Architecture:
   (``util.submit_tasks``, one per-task CPU width): CDC ingest and
   compaction, every merge-on-read lake reader, export and audit, and
   the queries' key-hash exchange (``_qutil.shard_apply``,
-  ``shard_join``). Those that return a table return a materialized
-  Dataset built from their tasks' refs (``util.dataset``).
-  ``read_epochs`` and ``LakeSink`` still build Ray Data plans. None of
-  these task paths starts an actor.
+  ``shard_join``). Those that return a Dataset build it from their
+  tasks' refs (``util.dataset``). ``read_epochs`` and ``LakeSink``
+  still build Ray Data plans. None of these task paths starts an actor.
 - The CDC sink is a two-phase, manifest-committed Parquet lake with
   monotonic epoch fencing (Delta-Lake-style transaction log, see
   PAPERS.md: Delta Lake, VLDB 2020), so replay from any checkpoint

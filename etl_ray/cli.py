@@ -66,9 +66,10 @@ def cmd_vacuum(args) -> dict:
 
 def cmd_changes(args) -> dict:
     from etl_ray.state.lake import changes_between
+    from etl_ray.util import gather
 
-    df = changes_between(args.lake, args.from_epoch,
-                         args.to_epoch).to_pandas()
+    df = gather(changes_between(args.lake, args.from_epoch,
+                                args.to_epoch)).to_pandas()
     ops = df["op"].value_counts().to_dict() if len(df) else {}
     return {"lake": args.lake, "from": args.from_epoch, "to": args.to_epoch,
             "n_changes": len(df),
@@ -86,13 +87,16 @@ def cmd_audit(args) -> dict:
 def cmd_query(args) -> dict:
     """Run one registered conformance query by name (the driver's
     queries() surface, from the shell)."""
+    import pyarrow as pa
+
     from etl_ray.pipelines.queries import QUERIES
+    from etl_ray.util import gather
 
     if args.name not in QUERIES:
         names = ", ".join(sorted(QUERIES))
         raise SystemExit(f"unknown query {args.name!r}; one of: {names}")
     res = QUERIES[args.name](args.sf_dir)
-    df = res.to_pandas() if hasattr(res, "to_pandas") else res
+    df = (res if isinstance(res, pa.Table) else gather(res)).to_pandas()
     out = {"query": args.name, "sf_dir": args.sf_dir, "n_rows": len(df),
            "columns": sorted(map(str, df.columns))}
     if args.head:

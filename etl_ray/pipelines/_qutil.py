@@ -13,7 +13,9 @@ driver where the group count is bounded (flags, one global row);
 (joins, many-group aggregates, sessionization) with one key-hash
 exchange — row to shard ``key_hash64(keys) % join_partitions()``, one
 vectorized Arrow kernel per shard, :func:`each_group` where a group
-needs Python; :func:`top_k` is a per-block head and a driver sort.
+needs Python; :func:`top_k` is a per-block head and a driver sort. Each
+takes its input's blocks through ``util.blocks`` or ``util.gather``:
+one execution of the plan, never a second one to fetch its schema.
 
 The exchange is plain engine tasks (``util.submit_tasks``), the
 map/reduce shape of Exoshuffle (Luan et al., "Exoshuffle: An Extensible
@@ -35,7 +37,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from etl_ray.util import dataset, key_hash64, submit_tasks, task_slots
+from etl_ray.util import (blocks, dataset, gather, key_hash64, submit_tasks,
+                          task_slots)
 
 # Shard-count cap for the key-hash exchange. At sf0.01 this is plenty;
 # a cluster run sizes it to ~2×cores with 64–128 MiB blocks.
@@ -75,10 +78,10 @@ def _shards(ds: "ray.data.Dataset", keys: Sequence[str],
             n: int) -> list[list[ray.ObjectRef]]:
     """The map side: ``ds`` materialized, then per shard the refs of its
     slice of every input block ([] per shard for an input with none)."""
-    blocks = ds.to_arrow_refs()
+    refs = blocks(ds)
     if n == 1:  # the blocks are the one shard's slices
-        return [blocks]
-    parts = submit_tasks(_split, [(b, keys, n) for b in blocks],
+        return [refs]
+    parts = submit_tasks(_split, [(b, keys, n) for b in refs],
                          num_returns=n)
     return [[p[s] for p in parts] for s in range(n)]
 
@@ -148,12 +151,6 @@ def shard_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
                    pa.schema([]))
 
 
-def _tables(refs: list[ray.ObjectRef]) -> list[pa.Table]:
-    """The tables behind ``refs`` on the driver, less the column-less
-    block of an exchange with no input."""
-    return [b for b in ray.get(refs) if b.num_columns]
-
-
 def merge_partials(ds: "ray.data.Dataset", keys: Sequence[str],
                    aggs: Sequence[tuple[str, str]]) -> pa.Table:
     """Driver-side final merge of per-task partial aggregates: each
@@ -162,10 +159,10 @@ def merge_partials(ds: "ray.data.Dataset", keys: Sequence[str],
     to one global row. The partials are a few rows per task, so one
     Arrow ``group_by`` on the driver replaces a shuffle."""
     names = [*keys, *(c for c, _ in aggs)]
-    parts = _tables(ds.to_arrow_refs())
-    if not parts:  # no input rows: no groups
+    t = gather(ds)
+    if not t.num_columns:  # no input block: no groups
         return pa.table({c: pa.array([]) for c in names})
-    g = _concat(parts).group_by(list(keys)).aggregate(list(aggs))
+    g = t.group_by(list(keys)).aggregate(list(aggs))
     return g.select([*keys, *(f"{c}_{f}" for c, f in aggs)]) \
         .rename_columns(names)
 
@@ -185,12 +182,14 @@ def top_k(ds: "ray.data.Dataset", sort_keys: Sequence[tuple[str, str]],
     ``(column, "ascending" | "descending")`` pairs). Each block keeps
     its own first ``k`` in one engine task — a row outside them is
     outside the global first ``k`` — and the driver sorts the
-    ≤ k × blocks survivors."""
+    ≤ k × blocks survivors. An input whose blocks have no columns gives
+    ``pa.table({})``."""
     def _head(t: pa.Table) -> pa.Table:
         return t.take(pc.sort_indices(t, sort_keys=sort_keys)[:k]) \
             if len(t) else t
 
-    parts = _tables(submit_tasks(_head, [(b,) for b in ds.to_arrow_refs()]))
+    heads = ray.get(submit_tasks(_head, [(b,) for b in blocks(ds)]))
+    parts = [t for t in heads if t.num_columns]
     return _head(_concat(parts)) if parts else pa.table({})
 
 

@@ -21,6 +21,7 @@ from etl_ray.pipelines._qutil import (fixed_point, fixed_point_scalar,
                                       half_away_int64, merge_partials,
                                       min_max, read, shard_apply)
 from etl_ray.pipelines.queries import register
+from etl_ray.util import gather
 
 # ------------------------------------------------------------- as-of join
 
@@ -57,9 +58,8 @@ def asof_join(sf_dir: str):
             pc.divide(hod, 3), 3)), 0))  # hour(ts) % 3 == 0
         return pa.table({"rts_us": keep.cast(pa.int64())})
 
-    mark_rows = ds.map_batches(_marks, batch_format="pyarrow").take_all()
-    marks_us = np.unique(np.array([r["rts_us"] for r in mark_rows],
-                                  np.int64))
+    marks_us = np.unique(gather(ds.map_batches(_marks, batch_format="pyarrow"))
+                         ["rts_us"].to_numpy())
     rate = (marks_us // 10**6) % 97  # epoch-seconds % 97
     ref = ray.put((marks_us, rate))
 

@@ -118,16 +118,7 @@ def cdc_changes(sf_dir: str):
     from etl_ray.sources.corpus import generate_corpus
     from etl_ray.sources.wal import generate_wal
     from etl_ray.state.lake import changes_between, read_lake
-    from etl_ray.util import key_hash64
-
-    def _gather(ds) -> pa.Table:
-        # a bucket task with no row to return gives an empty table;
-        # drop those before concat (at least one non-empty always exists
-        # here -- the seeded WAL nets changes every epoch)
-        tables = [t for t in ds.iter_batches(batch_size=None,
-                                             batch_format="pyarrow")
-                  if t.num_rows]
-        return pa.concat_tables(tables).combine_chunks()
+    from etl_ray.util import gather, key_hash64
 
     base = _workdir(sf_dir, "changes")
     shutil.rmtree(base, ignore_errors=True)
@@ -137,7 +128,7 @@ def cdc_changes(sf_dir: str):
     replay(f"{base}/wal", f"{base}/lake", n_epochs, num_partitions=8)
 
     lake = f"{base}/lake"
-    at2 = _gather(read_lake(lake, as_of_epoch=2, columns=["size"])
+    at2 = gather(read_lake(lake, as_of_epoch=2, columns=["size"])
                   .select_columns(["repo", "path"]))
     at2_hashes = ray.put(np.unique(key_hash64(at2, ["repo", "path"])))
 
@@ -153,7 +144,7 @@ def cdc_changes(sf_dir: str):
     feed = (changes_between(lake, 2, n_epochs)
             .select_columns(["repo", "path", "op", "lsn"])
             .map_batches(_tag, batch_format="pyarrow"))
-    out = _gather(feed)
+    out = gather(feed)
 
     # composition law: time travel + feed must reproduce the current
     # state's cardinality exactly

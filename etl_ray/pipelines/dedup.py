@@ -24,11 +24,12 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from etl_ray.pipelines._qutil import (each_group, merge_partials, read,
-                                      shard_apply, shard_join)
+from etl_ray.pipelines._qutil import (each_group, fixed_point_scalar,
+                                      merge_partials, read, shard_apply,
+                                      shard_join)
 from etl_ray.pipelines.queries import register
-from etl_ray.util import (as_array, embedding_matrix, hash64_str, rolling_poly,
-                          segment_unique, sha256_hex_array)
+from etl_ray.util import (as_array, embedding_matrix, gather, hash64_str,
+                          rolling_poly, segment_unique, sha256_hex_array)
 
 # ------------------------------------------------------------- exact dedup
 
@@ -142,8 +143,12 @@ def minhash_triples(t: pa.Table) -> pa.Table:
 BUCKET_CAP = 1024
 
 
+def _int64_schema(*names: str) -> pa.Schema:
+    return pa.schema([(n, pa.int64()) for n in names])
+
+
 def _no_pairs(a: str = "doc_a", b: str = "doc_b") -> pa.Table:
-    return pa.table({a: pa.array([], pa.int64()), b: pa.array([], pa.int64())})
+    return _int64_schema(a, b).empty_table()
 
 
 def _distinct(t: pa.Table) -> pa.Table:
@@ -253,30 +258,24 @@ def dedup_minhash(sf_dir: str, threshold: float = 0.5):
 
     n_cand = cand_ds.count()
     if n_cand == 0:
-        return _no_pairs().append_column("jacc_e4", pa.array([], pa.int64()))
+        return _int64_schema("doc_a", "doc_b", "jacc_e4").empty_table()
     if n_cand <= BROADCAST_VERIFY_MAX_PAIRS:
         # broadcast-verify fast path: fetch only the candidate docs
         # (one filtered scan, vectorized pc.is_in), pair texts driver-
         # side — two distributed hash joins cost more than the whole
         # candidate set is worth
-        cand = cand_ds.to_pandas()
-        need_ref = ray.put(pa.array(
-            np.unique(np.concatenate([cand.doc_a.to_numpy(),
-                                      cand.doc_b.to_numpy()])), pa.int64()))
+        j = gather(cand_ds)
+        need_ref = ray.put(pc.unique(pa.chunked_array(
+            j["doc_a"].chunks + j["doc_b"].chunks)))
 
         def _filter_needed(t: pa.Table) -> pa.Table:
             need = ray.get(need_ref)  # fetched once per batch, zero-copy
             return t.filter(pc.is_in(t["doc_id"], value_set=need))
 
-        sub = docs.map_batches(_filter_needed,
-                               batch_format="pyarrow").to_pandas()
-        text_of = dict(zip(sub.doc_id, sub.text))
-        j = pa.table({
-            "doc_a": pa.array(cand.doc_a.to_numpy(), pa.int64()),
-            "doc_b": pa.array(cand.doc_b.to_numpy(), pa.int64()),
-            "text_a": pa.array([text_of[i] for i in cand.doc_a], pa.string()),
-            "text_b": pa.array([text_of[i] for i in cand.doc_b], pa.string()),
-        })
+        sub = gather(docs.map_batches(_filter_needed, batch_format="pyarrow"))
+        for side in ("a", "b"):
+            j = j.append_column(f"text_{side}", sub["text"].take(
+                pc.index_in(j[f"doc_{side}"], value_set=sub["doc_id"])))
         return _verify(j)
     # scale path: ship texts to candidates via two key-hash joins
     a = docs.rename_columns({"text": "text_a"})
@@ -324,7 +323,7 @@ def _cc_label_propagation(edges, max_rounds: int | None = None) -> pa.Table:
         return pa.table({"node": g["node"], "lbl": g["lbl_min"]})
 
     labels = shard_apply(edges.map_batches(_init, batch_format="pyarrow"),
-                         ["node"], _min_label).materialize()
+                         ["node"], _min_label)
     prev_sum = None
     rounds = 0
     while True:
@@ -349,8 +348,7 @@ def _cc_label_propagation(edges, max_rounds: int | None = None) -> pa.Table:
             })
 
         msgs = e.map_batches(_msgs, batch_format="pyarrow")
-        labels = shard_apply(labels.union(msgs), ["node"],
-                             _min_label).materialize()
+        labels = shard_apply(labels.union(msgs), ["node"], _min_label)
         # pointer jump: lbl := lbl of lbl (≤ lbl, same component)
         jumped = shard_join(labels,
                             labels.rename_columns({"node": "jn", "lbl": "jl"}),
@@ -371,12 +369,9 @@ def _cc_label_propagation(edges, max_rounds: int | None = None) -> pa.Table:
         if cur_sum == prev_sum:
             break  # labels only decrease: unchanged sum == fixpoint
         prev_sum = cur_sum
-    t = labels.to_pandas()  # bounded: one row per clustered doc
-    return pa.table({
-        "doc_id": pa.array(t["node"].to_numpy(), pa.int64()),
-        "canon_id": pa.array(t["lbl"].to_numpy(), pa.int64()),
-        "keep": pa.array((t["node"] == t["lbl"]).to_numpy()),
-    })
+    t = gather(labels)  # bounded: one row per clustered doc
+    return pa.table({"doc_id": t["node"], "canon_id": t["lbl"],
+                     "keep": pc.equal(t["node"], t["lbl"])})
 
 
 @register(
@@ -416,11 +411,12 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.5):
     """
     pairs = dedup_minhash(sf_dir, threshold)
     if not isinstance(pairs, pa.Table):
-        pairs = pairs.materialize()  # bounded; reused by count + read
+        pairs = pairs.materialize()  # one verify run: count, then gather
         if pairs.count() > CLUSTER_DRIVER_MAX_PAIRS:
             return _cc_label_propagation(
                 pairs.select_columns(["doc_a", "doc_b"]))
-    df = pairs.to_pandas() if hasattr(pairs, "to_pandas") else pairs
+        pairs = gather(pairs)
+    da, db = pairs["doc_a"].to_pylist(), pairs["doc_b"].to_pylist()
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -431,12 +427,12 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.5):
             parent[x], x = r, parent[x]
         return r
 
-    for a, b in zip(df["doc_a"], df["doc_b"]):
-        ra, rb = find(int(a)), find(int(b))
+    for a, b in zip(da, db):
+        ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    members = sorted(set(df["doc_a"]) | set(df["doc_b"]))
-    canon = [find(int(m)) for m in members]
+    members = sorted(set(da) | set(db))
+    canon = [find(m) for m in members]
     return pa.table({
         "doc_id": pa.array(members, pa.int64()),
         "canon_id": pa.array(canon, pa.int64()),
@@ -476,47 +472,28 @@ def simhash_batch(t: pa.Table, text_col: str = "text") -> np.ndarray:
 def jaccard_pairs(sf_dir: str):
     """Character-set Jaccard on doc pairs — DuckDB-matching semantics.
 
-    The pair frame is tiny (bounded id range) so it is built broadcast-
-    style: the filtered docs are collected once, pairs computed per
-    batch partition of the left side.
+    The pair frame is tiny (bounded id range): the driver reads the
+    docs with ``doc_id < 20`` once (row-group pushdown) and pairs them
+    with themselves.
     """
     import pyarrow.parquet as pq
 
-    others = pq.read_table(
+    docs = pq.read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"],
         filters=[("doc_id", "<", 20)])
-    ref = ray.put(others)
+    ids = docs["doc_id"].to_pylist()
+    sets = [frozenset(s) for s in docs["text"].to_pylist()]
 
-    docs = read(sf_dir, "documents", ["doc_id", "text"])
-    small = docs.map_batches(
-        lambda t: t.filter(pc.less(t["doc_id"], 20)), batch_format="pyarrow")
+    def _jacc_e4(sa: frozenset, sb: frozenset) -> int:
+        inter = len(sa & sb)
+        # half-away-from-zero (SQL ROUND) — Python round() is
+        # banker's and diverges on exact .5 ratios
+        return fixed_point_scalar(inter / (len(sa) + len(sb) - inter), 10000)
 
-    def _pairs(t: pa.Table) -> pa.Table:
-        others = ray.get(ref)
-        oid = others["doc_id"].to_numpy()
-        osets = [frozenset(s) for s in others["text"].to_pylist()]
-        from etl_ray.pipelines._qutil import fixed_point_scalar
-
-        out_a, out_b, out_j = [], [], []
-        for i in range(len(t)):
-            da = t["doc_id"][i].as_py()
-            sa = frozenset(t["text"][i].as_py())
-            for j in range(len(others)):
-                if oid[j] <= da:
-                    continue
-                sb = osets[j]
-                inter = len(sa & sb)
-                # half-away-from-zero (SQL ROUND) — Python round() is
-                # banker's and diverges on exact .5 ratios
-                out_j.append(fixed_point_scalar(
-                    inter / (len(sa) + len(sb) - inter), 10000))
-                out_a.append(da)
-                out_b.append(int(oid[j]))
-        return pa.table({"doc_a": pa.array(out_a, pa.int64()),
-                         "doc_b": pa.array(out_b, pa.int64()),
-                         "jacc_e4": pa.array(out_j, pa.int64())})
-
-    return small.map_batches(_pairs, batch_format="pyarrow")
+    return pa.Table.from_pylist(
+        [{"doc_a": a, "doc_b": b, "jacc_e4": _jacc_e4(sa, sb)}
+         for a, sa in zip(ids, sets) for b, sb in zip(ids, sets) if b > a],
+        schema=_int64_schema("doc_a", "doc_b", "jacc_e4"))
 
 
 def levenshtein_pairs(sf_dir: str, max_id: int = 20, prefix_len: int = 120):
@@ -527,7 +504,7 @@ def levenshtein_pairs(sf_dir: str, max_id: int = 20, prefix_len: int = 120):
     vectorized in numpy (each DP row is one vectorized minimum over the
     previous row — O(len_a) python steps per pair, O(len_a·len_b) cells
     total). The pair frame is bounded by construction (id range ×
-    prefix truncation), same broadcast shape as `jaccard_pairs`."""
+    prefix truncation) and built on the driver, like `jaccard_pairs`."""
     import pyarrow.parquet as pq
 
     def _lev(a: str, b: str) -> int:
@@ -549,35 +526,15 @@ def levenshtein_pairs(sf_dir: str, max_id: int = 20, prefix_len: int = 120):
             prev = cur
         return int(prev[-1])
 
-    others = pq.read_table(
+    docs = pq.read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"],
         filters=[("doc_id", "<", max_id)])
-    ref = ray.put(others)
-
-    docs = read(sf_dir, "documents", ["doc_id", "text"])
-    small = docs.map_batches(
-        lambda t: t.filter(pc.less(t["doc_id"], max_id)),
-        batch_format="pyarrow")
-
-    def _pairs(t: pa.Table) -> pa.Table:
-        o = ray.get(ref)
-        oid = o["doc_id"].to_numpy()
-        otxt = [s[:prefix_len] for s in o["text"].to_pylist()]
-        out_a, out_b, out_d = [], [], []
-        for i in range(len(t)):
-            da = t["doc_id"][i].as_py()
-            sa = t["text"][i].as_py()[:prefix_len]
-            for j in range(len(o)):
-                if oid[j] <= da:
-                    continue
-                out_a.append(da)
-                out_b.append(int(oid[j]))
-                out_d.append(_lev(sa, otxt[j]))
-        return pa.table({"doc_a": pa.array(out_a, pa.int64()),
-                         "doc_b": pa.array(out_b, pa.int64()),
-                         "dist": pa.array(out_d, pa.int64())})
-
-    return small.map_batches(_pairs, batch_format="pyarrow")
+    ids = docs["doc_id"].to_pylist()
+    txt = [s[:prefix_len] for s in docs["text"].to_pylist()]
+    return pa.Table.from_pylist(
+        [{"doc_a": a, "doc_b": b, "dist": _lev(sa, sb)}
+         for a, sa in zip(ids, txt) for b, sb in zip(ids, txt) if b > a],
+        schema=_int64_schema("doc_a", "doc_b", "dist"))
 
 
 NEARDUP_THRESHOLD = 0.45

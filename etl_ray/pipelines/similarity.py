@@ -20,7 +20,7 @@ import ray
 
 from etl_ray.pipelines._qutil import read
 from etl_ray.pipelines.queries import register
-from etl_ray.util import embedding_matrix
+from etl_ray.util import embedding_matrix, gather
 
 N_QUERIES = 5
 TOP_K = 10
@@ -54,10 +54,7 @@ def _sample_normalized(ds, n_rows: int):
         idx = pa.array(np.arange(0, len(t), stride, dtype=np.int64))
         return t.take(idx)
 
-    sampled = pa.concat_tables(list(
-        ds.map_batches(_take, batch_format="pyarrow")
-        .iter_batches(batch_size=None, batch_format="pyarrow"))
-    ).combine_chunks()
+    sampled = gather(ds.map_batches(_take, batch_format="pyarrow"))
     M = embedding_matrix(sampled["embedding"])
     return M / np.linalg.norm(M, axis=1, keepdims=True)
 
@@ -106,11 +103,8 @@ def ann_topk(sf_dir: str):
             "sim": pa.array(np.concatenate(out_s)),
         })
 
-    partial = ds.map_batches(_block_topk, batch_format="pyarrow")
-
     # final merge: n_queries × (k × n_blocks) rows — tiny
-    t = pa.concat_tables(list(partial.iter_batches(
-        batch_size=None, batch_format="pyarrow"))).combine_chunks()
+    t = gather(ds.map_batches(_block_topk, batch_format="pyarrow"))
     q = t["query_id"].to_numpy()
     n = t["neighbor_id"].to_numpy()
     s = t["sim"].to_numpy()
@@ -191,9 +185,7 @@ def ann_ivf(sf_dir: str, n_cells: int = 16, nprobe: int = 4):
             "sim": pa.array(np.concatenate(out_s)),
         })
 
-    partial = ds.map_batches(_cell_topk, batch_format="pyarrow")
-    t = pa.concat_tables(list(partial.iter_batches(
-        batch_size=None, batch_format="pyarrow"))).combine_chunks()
+    t = gather(ds.map_batches(_cell_topk, batch_format="pyarrow"))
     if len(t) == 0:
         return pa.table({"query_id": pa.array([], pa.int64()),
                          "neighbor_id": pa.array([], pa.int64())})

@@ -20,6 +20,7 @@ import ray
 from etl_ray.pipelines._qutil import (min_max, read, shard_apply, shard_of,
                                       top_k)
 from etl_ray.pipelines.queries import register
+from etl_ray.util import gather
 
 SESSION_GAP_MIN = 30
 
@@ -234,11 +235,10 @@ def sketch_hll_partkeys(sf_dir: str):
         regs = _hll_registers(vals)
         return pa.table({"regs": pa.array([regs.tobytes()], pa.binary())})
 
-    sketches = ds.map_batches(_sketch, batch_format="pyarrow")
+    sketches = gather(ds.map_batches(_sketch, batch_format="pyarrow"))
     merged = np.zeros(1 << HLL_P, dtype=np.uint8)
-    for b in sketches.iter_batches(batch_format="pyarrow"):
-        for s in b["regs"].to_pylist():
-            merged = np.maximum(merged, np.frombuffer(s, dtype=np.uint8))
+    for s in sketches["regs"].to_pylist():
+        merged = np.maximum(merged, np.frombuffer(s, dtype=np.uint8))
     return pa.table({"approx_n_parts": pa.array(
         [int(round(hll_estimate(merged)))], pa.int64())})
 
@@ -340,11 +340,10 @@ def sketch_quantiles_prices(sf_dir: str, qs=(0.5, 0.95, 0.99)):
         return pa.table({"td": pa.array([d.to_bytes()], pa.binary())})
 
     merged: TDigest | None = None
-    for b in ds.map_batches(_sketch, batch_format="pyarrow") \
-               .iter_batches(batch_format="pyarrow"):
-        for raw in b["td"].to_pylist():
-            d = TDigest.from_bytes(raw)
-            merged = d if merged is None else merged.merge(d)
+    for raw in gather(ds.map_batches(_sketch, batch_format="pyarrow"))["td"] \
+            .to_pylist():
+        d = TDigest.from_bytes(raw)
+        merged = d if merged is None else merged.merge(d)
     return pa.table({
         "q": pa.array(list(qs), pa.float64()),
         "value": pa.array([merged.quantile(q) for q in qs], pa.float64()),

@@ -10,6 +10,7 @@ import pyarrow.compute as pc
 from etl_ray.pipelines._qutil import (fixed_point, merge_partials, read,
                                       shard_join, top_k)
 from etl_ray.pipelines.queries import register
+from etl_ray.util import gather
 
 
 @register(
@@ -94,11 +95,9 @@ def q3_shipping_priority(sf_dir: str):
     li = read(sf_dir, "lineitem",
               ["l_orderkey", "l_extendedprice", "l_discount"])
 
-    cust_mat = cust.materialize()  # bounded: a filtered dimension table
-    if cust_mat.count() <= BROADCAST_SEMI_MAX:
-        keys = pa.concat_tables(
-            ray.get(cust_mat.to_arrow_refs()))["c_custkey"].combine_chunks()
-        kref = ray.put(keys)
+    cust = cust.materialize()  # one run: counted, then gathered or joined
+    if cust.count() <= BROADCAST_SEMI_MAX:
+        kref = ray.put(gather(cust)["c_custkey"].combine_chunks())
 
         def _semi(t: pa.Table) -> pa.Table:
             return t.filter(pc.is_in(t["o_custkey"],
@@ -106,7 +105,7 @@ def q3_shipping_priority(sf_dir: str):
 
         j1 = orders.map_batches(_semi, batch_format="pyarrow")
     else:
-        j1 = shard_join(orders, cust_mat, "left_semi",
+        j1 = shard_join(orders, cust, "left_semi",
                         on=("o_custkey",), right_on=("c_custkey",))
 
     # revenue per (orderkey, orderdate) inside the join's shards: the

@@ -21,6 +21,8 @@ import pyarrow as pa
 import ray.data
 from ray.data.datasource import FileBasedDatasource
 
+from etl_ray.util import gather
+
 
 class OrcDatasource(FileBasedDatasource):
     """Stripe-streaming ORC file source."""
@@ -77,5 +79,4 @@ def write_orc(ds: "ray.data.Dataset", out_dir: str) -> int:
             os.replace(tmp, path)
         return pa.table({"n": pa.array([len(t)], pa.int64())})
 
-    counts = ds.map_batches(_write, batch_format="pyarrow").take_all()
-    return len(counts)
+    return len(gather(ds.map_batches(_write, batch_format="pyarrow")))

@@ -45,7 +45,7 @@ import ray.data
 
 from etl_ray.sources.corpus import _VOCAB, SEED
 from etl_ray.state import schema as schema_mod
-from etl_ray.util import count, key_hash64, lap, mark, session_cpus
+from etl_ray.util import count, gather, key_hash64, lap, mark, session_cpus
 
 DELETE_P = 0.15
 ZIPF_A = 1.3
@@ -306,8 +306,8 @@ def generate_wal(corpus: "ray.data.Dataset", wal_dir: str, n_epochs: int,
         return pa.table({"epoch": pa.array(out_e, pa.int32()),
                          "n": pa.array(out_n, pa.int64())})
 
-    counts = corpus.map_batches(_gen_write, batch_format="pyarrow").take_all()
-    n_events = int(sum(r["n"] for r in counts))
+    counts = gather(corpus.map_batches(_gen_write, batch_format="pyarrow"))
+    n_events = int(counts["n"].to_numpy().sum()) if counts.num_columns else 0
     # guard: an epoch no task hit still needs a (schema-correct) file
     for k in range(n_epochs):
         d = os.path.join(wal_dir, f"epoch={k}")

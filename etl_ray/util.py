@@ -490,9 +490,34 @@ def dataset(refs: list[ray.ObjectRef],
             empty: pa.Schema) -> "ray.data.Dataset":
     """The tables behind ``refs`` (engine task results) as a
     materialized Dataset, no plan: one empty table of schema ``empty``
-    when there are none."""
+    when there are none. :func:`blocks` is the other direction."""
     import ray.data
 
     if not refs:
         return ray.data.from_arrow(empty.empty_table())
     return ray.data.from_arrow_refs(refs)
+
+
+def blocks(ds: "ray.data.Dataset") -> list[ray.ObjectRef]:
+    """The Arrow block refs of ``ds``'s plan from exactly one execution;
+    a Dataset that is already materialized runs nothing.
+    ``to_arrow_refs`` on a lazy plan fetches the schema with a second,
+    ``limit(1)`` execution, and so does a materialized Dataset whose
+    blocks have no columns (an exchange with no input, a map whose input
+    rows were all filtered out). Such an input has no row, so its blocks
+    come back as they are."""
+    mat = ds.materialize()
+    if mat.count():  # a block with rows: the schema is known
+        return mat.to_arrow_refs()
+    return [ref for bundle in mat.iter_internal_ref_bundles()
+            for ref in bundle.block_refs]
+
+
+def gather(ds: "ray.data.Dataset") -> pa.Table:
+    """``ds`` as one table on the driver: its non-empty blocks
+    concatenated, else its first typed empty block, else (no block has
+    columns) ``pa.table({})``."""
+    tables = [t for t in ray.get(blocks(ds)) if t.num_columns]
+    rows = [t for t in tables if len(t)] or tables[:1]
+    return pa.concat_tables(rows, promote_options="default") if rows \
+        else pa.table({})

@@ -531,3 +531,61 @@ def test_engine_tasks_run_on_the_system_pool():
         return pa.default_memory_pool().backend_name
 
     assert run_tasks(_pool, [(), ()]) == ["system", "system"]
+
+
+def test_blocks_and_gather_run_a_plan_once(ray_session, monkeypatch):
+    """``util.blocks``/``gather`` bring a plan back from one execution:
+    with ``Dataset.limit`` (the schema probe of ``to_arrow_refs``) made
+    to raise, a lazy map keeps its blocks, their order and their rows;
+    an all-filtered plan gives one typed empty table; a zero-block
+    ``util.dataset`` and a materialized input work; and
+    ``merge_partials`` and ``top_k`` give their empty results on an
+    input with no row."""
+    import pyarrow.compute as pc
+    import ray.data
+
+    from etl_ray.pipelines._qutil import merge_partials, top_k
+    from etl_ray.util import blocks, dataset, gather
+
+    def no_probe(self, *a, **kw):
+        raise AssertionError("a Ray Data schema probe ran")
+
+    monkeypatch.setattr(ray.data.Dataset, "limit", no_probe)
+    monkeypatch.setattr(ray.data.DataContext.get_current().execution_options,
+                        "preserve_order", True)
+    t = pa.table({"k": pa.array(range(12), pa.int64()),
+                  "v": pa.array([f"r{i}" for i in range(12)])})
+    src = ray.data.from_arrow([t.slice(0, 5), t.slice(5, 4), t.slice(9)])
+    lazy = src.map_batches(
+        lambda b: b.append_column("w", pc.multiply(b["k"], 2)),
+        batch_format="pyarrow", batch_size=None)
+    parts = ray.get(blocks(lazy))
+    assert [p["k"].to_pylist() for p in parts] == \
+        [list(range(5)), list(range(5, 9)), list(range(9, 12))]
+    got = gather(lazy)
+    assert got.column_names == ["k", "v", "w"]
+    assert got["k"].to_pylist() == list(range(12))
+    assert got["w"].to_pylist() == [2 * i for i in range(12)]
+
+    none = src.map_batches(lambda b: b.filter(pc.greater(b["k"], 99)),
+                           batch_format="pyarrow")
+    empty = gather(none)
+    assert empty.num_rows == 0 and empty.schema == t.schema
+    assert gather(dataset([], t.schema)).schema == t.schema
+    assert gather(dataset([], pa.schema([]))) == pa.table({})
+    mat = lazy.materialize()
+    assert [r.hex() for r in blocks(mat)] == [r.hex() for r in blocks(mat)]
+    assert gather(mat).equals(got)
+
+    # a map over no row runs no UDF: its blocks have no columns
+    partials = none.map_batches(
+        lambda b: pa.table({"k": b["k"], "n": pc.add(b["k"], 1)}),
+        batch_format="pyarrow")
+    g = merge_partials(partials, ["k"], [("n", "sum")])
+    assert g.column_names == ["k", "n"] and g.num_rows == 0
+    assert top_k(none, [("k", "descending")], 3).equals(
+        t.schema.empty_table())
+    assert top_k(dataset([], pa.schema([])), [("k", "descending")], 3) == \
+        pa.table({})
+    assert top_k(lazy, [("k", "descending")], 3)["k"].to_pylist() == \
+        [11, 10, 9]

@@ -51,15 +51,21 @@ def _sql_names(registry):
 def test_all_sql_queries_match_oracle(registry, oracle_con, monkeypatch):
     """Every oracle-paired query matches DuckDB by rows+cols+value hash,
     with Ray Data's groupby, aggregate and sort made to raise: no query
-    runs a Ray Data shuffle (they group through ``_qutil``)."""
+    runs a Ray Data shuffle (they group through ``_qutil``). ``limit``
+    raises too: no query runs a plan a second time for its schema (the
+    ``limit(1)`` probe of ``to_arrow_refs`` on a lazy plan)."""
     import ray.data
 
     def no_shuffle(self, *a, **kw):
         raise AssertionError("a query ran a Ray Data groupby, aggregate "
                              "or sort")
 
+    def no_probe(self, *a, **kw):
+        raise AssertionError("a query ran a Ray Data schema probe")
+
     for op in ("groupby", "aggregate", "sort"):
         monkeypatch.setattr(ray.data.Dataset, op, no_shuffle)
+    monkeypatch.setattr(ray.data.Dataset, "limit", no_probe)
     queries, oracle = registry
     failures = []
     for name in _sql_names(registry):
