@@ -37,8 +37,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from etl_ray.util import (blocks, dataset, gather, key_hash64, submit_tasks,
-                          task_slots)
+from etl_ray.util import (blocks, concat, dataset, gather, key_hash64,
+                          submit_tasks, task_slots)
 
 # Shard-count cap for the key-hash exchange. At sf0.01 this is plenty;
 # a cluster run sizes it to ~2×cores with 64–128 MiB blocks.
@@ -86,10 +86,6 @@ def _shards(ds: "ray.data.Dataset", keys: Sequence[str],
     return [[p[s] for p in parts] for s in range(n)]
 
 
-def _concat(parts: Sequence[pa.Table]) -> pa.Table:
-    return pa.concat_tables(parts, promote_options="default")
-
-
 def shard_apply(ds: "ray.data.Dataset", keys: Sequence[str],
                 kernel: Kernel) -> "ray.data.Dataset":
     """Key-hash exchange: ``kernel`` sees every row of its shard at once,
@@ -101,7 +97,7 @@ def shard_apply(ds: "ray.data.Dataset", keys: Sequence[str],
         return dataset([], pa.schema([]))
 
     def _reduce(*parts: pa.Table) -> pa.Table:
-        return kernel(_concat(parts))
+        return kernel(concat(parts))
 
     return dataset(submit_tasks(_reduce, shards), pa.schema([]))
 
@@ -135,8 +131,8 @@ def shard_join(left: "ray.data.Dataset", right: "ray.data.Dataset",
         return dataset([], pa.schema([]))
 
     def _join(*parts: pa.Table) -> pa.Table:
-        lt = _concat(parts[:n_left]) if n_left else None
-        rt = _concat(parts[n_left:]) if n_right else None
+        lt = concat(parts[:n_left]) if n_left else None
+        rt = concat(parts[n_left:]) if n_right else None
         if lt is None:  # an empty side: its keys, typed like the other's
             lt = pa.table({k: pa.array([], rt[r].type)
                            for k, r in zip(lk, rk)})
@@ -189,8 +185,7 @@ def top_k(ds: "ray.data.Dataset", sort_keys: Sequence[tuple[str, str]],
             if len(t) else t
 
     heads = ray.get(submit_tasks(_head, [(b,) for b in blocks(ds)]))
-    parts = [t for t in heads if t.num_columns]
-    return _head(_concat(parts)) if parts else pa.table({})
+    return _head(concat(heads))
 
 
 def each_group(t: pa.Table, keys: Sequence[str],

@@ -22,6 +22,7 @@ import hashlib
 import resource
 import time
 from collections import Counter
+from collections.abc import Sequence
 
 import numpy as np
 import polars as pl
@@ -498,26 +499,40 @@ def dataset(refs: list[ray.ObjectRef],
     return ray.data.from_arrow_refs(refs)
 
 
+def _arrow(block) -> pa.Table:
+    from ray.data.block import BlockAccessor
+
+    return BlockAccessor.for_block(block).to_arrow()
+
+
 def blocks(ds: "ray.data.Dataset") -> list[ray.ObjectRef]:
-    """The Arrow block refs of ``ds``'s plan from exactly one execution;
-    a Dataset that is already materialized runs nothing.
-    ``to_arrow_refs`` on a lazy plan fetches the schema with a second,
-    ``limit(1)`` execution, and so does a materialized Dataset whose
-    blocks have no columns (an exchange with no input, a map whose input
-    rows were all filtered out). Such an input has no row, so its blocks
-    come back as they are."""
-    mat = ds.materialize()
-    if mat.count():  # a block with rows: the schema is known
-        return mat.to_arrow_refs()
-    return [ref for bundle in mat.iter_internal_ref_bundles()
-            for ref in bundle.block_refs]
+    """The Arrow block refs of ``ds``'s plan from exactly one execution
+    (``materialize``, then its ref bundles); a Dataset that is already
+    materialized runs nothing. Engine plans map with
+    ``batch_format="pyarrow"``, so their blocks come back as they are;
+    pandas blocks (a ``from_pandas`` source) are converted, one engine
+    task each. ``to_arrow_refs`` would add a ``limit(1)`` execution to
+    fetch the schema."""
+    refs = []
+    for b in ds.materialize().iter_internal_ref_bundles():
+        pandas = b.schema is not None and not isinstance(b.schema, pa.Schema)
+        refs += submit_tasks(_arrow, [(r,) for r in b.block_refs]) \
+            if pandas else b.block_refs
+    return refs
+
+
+def concat(tables: Sequence[pa.Table]) -> pa.Table:
+    """``tables`` as one: those with rows concatenated, else the first
+    with columns (typed, empty), else ``pa.table({})``. The concat
+    promotes: a column one table lacks, or holds as the null type, comes
+    out as nulls of the others' type; any other type clash raises."""
+    typed = [t for t in tables if t.num_columns]
+    rows = [t for t in typed if len(t)] or typed[:1]
+    return pa.concat_tables(rows, promote_options="default") if rows \
+        else pa.table({})
 
 
 def gather(ds: "ray.data.Dataset") -> pa.Table:
-    """``ds`` as one table on the driver: its non-empty blocks
-    concatenated, else its first typed empty block, else (no block has
-    columns) ``pa.table({})``."""
-    tables = [t for t in ray.get(blocks(ds)) if t.num_columns]
-    rows = [t for t in tables if len(t)] or tables[:1]
-    return pa.concat_tables(rows, promote_options="default") if rows \
-        else pa.table({})
+    """``ds``'s blocks from :func:`blocks` as one table on the driver
+    (:func:`concat`)."""
+    return concat(ray.get(blocks(ds)))

@@ -538,14 +538,15 @@ def test_blocks_and_gather_run_a_plan_once(ray_session, monkeypatch):
     with ``Dataset.limit`` (the schema probe of ``to_arrow_refs``) made
     to raise, a lazy map keeps its blocks, their order and their rows;
     an all-filtered plan gives one typed empty table; a zero-block
-    ``util.dataset`` and a materialized input work; and
+    ``util.dataset``, a pandas-block plan and a materialized input work;
+    ``util.concat`` promotes null columns; and
     ``merge_partials`` and ``top_k`` give their empty results on an
     input with no row."""
     import pyarrow.compute as pc
     import ray.data
 
     from etl_ray.pipelines._qutil import merge_partials, top_k
-    from etl_ray.util import blocks, dataset, gather
+    from etl_ray.util import blocks, concat, dataset, gather
 
     def no_probe(self, *a, **kw):
         raise AssertionError("a Ray Data schema probe ran")
@@ -573,6 +574,13 @@ def test_blocks_and_gather_run_a_plan_once(ray_session, monkeypatch):
     assert empty.num_rows == 0 and empty.schema == t.schema
     assert gather(dataset([], t.schema)).schema == t.schema
     assert gather(dataset([], pa.schema([]))) == pa.table({})
+    nulls = pa.table({"k": pa.array([None], pa.null())})
+    assert concat([pa.table({}), nulls, t.slice(0, 1)]).schema == \
+        pa.schema([("k", pa.int64()), ("v", pa.string())])
+    assert concat([]) == pa.table({})
+    pdf = ray.data.from_pandas(t.to_pandas()).map_batches(
+        lambda b: b, batch_format="pandas")
+    assert gather(pdf).equals(t)
     mat = lazy.materialize()
     assert [r.hex() for r in blocks(mat)] == [r.hex() for r in blocks(mat)]
     assert gather(mat).equals(got)
