@@ -32,6 +32,8 @@ Architecture:
   ``shard_join``). Those that return a Dataset build it from their
   tasks' refs (``util.dataset``). ``read_epochs`` and ``LakeSink``
   still build Ray Data plans. None of these task paths starts an actor.
+- The engine declares no Ray actor class of its own; the only actors it
+  starts are the workers of the Ray Data actor-pool stages above.
 - The CDC sink is a two-phase, manifest-committed Parquet lake with
   monotonic epoch fencing (Delta-Lake-style transaction log, see
   PAPERS.md: Delta Lake, VLDB 2020), so replay from any checkpoint

@@ -53,25 +53,12 @@ def like(a, pattern: str):
     return pc.match_like(a, pattern)
 
 
-def contains(a, sub: str):
-    return pc.match_substring(a, sub)
-
-
 def regexp_matches(a, pattern: str):
     return pc.match_substring_regex(a, pattern)
 
 
 def replace(a, old: str, new: str):
     return pc.replace_substring(a, old, new)
-
-
-def split_ws(a):
-    """Whitespace split → list<string> (DuckDB regexp_split_to_array(s,'\\s+'))."""
-    return pc.utf8_split_whitespace(a)
-
-
-def starts_with(a, prefix: str):
-    return pc.starts_with(a, prefix)
 
 
 # ------------------------------------------------------------------ dates
@@ -94,17 +81,7 @@ def date_trunc(a, unit: str):
     return pc.floor_temporal(a, unit=unit)
 
 
-def epoch_seconds(a):
-    """Seconds since Unix epoch as int64 (DuckDB epoch(ts))."""
-    return pc.divide(pc.cast(a, pa.int64()), 1_000_000)
-
-
 # ------------------------------------------------------------------- math
-
-
-def round_(a, ndigits: int = 0):
-    # DuckDB rounds half away from zero; pyarrow's default is HALF_TO_EVEN.
-    return pc.round(a, ndigits=ndigits, round_mode="half_towards_infinity")
 
 
 def abs_(a):
@@ -123,16 +100,8 @@ def ln(a):
     return pc.ln(a)
 
 
-def exp(a):
-    return pc.exp(a)
-
-
 def sqrt(a):
     return pc.sqrt(a)
-
-
-def power(a, p):
-    return pc.power(a, p)
 
 
 def if_else(cond, t, f):
@@ -144,25 +113,6 @@ def coalesce(*arrays):
 
 
 # ------------------------------------------------------------------ lists
-
-
-def list_len(a):
-    return pc.cast(pc.list_value_length(a), pa.int64())
-
-
-def list_get(a, i: int):
-    """0-based element access, NULL for out-of-range/null lists (DuckDB
-    list_extract semantics, which is 1-based — adapt index at call
-    site). ``pc.list_element`` raises on any too-short list, so this
-    computes flat offsets and takes with null indices instead."""
-    import numpy as np
-
-    arr = as_array(a)
-    lengths = pc.list_value_length(arr).to_numpy(zero_copy_only=False)
-    starts = np.asarray(arr.offsets)[:-1]
-    ok = np.nan_to_num(lengths, nan=-1) > i
-    idx = [int(s) + i if o else None for s, o in zip(starts, ok)]
-    return pc.list_flatten(arr).take(pa.array(idx, pa.int64()))
 
 
 def list_flatten(a):

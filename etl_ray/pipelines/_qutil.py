@@ -163,15 +163,6 @@ def merge_partials(ds: "ray.data.Dataset", keys: Sequence[str],
         .rename_columns(names)
 
 
-def min_max(ds: "ray.data.Dataset", col: str) -> tuple[pa.Scalar, pa.Scalar]:
-    """The least and greatest ``col`` value of ``ds``: one partial row
-    per block, merged on the driver."""
-    g = merge_partials(ds.map_batches(
-        lambda t: pa.table({"lo": [pc.min(t[col])], "hi": [pc.max(t[col])]}),
-        batch_format="pyarrow"), [], [("lo", "min"), ("hi", "max")])
-    return g["lo"][0], g["hi"][0]
-
-
 def top_k(ds: "ray.data.Dataset", sort_keys: Sequence[tuple[str, str]],
           k: int) -> pa.Table:
     """The first ``k`` rows of ``ds`` in ``sort_keys`` order (Arrow

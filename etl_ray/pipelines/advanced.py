@@ -1,5 +1,5 @@
 """Advanced / composite operators: as-of join, windowed analytics,
-statistical aggregates, set ops, sampling, staging sink round-trip.
+statistical aggregates, set ops, staging sink round-trip.
 
 These cover the SURVEY §2 rows that compose several primitives — each
 documents its partitioning assumption where it has one.
@@ -19,7 +19,7 @@ import ray
 
 from etl_ray.pipelines._qutil import (fixed_point, fixed_point_scalar,
                                       half_away_int64, merge_partials,
-                                      min_max, read, shard_apply)
+                                      read, shard_apply)
 from etl_ray.pipelines.queries import register
 from etl_ray.util import gather
 
@@ -45,8 +45,7 @@ def asof_join(sf_dir: str):
     np.searchsorted — no shuffle. The rates table is DERIVED
     DISTRIBUTED (per-block distinct hour marks → tiny driver distinct
     over ≤ blocks × span-hours rows — never a driver read of the fact
-    table's full ts column). A large-large as-of join buckets both
-    sides by time range instead: see asof_join_partitioned.
+    table's full ts column).
     """
     ds = read(sf_dir, "events", ["event_id", "ts"])
 
@@ -74,107 +73,6 @@ def asof_join(sf_dir: str):
         })
 
     return ds.map_batches(_probe, batch_format="pyarrow")
-
-
-def asof_join_partitioned(sf_dir: str, n_buckets: int = 8):
-    """LARGE-LARGE as-of join: the bucketed variant the broadcast
-    `asof_join` docstring promises (unregistered; equality with the
-    broadcast/oracle result is pinned in tests).
-
-    Both sides are bucketed by fixed event-time ranges; each bucket
-    additionally receives the CARRY-IN mark (the latest rate at or
-    before its start — per-bucket maxima are merged on the driver, the
-    forward-fill over B bucket boundaries is driver-side on B rows), so
-    every bucket resolves its as-of matches locally. Exchange key = the
-    time bucket; neither side is broadcast or materialized whole.
-    """
-    unit_mult = {"s": 10**9, "ms": 10**6, "us": 10**3, "ns": 1}
-
-    def _ns(col) -> np.ndarray:
-        unit = col.type.unit
-        return col.cast(pa.int64()).to_numpy() * unit_mult[unit]
-
-    ev = read(sf_dir, "events", ["event_id", "ts"])
-    lo, hi = (x.cast(pa.timestamp("ns")).value for x in min_max(ev, "ts"))
-    edges = np.array([lo + (hi - lo + 1) * i // n_buckets
-                      for i in range(n_buckets + 1)], dtype=np.int64)
-
-    # the "rates" side, derived exactly like the registered asof_join
-    # (hour marks where hour % 3 == 0) but kept DISTRIBUTED
-    def _marks(t: pa.Table) -> pa.Table:
-        hours = pc.floor_temporal(t["ts"], unit="hour")
-        hours = pc.unique(hours.combine_chunks())
-        hod = pc.hour(hours)
-        keep = hours.filter(pc.equal(
-            pc.subtract(hod, pc.multiply(pc.divide(hod, 3), 3)), 0))
-        ns = np.unique(_ns(keep))
-        return pa.table({"rts_ns": pa.array(ns),
-                         "rate": pa.array((ns // 10**9) % 97)})
-
-    def _bucket_of(ns: np.ndarray) -> np.ndarray:
-        return np.clip(np.searchsorted(edges, ns, side="right") - 1,
-                       0, n_buckets - 1)
-
-    def _tag_rates(t: pa.Table) -> pa.Table:  # distinct marks, bucketed
-        t = t.group_by(["rts_ns", "rate"]).aggregate([])
-        return pa.table({
-            "kind": pa.array(["r"] * len(t), pa.string()),
-            "bucket": pa.array(_bucket_of(t["rts_ns"].to_numpy())),
-            "ts_ns": t["rts_ns"], "event_id": pa.array(
-                np.full(len(t), -1, np.int64)),
-            "rate": t["rate"].cast(pa.int64()),
-        })
-
-    rb = shard_apply(ev.map_batches(_marks, batch_format="pyarrow"),
-                     ["rts_ns"], _tag_rates)
-    # carry-in per bucket: latest mark at-or-before each bucket start —
-    # per-bucket maxima (tiny) + driver-side forward fill over B rows
-    maxima = merge_partials(rb.map_batches(
-        lambda t: t.group_by("bucket").aggregate([("ts_ns", "max")]),
-        batch_format="pyarrow"), ["bucket"], [("ts_ns_max", "max")])
-    mark_max = dict(zip(maxima["bucket"].to_pylist(),
-                        maxima["ts_ns_max"].to_pylist()))
-    carry_rows = []
-    last = None
-    for bkt in range(n_buckets):
-        if last is not None:
-            carry_rows.append({"kind": "r", "bucket": bkt, "ts_ns": last,
-                               "event_id": -1, "rate": (last // 10**9) % 97})
-        if bkt in mark_max:
-            last = int(mark_max[bkt])
-
-    def _tag_events(t: pa.Table) -> pa.Table:
-        ns = _ns(t["ts"].combine_chunks())
-        return pa.table({
-            "kind": pa.array(["e"] * len(t), pa.string()),
-            "bucket": pa.array(_bucket_of(ns)),
-            "ts_ns": pa.array(ns),
-            "event_id": t["event_id"].cast(pa.int64()),
-            "rate": pa.array(np.full(len(t), -1, np.int64)),
-        })
-
-    both = rb.union(ev.map_batches(_tag_events, batch_format="pyarrow"))
-    if carry_rows:
-        both = both.union(ray.data.from_arrow(pa.Table.from_pylist(
-            carry_rows, schema=rb.schema().base_schema)))
-
-    def _merge(t: pa.Table) -> pa.Table:
-        # per bucket, each event takes the rate of the last mark at or
-        # before it: one sort (marks before events at equal ts) and a
-        # running max of mark positions, vectorized over all buckets
-        t = t.sort_by([("bucket", "ascending"), ("ts_ns", "ascending"),
-                       ("kind", "descending")])
-        bkt = t["bucket"].to_numpy()
-        is_r = pc.equal(t["kind"], "r").to_numpy(zero_copy_only=False)
-        pos = np.arange(len(t))
-        last = np.maximum.accumulate(np.where(is_r, pos, -1))
-        ok = ~is_r & (last >= 0) & (bkt[np.maximum(last, 0)] == bkt)
-        return pa.table({
-            "event_id": t["event_id"].filter(pa.array(ok)),
-            "rate": t["rate"].take(pa.array(last[ok])),
-        })
-
-    return shard_apply(both, ["bucket"], _merge)
 
 
 # --------------------------------------------------------- window analytics
@@ -292,16 +190,7 @@ def set_ops(sf_dir: str):
     return shard_apply(sides[0].union(*sides[1:]), ["tag", "key"], _keep)
 
 
-# ------------------------------------------------------ sampling / staging
-
-
-def sample_seeded(sf_dir: str):
-    """O4 seeded sampling — deterministic for a fixed input + seed.
-    Unregistered since round 3 (its registry slot went to cdc_changes —
-    the driver caps recorded rows at 50); determinism is pinned by
-    tests/test_queries.py::test_sample_seeded_deterministic."""
-    ds = read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-    return ds.random_sample(0.1, seed=42)
+# ------------------------------------------------------------------ staging
 
 
 @register(

@@ -209,14 +209,6 @@ def _apply_window(wal_dir: str, snap: mf.Snapshot, epochs: list[int],
     } for k, partitions in committed.items()], compacted, list(ledgers)
 
 
-def apply_epoch(wal_dir: str, lake_dir: str, epoch: int,
-                num_partitions: int) -> dict:
-    """Apply one WAL epoch to the lake; returns the epoch's lineage summary."""
-    out = apply_window(wal_dir, lake_dir, [epoch], num_partitions)
-    return out[0] if out else {"epoch": epoch, "n_events": 0, "n_rows": 0,
-                               "n_quarantined": 0, "skipped": True}
-
-
 # live fragments per bucket before the replay loop schedules a
 # compaction: bounds a long-running lake's read
 # amplification. Sized so steady-state reads merge O(threshold) files

@@ -496,55 +496,13 @@ def jaccard_pairs(sf_dir: str):
         schema=_int64_schema("doc_a", "doc_b", "jacc_e4"))
 
 
-def levenshtein_pairs(sf_dir: str, max_id: int = 20, prefix_len: int = 120):
-    """Edit-distance similarity on doc pairs (T4 family, unregistered;
-    DuckDB `levenshtein` equivalence pinned in tests).
-
-    pyarrow ships no edit-distance kernel, so the DP runs row-wise
-    vectorized in numpy (each DP row is one vectorized minimum over the
-    previous row — O(len_a) python steps per pair, O(len_a·len_b) cells
-    total). The pair frame is bounded by construction (id range ×
-    prefix truncation) and built on the driver, like `jaccard_pairs`."""
-    import pyarrow.parquet as pq
-
-    def _lev(a: str, b: str) -> int:
-        if not a:
-            return len(b)
-        if not b:
-            return len(a)
-        av = np.frombuffer(a.encode("utf-32-le"), dtype=np.uint32)
-        bv = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
-        rng = np.arange(len(bv) + 1, dtype=np.int64)
-        prev = rng.copy()
-        for i, ca in enumerate(av):
-            cur = np.empty(len(bv) + 1, dtype=np.int64)
-            cur[0] = i + 1
-            cur[1:] = np.minimum(prev[1:] + 1, prev[:-1] + (bv != ca))
-            # fold in the insertion chain cur[j] = min_k≤j cur[k]+(j-k):
-            # exactly a prefix-min of (cur[k]-k), re-shifted by +j
-            cur = np.minimum.accumulate(cur - rng) + rng
-            prev = cur
-        return int(prev[-1])
-
-    docs = pq.read_table(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"],
-        filters=[("doc_id", "<", max_id)])
-    ids = docs["doc_id"].to_pylist()
-    txt = [s[:prefix_len] for s in docs["text"].to_pylist()]
-    return pa.Table.from_pylist(
-        [{"doc_a": a, "doc_b": b, "dist": _lev(sa, sb)}
-         for a, sa in zip(ids, txt) for b, sb in zip(ids, txt) if b > a],
-        schema=_int64_schema("doc_a", "doc_b", "dist"))
-
-
 NEARDUP_THRESHOLD = 0.45
 
 
 def embedding_neardup_brute(sf_dir: str):
     """Embedding-cosine near-dup pairs, BRUTE-FORCE exactness baseline
     (unregistered — the registered scale shape is embedding_neardup,
-    pinned equal to this in tests, mirroring how asof_join_partitioned
-    shadows asof_join).
+    pinned equal to this in tests).
 
     The full (normalized) embedding matrix is broadcast once via
     ray.put; each batch computes block×all similarities with one float64

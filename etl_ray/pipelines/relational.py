@@ -342,78 +342,6 @@ def join_star_region(sf_dir: str):
 # -------------------------------------------------- sort / distinct / set ops
 
 
-def pivot_qty_by_status(sf_dir: str):
-    """PIVOT: one row per l_returnflag, one column per l_linestatus
-    value, cells = sum(l_quantity) — conditional-sum partials per block
-    (one tiny partial row per flag per block), merged on the driver.
-    Unregistered; DuckDB-equivalence pinned in tests. The inverse is
-    :func:`unpivot_qty`."""
-    ds = read(sf_dir, "lineitem",
-              ["l_returnflag", "l_linestatus", "l_quantity"])
-
-    def _partial(t: pa.Table) -> pa.Table:
-        qty = t["l_quantity"]
-        out = pa.table({
-            "l_returnflag": t["l_returnflag"],
-            "qty_F": pc.if_else(pc.equal(t["l_linestatus"], "F"), qty, 0.0),
-            "qty_O": pc.if_else(pc.equal(t["l_linestatus"], "O"), qty, 0.0),
-        })
-        g = out.group_by("l_returnflag").aggregate(
-            [("qty_F", "sum"), ("qty_O", "sum")])
-        return g.rename_columns(["l_returnflag", "qty_F", "qty_O"])
-
-    return merge_partials(ds.map_batches(_partial, batch_format="pyarrow"),
-                          ["l_returnflag"],
-                          [("qty_F", "sum"), ("qty_O", "sum")])
-
-
-def unpivot_qty(t: pa.Table) -> pa.Table:
-    """UNPIVOT/melt: the inverse of :func:`pivot_qty_by_status` —
-    (l_returnflag, qty_F, qty_O) rows become
-    (l_returnflag, l_linestatus, qty) pairs, vectorized."""
-    n = len(t)
-    return pa.table({
-        "l_returnflag": pa.concat_arrays(
-            [t["l_returnflag"].combine_chunks()] * 2),
-        "l_linestatus": pa.array(["F"] * n + ["O"] * n, pa.string()),
-        "qty": pa.concat_arrays([t["qty_F"].combine_chunks(),
-                                 t["qty_O"].combine_chunks()]),
-    })
-
-
-def grouped_topk(sf_dir: str, n: int = 3):
-    """Per-group top-n — the ROW_NUMBER() OVER (PARTITION BY key ORDER
-    BY val DESC) <= n window class (unregistered; DuckDB-equivalence
-    pinned in tests).
-
-    Scale shape: per-block PARTIAL top-n per group first — safe because
-    any row outside its block's per-group top-n cannot be in the global
-    per-group top-n — so the exchange moves ≤ n rows per (group, block);
-    then the same kernel per key-hash shard gives the final top-n. Ties
-    broken on o_orderkey asc to match the SQL oracle deterministically.
-    """
-    ds = read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
-
-    def _top(t: pa.Table) -> pa.Table:
-        # Arrow-native grouped head: one block sort putting each
-        # group's rows contiguous in oracle tie order, then a numpy
-        # run-length rank < n mask — no pandas, no per-group loop.
-        if len(t) == 0:
-            return t
-        idx = pc.sort_indices(t, sort_keys=[
-            ("o_custkey", "ascending"), ("o_totalprice", "descending"),
-            ("o_orderkey", "ascending")])
-        t = t.take(idx).combine_chunks()
-        cust = t["o_custkey"].to_numpy(zero_copy_only=False)
-        starts = np.flatnonzero(np.r_[True, cust[1:] != cust[:-1]])
-        rank = np.arange(len(cust)) - np.repeat(
-            starts, np.diff(np.r_[starts, len(cust)]))
-        return t.filter(pa.array(rank < n))
-
-    return shard_apply(ds.map_batches(_top, batch_format="pyarrow"),
-                       ["o_custkey"], _top)
-
-
 @register(
     "sort_topk",
     """SELECT o_orderkey, o_totalprice FROM orders

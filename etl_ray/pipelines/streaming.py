@@ -15,10 +15,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
-
-from etl_ray.pipelines._qutil import (min_max, read, shard_apply, shard_of,
-                                      top_k)
+from etl_ray.pipelines._qutil import read, shard_apply, top_k
 from etl_ray.pipelines.queries import register
 from etl_ray.util import gather
 
@@ -64,128 +61,6 @@ def sessionize(sf_dir: str):
         return pa.table({"user_id": g["user_id"], "n_sessions": g["n_sum"]})
 
     return shard_apply(ds, ["user_id"], _sess)
-
-
-# ------------------------------------------- incremental sessionization
-
-
-@ray.remote
-class SessionShard:
-    """Stateful shard actor for INCREMENTAL sessionization: holds, for
-    one hash shard of the user-id space, each user's last-seen event
-    time and running session count across event-time micro-batches.
-
-    Protocol (the pattern for any stateful event-time window at
-    100 TB): state is sharded by the window partition key (no global
-    state); producers ``buffer()`` shard-pure slices of the OPEN window
-    in any order; the driver's watermark advance calls
-    ``seal_window()``, which folds the buffered rows (sorted) into the
-    carried per-user state. An actor restart loses only its shard, and
-    shard state is a pure fold over that shard's events — replaying the
-    shard's windows reconstructs it (same recovery story as the CDC
-    lake's deterministic delta rewrite).
-    """
-
-    def __init__(self, gap_s: int):
-        self.gap = np.timedelta64(gap_s, "s")
-        self.last_ts: dict = {}
-        self.n_sessions: dict = {}
-        self._buf: list[pa.Table] = []
-
-    def buffer(self, t: pa.Table) -> int:
-        self._buf.append(t)
-        return len(t)
-
-    def seal_window(self) -> int:
-        if not self._buf:
-            return 0
-        df = pa.concat_tables(self._buf).to_pandas()
-        self._buf = []
-        df = df.sort_values(["ts", "event_id"])
-        for uid, g in df.groupby("user_id", sort=False):
-            ts = g["ts"].to_numpy()
-            # in-batch session breaks (vectorized) ...
-            breaks = int((np.diff(ts) > self.gap).sum())
-            # ... plus the boundary break vs carried state
-            prev = self.last_ts.get(uid)
-            first_new = 1 if prev is None or (ts[0] - prev) > self.gap else 0
-            self.n_sessions[uid] = (self.n_sessions.get(uid, 0)
-                                    + breaks + first_new)
-            self.last_ts[uid] = ts[-1]
-        return len(df)
-
-    def flush(self) -> pa.Table:
-        users = sorted(self.n_sessions)
-        return pa.table({
-            "user_id": pa.array(users, pa.int64()),
-            "n_sessions": pa.array([self.n_sessions[u] for u in users],
-                                   pa.int64()),
-        })
-
-
-def sessionize_incremental(sf_dir: str, n_windows: int = 6,
-                           n_shards: int = 4):
-    """Incremental gap-session counts over event-time micro-batches.
-
-    The bounded `events` table is replayed as ``n_windows`` consecutive
-    event-time slices; each slice's blocks are routed shard-pure to
-    ``n_shards`` stateful `SessionShard` actors (user-hash
-    partitioning) and sealed on watermark advance. Produces exactly the
-    batch `sessionize` result (asserted in tests) — the unregistered
-    streaming twin of that query (the gate covers the semantics through
-    `sessionize`'s SQL oracle). The per-window rescan of the bounded
-    table stands in for a true tailing source; a WAL-backed deployment
-    feeds `buffer()` straight from the tailer.
-    """
-    ds = read(sf_dir, "events", ["user_id", "ts", "event_id"])
-    lo, hi = (x.cast(pa.timestamp("ns")).value for x in min_max(ds, "ts"))
-    edges = [lo + (hi - lo + 1) * i // n_windows for i in range(n_windows + 1)]
-
-    shards = [SessionShard.remote(SESSION_GAP_MIN * 60)
-              for _ in range(n_shards)]
-
-    def _route(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "shard", pa.array(shard_of(t, ["user_id"], n_shards)))
-
-    unit_mult = {"s": 10**9, "ms": 10**6, "us": 10**3, "ns": 1}
-
-    for w in range(n_windows):
-        t0, t1 = edges[w], edges[w + 1]
-
-        def _win(t: pa.Table, t0=t0, t1=t1) -> pa.Table:
-            import pyarrow.compute as pc
-
-            mult = unit_mult[t.schema.field("ts").type.unit]
-            ns = pc.multiply(pc.cast(t["ts"], pa.int64()), mult)
-            return t.filter(pc.and_(pc.greater_equal(ns, t0),
-                                    pc.less(ns, t1)))
-
-        def _send(t: pa.Table) -> pa.Table:
-            # split the block by shard INSIDE the task and push slices
-            # straight to the shard actors — rows never touch the
-            # driver (the driver only barriers on counts)
-            import pyarrow.compute as pc
-
-            waits = []
-            for sid in (np.unique(t["shard"].to_numpy()) if len(t) else []):
-                sub = t.filter(pc.equal(t["shard"], int(sid)))
-                waits.append(shards[int(sid)].buffer.remote(
-                    sub.drop_columns(["shard"])))
-            n = sum(ray.get(waits)) if waits else 0
-            return pa.table({"n": pa.array([n], pa.int64())})
-
-        win = (ds.map_batches(_win, batch_format="pyarrow")
-               .map_batches(_route, batch_format="pyarrow")
-               .map_batches(_send, batch_format="pyarrow"))
-        win.count()  # barrier: all of window w buffered
-        # watermark advance: every shard folds window w before w+1 opens
-        ray.get([s.seal_window.remote() for s in shards])
-
-    out = pa.concat_tables(ray.get([s.flush.remote() for s in shards]))
-    for s in shards:
-        ray.kill(s)
-    return out
 
 
 # ------------------------------------------------------------- HLL sketch
@@ -241,113 +116,6 @@ def sketch_hll_partkeys(sf_dir: str):
         merged = np.maximum(merged, np.frombuffer(s, dtype=np.uint8))
     return pa.table({"approx_n_parts": pa.array(
         [int(round(hll_estimate(merged)))], pa.int64())})
-
-
-# ----------------------------------------------------- t-digest sketch
-
-
-class TDigest:
-    """Merging t-digest (Dunning) for approximate quantiles of
-    UNBOUNDED-cardinality values — the scale path `agg_quantile`'s
-    histogram pre-aggregation hands over to when the value domain stops
-    being enumerable. Mergeable: one small digest per block, merged
-    associatively (HLL-style), so nothing but centroid arrays crosses
-    the wire. Accuracy concentrates at the tails (k1 size bound
-    ∝ q(1-q)), the property quantile monitoring actually needs."""
-
-    __slots__ = ("means", "weights", "compression")
-
-    def __init__(self, means: np.ndarray, weights: np.ndarray,
-                 compression: int = 100):
-        self.means = means
-        self.weights = weights
-        self.compression = compression
-
-    @classmethod
-    def from_values(cls, vals: np.ndarray, compression: int = 100) -> "TDigest":
-        vals = np.asarray(vals, dtype=np.float64)
-        return cls(*cls._compress(vals, np.ones(len(vals)), compression),
-                   compression)
-
-    def merge(self, other: "TDigest") -> "TDigest":
-        return TDigest(*self._compress(
-            np.concatenate([self.means, other.means]),
-            np.concatenate([self.weights, other.weights]),
-            self.compression), self.compression)
-
-    @staticmethod
-    def _compress(means: np.ndarray, weights: np.ndarray,
-                  delta: int) -> tuple[np.ndarray, np.ndarray]:
-        if len(means) == 0:
-            return means, weights
-        order = np.argsort(means, kind="stable")
-        m, w = means[order], weights[order]
-        total = float(w.sum())
-        out_m: list[float] = []
-        out_w: list[float] = []
-        cur_m, cur_w, seen = float(m[0]), float(w[0]), 0.0
-        for i in range(1, len(m)):
-            q_mid = (seen + (cur_w + w[i]) / 2) / total
-            cap = max(1.0, 4.0 * total * q_mid * (1 - q_mid) / delta)
-            if cur_w + w[i] <= cap:
-                cur_m = (cur_m * cur_w + float(m[i]) * float(w[i])) \
-                    / (cur_w + float(w[i]))
-                cur_w += float(w[i])
-            else:
-                out_m.append(cur_m)
-                out_w.append(cur_w)
-                seen += cur_w
-                cur_m, cur_w = float(m[i]), float(w[i])
-        out_m.append(cur_m)
-        out_w.append(cur_w)
-        return np.array(out_m), np.array(out_w)
-
-    def quantile(self, q: float) -> float:
-        m, w = self.means, self.weights
-        if len(m) == 0:
-            return float("nan")
-        total = w.sum()
-        target = q * total
-        cum = np.cumsum(w) - w / 2  # centroid midpoints
-        if target <= cum[0]:
-            return float(m[0])
-        if target >= cum[-1]:
-            return float(m[-1])
-        i = int(np.searchsorted(cum, target) - 1)
-        frac = (target - cum[i]) / (cum[i + 1] - cum[i])
-        return float(m[i] + frac * (m[i + 1] - m[i]))
-
-    def to_bytes(self) -> bytes:
-        return (np.int64(len(self.means)).tobytes()
-                + self.means.tobytes() + self.weights.tobytes())
-
-    @classmethod
-    def from_bytes(cls, b: bytes, compression: int = 100) -> "TDigest":
-        n = int(np.frombuffer(b, np.int64, 1)[0])
-        means = np.frombuffer(b, np.float64, n, 8).copy()
-        weights = np.frombuffer(b, np.float64, n, 8 + 8 * n).copy()
-        return cls(means, weights, compression)
-
-
-def sketch_quantiles_prices(sf_dir: str, qs=(0.5, 0.95, 0.99)):
-    """Approximate order-price quantiles via per-block t-digests merged
-    on the driver — the unbounded-domain counterpart of agg_quantile's
-    exact histogram path (unregistered; rank-accuracy pinned in tests)."""
-    ds = read(sf_dir, "orders", ["o_totalprice"])
-
-    def _sketch(t: pa.Table) -> pa.Table:
-        d = TDigest.from_values(t["o_totalprice"].to_numpy())
-        return pa.table({"td": pa.array([d.to_bytes()], pa.binary())})
-
-    merged: TDigest | None = None
-    for raw in gather(ds.map_batches(_sketch, batch_format="pyarrow"))["td"] \
-            .to_pylist():
-        d = TDigest.from_bytes(raw)
-        merged = d if merged is None else merged.merge(d)
-    return pa.table({
-        "q": pa.array(list(qs), pa.float64()),
-        "value": pa.array([merged.quantile(q) for q in qs], pa.float64()),
-    })
 
 
 @register(

@@ -49,7 +49,6 @@ from etl_ray.util import count, gather, key_hash64, lap, mark, session_cpus
 
 DELETE_P = 0.15
 ZIPF_A = 1.3
-WAL_COLS = ["lsn", "epoch", "op", "repo", "path", "commit", "lang", "content", "size"]
 
 _C_UPD = np.uint64(0x9E3779B97F4A7C15)
 _C_DEL = np.uint64(0xC2B2AE3D27D4EB4F)

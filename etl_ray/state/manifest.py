@@ -166,10 +166,6 @@ def snapshot(lake_dir: str, as_of_epoch: int | None = None) -> Snapshot:
     return snap if as_of_epoch is None else snap.as_of(as_of_epoch)
 
 
-def last_committed(lake_dir: str) -> int:
-    return snapshot(lake_dir).seq
-
-
 def last_manifest(lake_dir: str) -> dict | None:
     return snapshot(lake_dir).last
 

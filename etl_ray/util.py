@@ -499,26 +499,15 @@ def dataset(refs: list[ray.ObjectRef],
     return ray.data.from_arrow_refs(refs)
 
 
-def _arrow(block) -> pa.Table:
-    from ray.data.block import BlockAccessor
-
-    return BlockAccessor.for_block(block).to_arrow()
-
-
 def blocks(ds: "ray.data.Dataset") -> list[ray.ObjectRef]:
     """The Arrow block refs of ``ds``'s plan from exactly one execution
     (``materialize``, then its ref bundles); a Dataset that is already
     materialized runs nothing. Engine plans map with
-    ``batch_format="pyarrow"``, so their blocks come back as they are;
-    pandas blocks (a ``from_pandas`` source) are converted, one engine
-    task each. ``to_arrow_refs`` would add a ``limit(1)`` execution to
+    ``batch_format="pyarrow"``, so their blocks come back as Arrow
+    tables. ``to_arrow_refs`` would add a ``limit(1)`` execution to
     fetch the schema."""
-    refs = []
-    for b in ds.materialize().iter_internal_ref_bundles():
-        pandas = b.schema is not None and not isinstance(b.schema, pa.Schema)
-        refs += submit_tasks(_arrow, [(r,) for r in b.block_refs]) \
-            if pandas else b.block_refs
-    return refs
+    return [r for b in ds.materialize().iter_internal_ref_bundles()
+            for r in b.block_refs]
 
 
 def concat(tables: Sequence[pa.Table]) -> pa.Table:

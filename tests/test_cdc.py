@@ -131,7 +131,7 @@ def test_resume_from_checkpoint_reconverges(wal_dir, ref_state, tmp_path):
     lake = str(tmp_path / "lake")
     s1 = replay(wal_dir, lake, N_EPOCHS, num_partitions=P, stop_after=2)
     assert s1["epochs_applied"] == 2
-    assert mf.last_committed(lake) == 1
+    assert mf.snapshot(lake).seq == 1
     # "crash" happened here; a fresh replay resumes from the manifest log
     s2 = replay(wal_dir, lake, N_EPOCHS, num_partitions=P)
     assert s2["first_epoch"] == 2
@@ -139,13 +139,13 @@ def test_resume_from_checkpoint_reconverges(wal_dir, ref_state, tmp_path):
 
 
 def test_double_apply_is_idempotent(wal_dir, ref_state, tmp_path):
-    from etl_ray.pipelines.cdc import apply_epoch
+    from etl_ray.pipelines.cdc import apply_window
     lake = str(tmp_path / "lake")
     replay(wal_dir, lake, N_EPOCHS, num_partitions=P)
     before = lake_shas(lake)
     # re-apply the last epoch: commit is a no-op, hwm filter drops all events
-    apply_epoch(wal_dir, lake, N_EPOCHS - 1, P)
-    assert mf.last_committed(lake) == N_EPOCHS - 1
+    apply_window(wal_dir, lake, [N_EPOCHS - 1], P)
+    assert mf.snapshot(lake).seq == N_EPOCHS - 1
     assert lake_shas(lake) == before
 
 
@@ -313,7 +313,7 @@ def test_replay_failed_task_commits_nothing_past_checkpoint(
 
     lake = str(tmp_path / "lake")
     replay(wal_dir, lake, N_EPOCHS, num_partitions=P, stop_after=1)
-    assert mf.last_committed(lake) == 0
+    assert mf.snapshot(lake).seq == 0
 
     def _poisoned_writer(*a, **kw):
         def _write(batch):
@@ -325,7 +325,7 @@ def test_replay_failed_task_commits_nothing_past_checkpoint(
     with pytest.raises(RuntimeError, match="injected writer failure"):
         replay(wal_dir, lake, N_EPOCHS, num_partitions=P)
     monkeypatch.undo()
-    assert mf.last_committed(lake) == 0
+    assert mf.snapshot(lake).seq == 0
     assert mf.last_wal_epoch(lake) == 0
 
     s = replay(wal_dir, lake, N_EPOCHS, num_partitions=P)
@@ -945,7 +945,7 @@ def test_lake_datasink_failed_write_commits_nothing(wal_dir, tmp_path):
         _poison, batch_format="pyarrow")
     with pytest.raises(Exception):
         ds.write_datasink(LakeSink(lake, num_partitions=P))
-    assert mf.last_committed(lake) == -1
+    assert mf.snapshot(lake).seq == -1
     assert mf.committed_files(lake) == []
     assert read_lake(lake).count() == 0
 
@@ -984,10 +984,9 @@ def test_stale_writer_cannot_corrupt(wal_dir, ref_state, tmp_path):
             p = os.path.join(root, n)
             mtimes[p] = os.path.getmtime(p)
     # re-apply epoch 0 directly (simulates a stale worker racing behind)
-    from etl_ray.pipelines.cdc import apply_epoch
+    from etl_ray.pipelines.cdc import apply_window
 
-    out = apply_epoch(wal_dir, lake, 0, P)
-    assert out.get("skipped") is True
+    assert apply_window(wal_dir, lake, [0], P) == []
     for p, m in mtimes.items():
         assert os.path.getmtime(p) == m  # no file rewritten
     assert lake_shas(lake) == before
@@ -1410,7 +1409,7 @@ def test_compaction_racing_a_wal_commit_fails_loudly(wal_dir, ref_state,
     and its base commit makes the compaction raise, not commit a base
     that hides the epoch: the lake equals the reference before and after
     vacuum reclaims the orphan base, and a later compaction succeeds."""
-    from etl_ray.pipelines.cdc import apply_epoch
+    from etl_ray.pipelines.cdc import apply_window
     from etl_ray.state import lake as lake_mod
     from etl_ray.state.lake import vacuum
 
@@ -1421,7 +1420,7 @@ def test_compaction_racing_a_wal_commit_fails_loudly(wal_dir, ref_state,
 
     def resolve_then_wal_commit(*args, **kwargs):
         out = resolve(*args, **kwargs)
-        apply_epoch(wal_dir, lake, N_EPOCHS - 1, P)
+        apply_window(wal_dir, lake, [N_EPOCHS - 1], P)
         return out
 
     monkeypatch.setattr(lake_mod, "run_tasks", resolve_then_wal_commit)
@@ -1460,7 +1459,7 @@ def test_commit_racing_a_commit_of_its_epoch_is_a_noop(wal_dir, tmp_path,
     lake = str(tmp_path / "lake")
     replay(wal_dir, lake, N_EPOCHS, num_partitions=P,
            stop_after=N_EPOCHS - 1)
-    seq, epoch = mf.last_committed(lake) + 1, N_EPOCHS - 1
+    seq, epoch = mf.snapshot(lake).seq + 1, N_EPOCHS - 1
     schema = mf.current_schema(lake)
     ghost = {"files": [], "lsn_min": -1, "lsn_max": -1, "n_events": 0,
              "n_upserts": 0, "n_deletes": 0, "n_rows": 0,
@@ -1468,7 +1467,7 @@ def test_commit_racing_a_commit_of_its_epoch_is_a_noop(wal_dir, tmp_path,
     _rival_commits_first(monkeypatch, lambda: mf.commit_epoch(
         lake, epoch, schema, {}, P))
     assert mf.commit_epoch(lake, epoch, schema, {0: ghost}, P) is False
-    assert mf.last_committed(lake) == seq
+    assert mf.snapshot(lake).seq == seq
     assert mf.read_manifest(lake, seq)["partitions"] == {}
     assert mf.last_wal_epoch(lake) == epoch
 
@@ -1478,17 +1477,17 @@ def test_commit_racing_a_compaction_lands_at_next_sequence(
     """A WAL commit that folded the sequence a compaction base then took
     re-folds and lands at the next sequence; the base stays and the lake
     equals the reference."""
-    from etl_ray.pipelines.cdc import apply_epoch
+    from etl_ray.pipelines.cdc import apply_window
 
     lake = str(tmp_path / "lake")
     replay(wal_dir, lake, N_EPOCHS, num_partitions=P,
            stop_after=N_EPOCHS - 1)
-    seq = mf.last_committed(lake) + 1
+    seq = mf.snapshot(lake).seq + 1
     _rival_commits_first(monkeypatch, lambda: compact(lake))
-    assert apply_epoch(wal_dir, lake, N_EPOCHS - 1, P)["n_events"] > 0
+    assert apply_window(wal_dir, lake, [N_EPOCHS - 1], P)[0]["n_events"] > 0
     assert mf.read_manifest(lake, seq)["base"]
     assert mf.read_manifest(lake, seq + 1)["epoch"] == N_EPOCHS - 1
-    assert mf.last_committed(lake) == seq + 1
+    assert mf.snapshot(lake).seq == seq + 1
     assert lake_shas(lake) == ref_shas(ref_state)
 
 
@@ -1507,7 +1506,7 @@ def test_engine_calls_fold_the_manifest_log_once(wal_dir, tmp_path,
            stop_after=N_EPOCHS - 1)
     for _ in range(5):
         compact(lake)
-    n = mf.last_committed(lake) + 1
+    n = mf.snapshot(lake).seq + 1
     assert n >= 8
     reads, lists = [], []
     read, listdir = mf.read_manifest, os.listdir

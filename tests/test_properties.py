@@ -98,42 +98,6 @@ def test_lww_keep_indices_exact_vs_string_dedup(kids, n_hash, use_extra):
     assert got <= set(range(n))
 
 
-# ---------------------------------------------------- t-digest accuracy
-
-
-@given(st.sampled_from(["uniform", "lognormal", "bimodal", "constant"]),
-       st.integers(0, 4), st.integers(2, 10))
-@settings(max_examples=25, deadline=None)
-def test_tdigest_rank_error_bounded_any_distribution(dist, seed, n_chunks):
-    """Merged per-chunk digests keep rank error < 2% for any input
-    shape and any chunking — the mergeability + accuracy contract."""
-    import numpy as np
-
-    from etl_ray.pipelines.streaming import TDigest
-
-    rng = np.random.RandomState(seed)
-    n = 20_000
-    if dist == "uniform":
-        vals = rng.uniform(0, 1e6, n)
-    elif dist == "lognormal":
-        vals = rng.lognormal(10, 2, n)
-    elif dist == "bimodal":
-        vals = np.concatenate([rng.normal(0, 1, n // 2),
-                               rng.normal(1000, 5, n - n // 2)])
-    else:
-        vals = np.full(n, 42.0)
-    merged = None
-    for chunk in np.array_split(vals, n_chunks):
-        d = TDigest.from_values(chunk)
-        merged = d if merged is None else merged.merge(d)
-    s = np.sort(vals)
-    for q in (0.01, 0.1, 0.5, 0.9, 0.99):
-        v = merged.quantile(q)
-        rank = np.searchsorted(s, v, side="left") / n
-        assert abs(rank - q) < 0.02 or np.isclose(v, s[int(q * (n - 1))]), \
-            (dist, q, v, rank)
-
-
 # ------------------------------------------------------- LWW replay law
 
 _EVENT = st.tuples(
