@@ -18,6 +18,19 @@ def _workdir(sf_dir: str, tag: str) -> str:
     return f"/tmp/etl_ray_q/{tag}-{h}"
 
 
+def _wal(sf_dir: str, tag: str) -> str:
+    """Fresh work dir holding the fixed smoke-scale WAL (400 keys, 16
+    repos, 4 epochs) at ``<base>/wal``; returns ``base``."""
+    from etl_ray.sources.corpus import generate_corpus
+    from etl_ray.sources.wal import generate_wal
+
+    base = _workdir(sf_dir, tag)
+    shutil.rmtree(base, ignore_errors=True)
+    corpus = generate_corpus(400, n_repos=16)
+    generate_wal(corpus, f"{base}/wal", n_epochs=4, n_repos=16)
+    return base
+
+
 @register("cdc_replay")
 def cdc_replay(sf_dir: str):
     """Full WAL replay → converged lake state (SURVEY.md §3.1).
@@ -26,16 +39,10 @@ def cdc_replay(sf_dir: str):
     synthesized — TESTDATA's tables don't carry change events).
     """
     from etl_ray.pipelines.cdc import replay
-    from etl_ray.sources.corpus import generate_corpus
-    from etl_ray.sources.wal import generate_wal
     from etl_ray.state.lake import read_lake
 
-    base = _workdir(sf_dir, "replay")
-    shutil.rmtree(base, ignore_errors=True)
-    n_keys, n_repos, n_epochs = 400, 16, 4
-    corpus = generate_corpus(n_keys, n_repos=n_repos)
-    generate_wal(corpus, f"{base}/wal", n_epochs=n_epochs, n_repos=n_repos)
-    replay(f"{base}/wal", f"{base}/lake", n_epochs, num_partitions=8)
+    base = _wal(sf_dir, "replay")
+    replay(f"{base}/wal", f"{base}/lake", 4, num_partitions=8)
     return read_lake(f"{base}/lake")
 
 
@@ -45,18 +52,12 @@ def cdc_resume(sf_dir: str):
     reconverged lake (identical to cdc_replay's by the determinism
     invariant)."""
     from etl_ray.pipelines.cdc import replay
-    from etl_ray.sources.corpus import generate_corpus
-    from etl_ray.sources.wal import generate_wal
     from etl_ray.state.lake import read_lake
 
-    base = _workdir(sf_dir, "resume")
-    shutil.rmtree(base, ignore_errors=True)
-    n_keys, n_repos, n_epochs = 400, 16, 4
-    corpus = generate_corpus(n_keys, n_repos=n_repos)
-    generate_wal(corpus, f"{base}/wal", n_epochs=n_epochs, n_repos=n_repos)
-    replay(f"{base}/wal", f"{base}/lake", n_epochs, num_partitions=8,
+    base = _wal(sf_dir, "resume")
+    replay(f"{base}/wal", f"{base}/lake", 4, num_partitions=8,
            stop_after=2)  # simulated crash
-    replay(f"{base}/wal", f"{base}/lake", n_epochs, num_partitions=8)
+    replay(f"{base}/wal", f"{base}/lake", 4, num_partitions=8)
     return read_lake(f"{base}/lake")
 
 
@@ -66,16 +67,10 @@ def cdc_compact(sf_dir: str):
     (S4); returns the compacted current state — identical row set to
     cdc_replay's by the compaction-preserves-state invariant."""
     from etl_ray.pipelines.cdc import replay
-    from etl_ray.sources.corpus import generate_corpus
-    from etl_ray.sources.wal import generate_wal
     from etl_ray.state.lake import compact, read_lake
 
-    base = _workdir(sf_dir, "compact")
-    shutil.rmtree(base, ignore_errors=True)
-    n_keys, n_repos, n_epochs = 400, 16, 4
-    corpus = generate_corpus(n_keys, n_repos=n_repos)
-    generate_wal(corpus, f"{base}/wal", n_epochs=n_epochs, n_repos=n_repos)
-    replay(f"{base}/wal", f"{base}/lake", n_epochs, num_partitions=8)
+    base = _wal(sf_dir, "compact")
+    replay(f"{base}/wal", f"{base}/lake", 4, num_partitions=8)
     compact(f"{base}/lake")
     return read_lake(f"{base}/lake")
 
@@ -85,16 +80,10 @@ def cdc_lineage(sf_dir: str):
     """Per-partition lineage records (offset ranges, counts, checksums)
     for a completed replay — BASELINE.json:6 metrics surface."""
     from etl_ray.pipelines.cdc import replay
-    from etl_ray.sources.corpus import generate_corpus
-    from etl_ray.sources.wal import generate_wal
     from etl_ray.state.lineage import lineage_table
 
-    base = _workdir(sf_dir, "lineage")
-    shutil.rmtree(base, ignore_errors=True)
-    n_keys, n_repos, n_epochs = 400, 16, 4
-    corpus = generate_corpus(n_keys, n_repos=n_repos)
-    generate_wal(corpus, f"{base}/wal", n_epochs=n_epochs, n_repos=n_repos)
-    replay(f"{base}/wal", f"{base}/lake", n_epochs, num_partitions=8)
+    base = _wal(sf_dir, "lineage")
+    replay(f"{base}/wal", f"{base}/lake", 4, num_partitions=8)
     return lineage_table(f"{base}/lake")
 
 
@@ -115,17 +104,11 @@ def cdc_changes(sf_dir: str):
     import ray
 
     from etl_ray.pipelines.cdc import replay
-    from etl_ray.sources.corpus import generate_corpus
-    from etl_ray.sources.wal import generate_wal
     from etl_ray.state.lake import changes_between, read_lake
     from etl_ray.util import gather, key_hash64
 
-    base = _workdir(sf_dir, "changes")
-    shutil.rmtree(base, ignore_errors=True)
-    n_keys, n_repos, n_epochs = 400, 16, 4
-    corpus = generate_corpus(n_keys, n_repos=n_repos)
-    generate_wal(corpus, f"{base}/wal", n_epochs=n_epochs, n_repos=n_repos)
-    replay(f"{base}/wal", f"{base}/lake", n_epochs, num_partitions=8)
+    base = _wal(sf_dir, "changes")
+    replay(f"{base}/wal", f"{base}/lake", 4, num_partitions=8)
 
     lake = f"{base}/lake"
     at2 = gather(read_lake(lake, as_of_epoch=2, columns=["size"])
@@ -141,7 +124,7 @@ def cdc_changes(sf_dir: str):
             "existed_at_2": pa.array(np.isin(kh, h2)),
         })
 
-    feed = (changes_between(lake, 2, n_epochs)
+    feed = (changes_between(lake, 2, 4)
             .select_columns(["repo", "path", "op", "lsn"])
             .map_batches(_tag, batch_format="pyarrow"))
     out = gather(feed)

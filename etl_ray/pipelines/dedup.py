@@ -22,11 +22,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
-import ray.data
 
-from etl_ray.pipelines._qutil import (each_group, fixed_point_scalar,
-                                      merge_partials, read, shard_apply,
-                                      shard_join)
+from etl_ray.pipelines._qutil import (each_group, fixed_point_scalar, read,
+                                      shard_apply)
 from etl_ray.pipelines.queries import register
 from etl_ray.util import (as_array, embedding_matrix, gather, hash64_str,
                           rolling_poly, segment_unique, sha256_hex_array)
@@ -191,11 +189,6 @@ scored AS (SELECT doc_a, doc_b,
 """
 
 
-# candidate pairs up to this count are verified driver-side against one
-# filtered document scan; beyond it texts travel by two key-hash joins
-BROADCAST_VERIFY_MAX_PAIRS = 100_000
-
-
 @register(
     "dedup_minhash",
     "WITH " + _SHINGLE_PAIRS_SQL
@@ -206,9 +199,9 @@ def dedup_minhash(sf_dir: str, threshold: float = 0.5):
 
     shingle→minhash→band → key-hash exchange on (band, bucket) →
     capped per-bucket pairs, from only the buckets with two docs or
-    more → DISTRIBUTED pair dedup (an exchange on the pair key — the
-    same pair collides in several bands) → join texts back → exact
-    3-shingle Jaccard filter. Returns (doc_a, doc_b, jacc_e4).
+    more → driver pair dedup (the same pair collides in up to 16 bands)
+    → fetch the candidate docs' texts → exact 3-shingle Jaccard filter.
+    Returns a ``pa.Table`` of (doc_a, doc_b, jacc_e4).
 
     VALUE-LEVEL ORACLE (promoted round 5): the SQL recomputes the exact
     3-shingle Jaccard pair set from scratch — tokenize, positional
@@ -219,9 +212,9 @@ def dedup_minhash(sf_dir: str, threshold: float = 0.5):
     is (1-J⁴)¹⁶ ≈ 1.5e-7; exact equality with the brute-force set is
     pinned at sf0.001 AND sf0.01 by tests, so the oracle is stable.
 
-    Driver footprint: only the deduped candidate-pair COUNT decides the
-    verify strategy; below the broadcast cap the (small) pair list is
-    pulled once, above it everything stays distributed (two hash joins).
+    Driver footprint: the per-band candidate pairs (at most 16× the
+    distinct pairs) and the texts of the docs they name, which one
+    filtered document scan (vectorized ``pc.is_in``) fetches.
     """
     docs = read(sf_dir, "documents", ["doc_id", "text"])
     triples = docs.map_batches(minhash_triples, batch_format="pyarrow",
@@ -231,147 +224,38 @@ def dedup_minhash(sf_dir: str, threshold: float = 0.5):
         return pa.concat_tables(
             [_no_pairs(), *each_group(t, ["band", "bucket"], _bucket_pairs)])
 
-    pairs = shard_apply(triples, ["band", "bucket"], _pairs)
-    # distinct candidate pairs, distributed (never a driver-side
-    # drop_duplicates): the exchange key is the pair itself
-    cand_ds = shard_apply(pairs, ["doc_a", "doc_b"], _distinct)
-
-    def _verify(t: pa.Table) -> pa.Table:
-        ha, na = _shingle_hashes(t.select(["text_a"]).rename_columns(["text"]))
-        hb, nb = _shingle_hashes(t.select(["text_b"]).rename_columns(["text"]))
-        oa = np.concatenate([[0], np.cumsum(na)])
-        ob = np.concatenate([[0], np.cumsum(nb)])
-        jac = np.zeros(len(t))
-        for i in range(len(t)):  # candidate pairs only — tiny set
-            sa = ha[oa[i]:oa[i + 1]]
-            sb = hb[ob[i]:ob[i + 1]]
-            inter = len(np.intersect1d(sa, sb, assume_unique=True))
-            jac[i] = inter / (len(sa) + len(sb) - inter)
-        out = pa.table({
-            "doc_a": t["doc_a"], "doc_b": t["doc_b"],
-            # half-away-from-zero to match SQL ROUND (np.round is
-            # banker's and can diverge on exact .5 ratios)
-            "jacc_e4": pa.array(np.floor(jac * 10000 + 0.5).astype(np.int64)),
-        })
-        return out.filter(pc.greater_equal(out["jacc_e4"],
-                                           int(threshold * 10000)))
-
-    n_cand = cand_ds.count()
-    if n_cand == 0:
+    cand = _distinct(gather(shard_apply(triples, ["band", "bucket"], _pairs)))
+    if len(cand) == 0:
         return _int64_schema("doc_a", "doc_b", "jacc_e4").empty_table()
-    if n_cand <= BROADCAST_VERIFY_MAX_PAIRS:
-        # broadcast-verify fast path: fetch only the candidate docs
-        # (one filtered scan, vectorized pc.is_in), pair texts driver-
-        # side — two distributed hash joins cost more than the whole
-        # candidate set is worth
-        j = gather(cand_ds)
-        need_ref = ray.put(pc.unique(pa.chunked_array(
-            j["doc_a"].chunks + j["doc_b"].chunks)))
+    need_ref = ray.put(pc.unique(pa.chunked_array(
+        cand["doc_a"].chunks + cand["doc_b"].chunks)))
 
-        def _filter_needed(t: pa.Table) -> pa.Table:
-            need = ray.get(need_ref)  # fetched once per batch, zero-copy
-            return t.filter(pc.is_in(t["doc_id"], value_set=need))
+    def _filter_needed(t: pa.Table) -> pa.Table:
+        need = ray.get(need_ref)  # fetched once per batch, zero-copy
+        return t.filter(pc.is_in(t["doc_id"], value_set=need))
 
-        sub = gather(docs.map_batches(_filter_needed, batch_format="pyarrow"))
-        for side in ("a", "b"):
-            j = j.append_column(f"text_{side}", sub["text"].take(
-                pc.index_in(j[f"doc_{side}"], value_set=sub["doc_id"])))
-        return _verify(j)
-    # scale path: ship texts to candidates via two key-hash joins
-    a = docs.rename_columns({"text": "text_a"})
-    b = docs.rename_columns({"text": "text_b"})
-    j = shard_join(cand_ds, a, "inner", on=("doc_a",), right_on=("doc_id",))
-    j = shard_join(j, b, "inner", on=("doc_b",), right_on=("doc_id",))
-    return j.map_batches(_verify, batch_format="pyarrow")
-
-
-# pairs beyond this use distributed label propagation instead of the
-# driver-side union-find (pair sets are ~linear in true-dup count, so
-# the driver path is the right default at conformance scale)
-CLUSTER_DRIVER_MAX_PAIRS = 1_000_000
-
-
-def _cc_label_propagation(edges, max_rounds: int | None = None) -> pa.Table:
-    """DISTRIBUTED connected components: iterative min-label propagation.
-
-    ``edges`` is a Dataset of (doc_a, doc_b) int64 pairs. Each round
-    joins current node labels onto both edge endpoints, sends
-    min(la, lb) to each endpoint, and keeps the per-node min. Labels
-    only ever decrease and are bounded below by the component minimum,
-    so the loop provably reaches the fixpoint (certified by an
-    unchanged label SUM) within component-diameter rounds — it runs
-    until then by default: returning partial labels would be silently
-    wrong components (verified chains can out-run any fixed round
-    count even with the mega-bucket star-pair cap, which bounds only
-    intra-bucket diameter). Each round ends with a POINTER JUMP (node
-    label := label of its label — every label value is itself a node
-    id in the same component, so the self-join is total and stays
-    in-component), which halves remaining chain depth and makes the
-    round count O(log diameter) instead of O(diameter).
-    ``max_rounds`` is an optional guard for callers with a latency
-    budget: exhausting it unconverged RAISES rather than returning
-    partial labels. Per-round cost: three key-hash joins + one
-    key-hash min per node over the bounded edge/label sets.
-    """
-    def _init(t: pa.Table) -> pa.Table:
-        ids = np.unique(np.concatenate([t["doc_a"].to_numpy(),
-                                        t["doc_b"].to_numpy()]))
-        return pa.table({"node": pa.array(ids), "lbl": pa.array(ids)})
-
-    def _min_label(t: pa.Table) -> pa.Table:
-        g = t.group_by("node").aggregate([("lbl", "min")])
-        return pa.table({"node": g["node"], "lbl": g["lbl_min"]})
-
-    labels = shard_apply(edges.map_batches(_init, batch_format="pyarrow"),
-                         ["node"], _min_label)
-    prev_sum = None
-    rounds = 0
-    while True:
-        if max_rounds is not None and rounds >= max_rounds:
-            raise RuntimeError(
-                f"label propagation did not converge within max_rounds="
-                f"{max_rounds} (label sum still falling at {prev_sum}); "
-                "returning here would emit wrong components — raise the "
-                "budget or drop it to run to the fixpoint")
-        rounds += 1
-        e = shard_join(edges, labels.rename_columns({"lbl": "la"}), "inner",
-                       on=("doc_a",), right_on=("node",))
-        e = shard_join(e, labels.rename_columns({"lbl": "lb"}), "inner",
-                       on=("doc_b",), right_on=("node",))
-
-        def _msgs(t: pa.Table) -> pa.Table:
-            m = np.minimum(t["la"].to_numpy(), t["lb"].to_numpy())
-            return pa.table({
-                "node": pa.array(np.concatenate([t["doc_a"].to_numpy(),
-                                                 t["doc_b"].to_numpy()])),
-                "lbl": pa.array(np.concatenate([m, m])),
-            })
-
-        msgs = e.map_batches(_msgs, batch_format="pyarrow")
-        labels = shard_apply(labels.union(msgs), ["node"], _min_label)
-        # pointer jump: lbl := lbl of lbl (≤ lbl, same component)
-        jumped = shard_join(labels,
-                            labels.rename_columns({"node": "jn", "lbl": "jl"}),
-                            "inner", on=("lbl",), right_on=("jn",))
-
-        def _jump(t: pa.Table) -> pa.Table:
-            return pa.table({
-                "node": t["node"],
-                "lbl": pa.array(np.minimum(t["lbl"].to_numpy(),
-                                           t["jl"].to_numpy())),
-            })
-
-        labels = jumped.map_batches(
-            _jump, batch_format="pyarrow").materialize()
-        cur_sum = merge_partials(labels.map_batches(
-            lambda t: pa.table({"s": [pc.sum(t["lbl"])]}),
-            batch_format="pyarrow"), [], [("s", "sum")])["s"][0].as_py()
-        if cur_sum == prev_sum:
-            break  # labels only decrease: unchanged sum == fixpoint
-        prev_sum = cur_sum
-    t = gather(labels)  # bounded: one row per clustered doc
-    return pa.table({"doc_id": t["node"], "canon_id": t["lbl"],
-                     "keep": pc.equal(t["node"], t["lbl"])})
+    sub = gather(docs.map_batches(_filter_needed, batch_format="pyarrow"))
+    for side in ("a", "b"):
+        cand = cand.append_column(f"text_{side}", sub["text"].take(
+            pc.index_in(cand[f"doc_{side}"], value_set=sub["doc_id"])))
+    ha, na = _shingle_hashes(cand.select(["text_a"]).rename_columns(["text"]))
+    hb, nb = _shingle_hashes(cand.select(["text_b"]).rename_columns(["text"]))
+    oa = np.concatenate([[0], np.cumsum(na)])
+    ob = np.concatenate([[0], np.cumsum(nb)])
+    jac = np.zeros(len(cand))
+    for i in range(len(cand)):  # candidate pairs only — tiny set
+        sa = ha[oa[i]:oa[i + 1]]
+        sb = hb[ob[i]:ob[i + 1]]
+        inter = len(np.intersect1d(sa, sb, assume_unique=True))
+        jac[i] = inter / (len(sa) + len(sb) - inter)
+    out = pa.table({
+        "doc_a": cand["doc_a"], "doc_b": cand["doc_b"],
+        # half-away-from-zero to match SQL ROUND (np.round is
+        # banker's and can diverge on exact .5 ratios)
+        "jacc_e4": pa.array(np.floor(jac * 10000 + 0.5).astype(np.int64)),
+    })
+    return out.filter(pc.greater_equal(out["jacc_e4"],
+                                       int(threshold * 10000)))
 
 
 @register(
@@ -403,19 +287,11 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.5):
     near-dup pair set, ~linear in true-dup count. Cluster equality vs
     a brute-force closure stays pinned in tests.
 
-    Two equivalent component engines (equality tested), chosen by the
-    pair count: driver-side union-find for ≤ CLUSTER_DRIVER_MAX_PAIRS
-    verified pairs (the pair set is ~linear in true-dup count — LSH
-    bucketing + the mega-bucket star-pair cap bound it), and
-    distributed min-label propagation (_cc_label_propagation) beyond.
+    Components come from a driver-side union-find over
+    ``dedup_minhash``'s table (LSH bucketing and the mega-bucket
+    star-pair cap bound that pair set).
     """
     pairs = dedup_minhash(sf_dir, threshold)
-    if not isinstance(pairs, pa.Table):
-        pairs = pairs.materialize()  # one verify run: count, then gather
-        if pairs.count() > CLUSTER_DRIVER_MAX_PAIRS:
-            return _cc_label_propagation(
-                pairs.select_columns(["doc_a", "doc_b"]))
-        pairs = gather(pairs)
     da, db = pairs["doc_a"].to_pylist(), pairs["doc_b"].to_pylist()
     parent: dict[int, int] = {}
 
@@ -606,5 +482,5 @@ def embedding_neardup(sf_dir: str, n_cells: int = 16, n_assign: int = 6):
         lambda t: pa.concat_tables([_no_pairs("vec_a", "vec_b"),
                                     *each_group(t, ["cell"], _cell_pairs)]))
     # a pair can surface in every shared cell — dedup distributed,
-    # exchange key = the pair itself (same shape as dedup_minhash)
+    # exchange key = the pair itself
     return shard_apply(pairs, ["vec_a", "vec_b"], _distinct)

@@ -59,6 +59,25 @@ def _sample_normalized(ds, n_rows: int):
     return M / np.linalg.norm(M, axis=1, keepdims=True)
 
 
+def _merge_topk(t: pa.Table) -> pa.Table:
+    """Driver merge of per-block (query_id, neighbor_id, sim) partials:
+    per query, rank by sim desc, tie-break neighbor_id asc (matches the
+    SQL), keep the first TOP_K."""
+    q = t["query_id"].to_numpy()
+    n = t["neighbor_id"].to_numpy()
+    s = t["sim"].to_numpy()
+    keep_q, keep_n = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for qi in np.unique(q):
+        m = q == qi
+        order = np.lexsort((n[m], -s[m]))[:TOP_K]
+        keep_q.append(np.full(len(order), qi))
+        keep_n.append(n[m][order])
+    return pa.table({
+        "query_id": pa.array(np.concatenate(keep_q), pa.int64()),
+        "neighbor_id": pa.array(np.concatenate(keep_n), pa.int64()),
+    })
+
+
 @register(
     "ann_topk",
     f"""SELECT query_id, neighbor_id FROM (
@@ -104,21 +123,8 @@ def ann_topk(sf_dir: str):
         })
 
     # final merge: n_queries × (k × n_blocks) rows — tiny
-    t = gather(ds.map_batches(_block_topk, batch_format="pyarrow"))
-    q = t["query_id"].to_numpy()
-    n = t["neighbor_id"].to_numpy()
-    s = t["sim"].to_numpy()
-    keep_q, keep_n = [], []
-    for qi in np.unique(q):
-        m = q == qi
-        # rank by sim desc, tie-break neighbor_id asc (matches the SQL)
-        order = np.lexsort((n[m], -s[m]))[:TOP_K]
-        keep_q.append(np.full(len(order), qi))
-        keep_n.append(n[m][order])
-    return pa.table({
-        "query_id": pa.array(np.concatenate(keep_q), pa.int64()),
-        "neighbor_id": pa.array(np.concatenate(keep_n), pa.int64()),
-    })
+    return _merge_topk(gather(ds.map_batches(_block_topk,
+                                             batch_format="pyarrow")))
 
 
 def fit_centroids(ds, n_cells: int) -> np.ndarray:
@@ -185,20 +191,5 @@ def ann_ivf(sf_dir: str, n_cells: int = 16, nprobe: int = 4):
             "sim": pa.array(np.concatenate(out_s)),
         })
 
-    t = gather(ds.map_batches(_cell_topk, batch_format="pyarrow"))
-    if len(t) == 0:
-        return pa.table({"query_id": pa.array([], pa.int64()),
-                         "neighbor_id": pa.array([], pa.int64())})
-    q = t["query_id"].to_numpy()
-    n = t["neighbor_id"].to_numpy()
-    s = t["sim"].to_numpy()
-    keep_q, keep_n = [], []
-    for qi in np.unique(q):
-        m = q == qi
-        order = np.lexsort((n[m], -s[m]))[:TOP_K]
-        keep_q.append(np.full(len(order), qi))
-        keep_n.append(n[m][order])
-    return pa.table({
-        "query_id": pa.array(np.concatenate(keep_q), pa.int64()),
-        "neighbor_id": pa.array(np.concatenate(keep_n), pa.int64()),
-    })
+    return _merge_topk(gather(ds.map_batches(_cell_topk,
+                                             batch_format="pyarrow")))

@@ -52,9 +52,6 @@ def q6_forecast_revenue(sf_dir: str):
     return fixed_point(out, "revenue_c", 100)
 
 
-BROADCAST_SEMI_MAX = 4_000_000  # build-side keys; ~32 MB int64 broadcast
-
-
 @register(
     "q3_shipping_priority",
     """SELECT l_orderkey,
@@ -72,11 +69,9 @@ def q3_shipping_priority(sf_dir: str):
     """TPC-H Q3 shape: filtered 3-way join → grouped revenue → top-k.
 
     The customer side is filtered before the join (predicate pushdown).
-    The customer semi-join is a BROADCAST `pc.is_in` probe when the
-    filtered build side is small (one `ray.put` of the key array, no
-    shuffle — ~⅕ of customers qualify, so this removes one of the two
-    all-to-all joins); above the cutoff it falls back to a
-    `shard_join` left semi-join for genuine large-large cases.
+    The customer semi-join is a BROADCAST `pc.is_in` probe (one
+    `ray.put` of the filtered key array, no shuffle — ~⅕ of customers
+    qualify, so this removes one of the two all-to-all joins).
     Top-k = ``_qutil.top_k`` with a deterministic orderkey tie-break
     matching the oracle.
     """
@@ -95,18 +90,12 @@ def q3_shipping_priority(sf_dir: str):
     li = read(sf_dir, "lineitem",
               ["l_orderkey", "l_extendedprice", "l_discount"])
 
-    cust = cust.materialize()  # one run: counted, then gathered or joined
-    if cust.count() <= BROADCAST_SEMI_MAX:
-        kref = ray.put(gather(cust)["c_custkey"].combine_chunks())
+    kref = ray.put(gather(cust)["c_custkey"].combine_chunks())
 
-        def _semi(t: pa.Table) -> pa.Table:
-            return t.filter(pc.is_in(t["o_custkey"],
-                                     value_set=ray.get(kref)))
+    def _semi(t: pa.Table) -> pa.Table:
+        return t.filter(pc.is_in(t["o_custkey"], value_set=ray.get(kref)))
 
-        j1 = orders.map_batches(_semi, batch_format="pyarrow")
-    else:
-        j1 = shard_join(orders, cust, "left_semi",
-                        on=("o_custkey",), right_on=("c_custkey",))
+    j1 = orders.map_batches(_semi, batch_format="pyarrow")
 
     # revenue per (orderkey, orderdate) inside the join's shards: the
     # group key holds the join key, so every group is whole in one shard
