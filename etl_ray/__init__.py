@@ -26,11 +26,13 @@ Architecture:
   driver-merged partials for bounded group counts, the key-hash
   exchange for open key domains, a per-block head for top-k.
 - The engine's own wide steps run as plain Ray tasks
-  (``util.submit_tasks``, one per-task CPU width): CDC ingest and
-  compaction, every merge-on-read lake reader, export and audit, and
+  (``util.submit_tasks``, one per-task CPU width): CDC ingest, audit,
   the queries' key-hash exchange (``_qutil.shard_apply``,
-  ``shard_join``). Those that return a Dataset build it from their
-  tasks' refs (``util.dataset``). ``read_epochs`` and ``LakeSink``
+  ``shard_join``) and every per-bucket lake step. The lake's readers
+  and rewriters (scan, change feed, views, compaction, export) start
+  their tasks through one runner, ``state.lake.bucket_tasks``, which
+  owns the key-hash routing fence. Those that return a Dataset build
+  it from their tasks' refs (``util.dataset``). ``read_epochs`` and ``LakeSink``
   still build Ray Data plans. None of these task paths starts an actor.
 - The engine declares no Ray actor class of its own; the only actors it
   starts are the workers of the Ray Data actor-pool stages above.

@@ -51,11 +51,11 @@ JOIN_TYPES = {"inner": "inner", "left_outer": "left outer",
 Kernel = Callable[[pa.Table], pa.Table]
 
 
-def join_partitions(cap: int = JOIN_PARTITIONS) -> int:
+def join_partitions() -> int:
     """Shard count of the key-hash exchange: the width of every engine
-    task (``util.task_slots``), capped. One reduce task per shard; more
-    shards than slots only add tasks."""
-    return min(cap, task_slots())
+    task (``util.task_slots``), capped at ``JOIN_PARTITIONS``. One
+    reduce task per shard; more shards than slots only add tasks."""
+    return min(JOIN_PARTITIONS, task_slots())
 
 
 def shard_of(t: pa.Table, keys: Sequence[str], n: int) -> np.ndarray:

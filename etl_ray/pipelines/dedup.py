@@ -165,6 +165,10 @@ def _bucket_pairs(g: pa.Table) -> pa.Table:
     return pa.table({"doc_a": pa.array(ids[ia]), "doc_b": pa.array(ids[ib])})
 
 
+# Near-dup cut-off, Jaccard × 10⁴: the verified pair filter and both
+# oracles' SQL read this one value, so they cannot drift apart.
+JACC_E4_MIN = 5000
+
 # Exact 3-token-shingle Jaccard pair set, recomputed from scratch in
 # SQL: tokenize (string_split keeps empties == pc.split_pattern),
 # shingle via positional self-joins, distinct per doc, intersect via a
@@ -192,9 +196,10 @@ scored AS (SELECT doc_a, doc_b,
 @register(
     "dedup_minhash",
     "WITH " + _SHINGLE_PAIRS_SQL
-    + "SELECT doc_a, doc_b, jacc_e4 FROM scored WHERE jacc_e4 >= 5000",
+    + "SELECT doc_a, doc_b, jacc_e4 FROM scored "
+    f"WHERE jacc_e4 >= {JACC_E4_MIN}",
 )
-def dedup_minhash(sf_dir: str, threshold: float = 0.5):
+def dedup_minhash(sf_dir: str):
     """MinHash+LSH near-dup detection, verified with exact Jaccard.
 
     shingle→minhash→band → key-hash exchange on (band, bucket) →
@@ -254,14 +259,13 @@ def dedup_minhash(sf_dir: str, threshold: float = 0.5):
         # banker's and can diverge on exact .5 ratios)
         "jacc_e4": pa.array(np.floor(jac * 10000 + 0.5).astype(np.int64)),
     })
-    return out.filter(pc.greater_equal(out["jacc_e4"],
-                                       int(threshold * 10000)))
+    return out.filter(pc.greater_equal(out["jacc_e4"], JACC_E4_MIN))
 
 
 @register(
     "dedup_clusters",
-    "WITH RECURSIVE " + _SHINGLE_PAIRS_SQL + """,
-pairs AS (SELECT doc_a, doc_b FROM scored WHERE jacc_e4 >= 5000),
+    "WITH RECURSIVE " + _SHINGLE_PAIRS_SQL + f""",
+pairs AS (SELECT doc_a, doc_b FROM scored WHERE jacc_e4 >= {JACC_E4_MIN}),
 edges AS (SELECT doc_a AS a, doc_b AS b FROM pairs
           UNION ALL SELECT doc_b, doc_a FROM pairs),
 reach(node, lbl) AS (
@@ -272,7 +276,7 @@ reach(node, lbl) AS (
 SELECT node AS doc_id, MIN(lbl) AS canon_id, node = MIN(lbl) AS keep
 FROM reach GROUP BY node""",
 )
-def dedup_clusters(sf_dir: str, threshold: float = 0.5):
+def dedup_clusters(sf_dir: str):
     """Near-dup CLUSTERS: verified MinHash pairs → connected components
     → canonical representative (min doc_id) per component.
 
@@ -291,7 +295,7 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.5):
     ``dedup_minhash``'s table (LSH bucketing and the mega-bucket
     star-pair cap bound that pair set).
     """
-    pairs = dedup_minhash(sf_dir, threshold)
+    pairs = dedup_minhash(sf_dir)
     da, db = pairs["doc_a"].to_pylist(), pairs["doc_b"].to_pylist()
     parent: dict[int, int] = {}
 
@@ -373,6 +377,8 @@ def jaccard_pairs(sf_dir: str):
 
 
 NEARDUP_THRESHOLD = 0.45
+# probe cells each vector is assigned to, of similarity.N_CELLS
+N_ASSIGN = 6
 
 
 def embedding_neardup_brute(sf_dir: str):
@@ -420,26 +426,26 @@ def embedding_neardup_brute(sf_dir: str):
        WHERE list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
                                     CAST(b.embedding AS DOUBLE[])) > 0.45""",
 )
-def embedding_neardup(sf_dir: str, n_cells: int = 16, n_assign: int = 6):
+def embedding_neardup(sf_dir: str):
     """Embedding-cosine near-dup pairs — CELL-BUCKETED scale shape
     (the registered query; embedding_neardup_brute is the O(N²)
     exactness baseline it is pinned equal to in tests).
 
-    Shape: fit ≤n_cells IVF centroids from a distributed sample
+    Shape: fit ≤N_CELLS IVF centroids from a distributed sample
     (similarity.fit_centroids — the full matrix never leaves the
     workers), broadcast only the tiny centroid matrix, multi-assign
-    each vector to its n_assign closest cells inside map_batches,
+    each vector to its N_ASSIGN closest cells inside map_batches,
     generate candidate pairs WITHIN cells only (a key-hash exchange on
     the cell: one cell² matmul per cell), then dedup pairs found in
     several shared cells with a second exchange on the pair itself.
     Per-cell work is O(cell²) bounded by the cell population — no
     full-matrix broadcast and no global N² anywhere, so the shape
     survives 100 TB (cells are the partitioning key; skewed cells can
-    be split by raising n_cells).
+    be split by raising N_CELLS).
 
     Approximation contract: a qualifying pair is missed only if the
-    two vectors share none of their n_assign probe cells. At cosine
-    > 0.45 with n_assign=6 of 16 cells every qualifying pair shares
+    two vectors share none of their N_ASSIGN probe cells. At cosine
+    > 0.45 with N_ASSIGN=6 of 16 cells every qualifying pair shares
     >=2 probe cells on this corpus — tests pin exact equality with the brute-force baseline
     at sf0.001 and sf0.01 (the driver-gate inputs), so the driver's
     all-pairs SQL oracle stays green.
@@ -447,14 +453,14 @@ def embedding_neardup(sf_dir: str, n_cells: int = 16, n_assign: int = 6):
     from etl_ray.pipelines.similarity import fit_centroids
 
     ds = read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    C = fit_centroids(ds, n_cells)
+    C = fit_centroids(ds)
     cref = ray.put(C)
 
     def _assign(t: pa.Table) -> pa.Table:
         cents = ray.get(cref)
         X = embedding_matrix(t["embedding"])
         Xn = X / np.linalg.norm(X, axis=1, keepdims=True)
-        r = min(n_assign, len(cents))
+        r = min(N_ASSIGN, len(cents))
         # top-r cells per vector (argpartition per row, vectorized)
         sims = Xn @ cents.T
         top = np.argpartition(-sims, r - 1, axis=1)[:, :r]

@@ -3,7 +3,7 @@
 - ann_topk:  brute-force cosine top-k against a broadcast query matrix —
   the exactness baseline, oracle-checked against DuckDB window SQL.
 - ann_ivf:   IVF-bucketed variant — deterministic k-means-lite
-  centroids, cells searched with nprobe>1; the scale path (rows-only,
+  centroids, cells searched with NPROBE > 1; the scale path (rows-only,
   but tested for recall vs brute force in tests/test_textops.py).
 
 Partitioning assumption (documented per SURVEY §2 custom-operator
@@ -24,6 +24,10 @@ from etl_ray.util import embedding_matrix, gather
 
 N_QUERIES = 5
 TOP_K = 10
+# IVF cells, shared by ann_ivf and the cell-bucketed embedding near-dup,
+# and the cells ann_ivf searches per query
+N_CELLS = 16
+NPROBE = 4
 
 
 def _load_queries(sf_dir: str):
@@ -127,14 +131,14 @@ def ann_topk(sf_dir: str):
                                              batch_format="pyarrow")))
 
 
-def fit_centroids(ds, n_cells: int) -> np.ndarray:
+def fit_centroids(ds) -> np.ndarray:
     """Deterministic normalized k-means centroids (8 Lloyd iterations
     from evenly-strided seeds) over a DISTRIBUTED sample (every
     stride-th row per block, ≤SAMPLE_MAX vectors reduced to the
     driver) — the full matrix never leaves the workers. Shared by
     ann_ivf and the cell-bucketed embedding near-dup."""
     Sn = _sample_normalized(ds, ds.count())
-    seeds = Sn[:: max(1, len(Sn) // n_cells)][:n_cells]
+    seeds = Sn[:: max(1, len(Sn) // N_CELLS)][:N_CELLS]
     C = seeds.copy()
     for _ in range(8):
         assign = (Sn @ C.T).argmax(axis=1)
@@ -147,21 +151,21 @@ def fit_centroids(ds, n_cells: int) -> np.ndarray:
 
 
 @register("ann_ivf")
-def ann_ivf(sf_dir: str, n_cells: int = 16, nprobe: int = 4):
-    """IVF approximate top-k: assign vectors to centroid cells, search
-    only the nprobe closest cells per query.
+def ann_ivf(sf_dir: str):
+    """IVF approximate top-k: assign vectors to ``N_CELLS`` centroid
+    cells, search only the ``NPROBE`` closest cells per query.
 
     Centroids are a deterministic k-means (8 Lloyd iterations from
     evenly-strided seeds) over a DISTRIBUTED sample (every-stride-th
     row per block, ≤4096 vectors reduced to the driver) — the full
     matrix never leaves the workers. The cell assignment is the
-    partitioning key; each query ships to nprobe cells only, so the
-    per-query work is ~nprobe/n_cells of brute force.
+    partitioning key; each query ships to NPROBE cells only, so the
+    per-query work is ~NPROBE/N_CELLS of brute force.
     """
     ds = read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    C = fit_centroids(ds, n_cells)
+    C = fit_centroids(ds)
     qids, Q = _load_queries(sf_dir)
-    probe = np.argsort(-(Q @ C.T), axis=1)[:, :nprobe]  # cells per query
+    probe = np.argsort(-(Q @ C.T), axis=1)[:, :NPROBE]  # cells per query
     ref = ray.put((qids, Q, C, probe))
 
     def _cell_topk(t: pa.Table) -> pa.Table:

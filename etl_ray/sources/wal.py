@@ -385,17 +385,17 @@ def read_pieces(schema: pa.Schema,
 
 
 def read_blocks(schema: pa.Schema, pieces: Iterable[Piece],
-                max_bytes: int | None) -> Iterator[pa.Table]:
+                max_bytes: int) -> Iterator[pa.Table]:
     """:func:`read_pieces` packed into blocks: row groups accumulate
     until they reach ``max_bytes`` (pass Ray's target block size,
     ``DataContext.target_max_block_size``, the bound its output buffer
-    applies; None packs everything into one block). A consumer holds
-    about one block, however many pieces it reads."""
+    applies). A consumer holds about one block, however many pieces it
+    reads."""
     buf, size = [], 0
     for t in read_pieces(schema, pieces):
         buf.append(t)
         size += t.nbytes
-        if max_bytes is not None and size >= max_bytes:
+        if size >= max_bytes:
             yield pa.concat_tables(buf)
             buf, size = [], 0
     if buf:

@@ -7,15 +7,16 @@ downstream engine can read it without this library. Two properties the
 100-TB design brief demands:
 
 * **Resumable**: output file names are deterministic
-  (``part-e<epoch>.parquet``) and each bucket task SKIPS work when its
-  file already exists — a crashed export re-run redoes only the
-  missing buckets; the ``_SUCCESS`` marker (with row counts) is
-  written last, only after every bucket landed.
+  (``part-e<epoch>.parquet``) and the driver LEAVES OUT every bucket
+  whose file already exists, reading its row count from the file's
+  footer — a crashed export re-run starts tasks for the missing
+  buckets only; the ``_SUCCESS`` marker (with row counts) is written
+  last, only after every bucket landed.
 * **Pruned**: every row of a key lives in its bucket
-  (``merge.bucket_of``), so each bucket task runs the lake's shared
-  merge-on-read kernel (``lake._resolve_bucket``, the one every lake
-  read uses) over only its bucket's visible files — no full-lake read
-  per task, no shuffle at all.
+  (``merge.bucket_of``), so each bucket is one task of the lake's
+  bucket runner (``lake.bucket_tasks``, the one every lake read uses)
+  over only its bucket's visible files — no full-lake read per task,
+  no shuffle at all.
 
 Row-set equality with ``read_lake()`` is pinned by tests, including a
 hot-key lake.
@@ -26,12 +27,14 @@ from __future__ import annotations
 import json
 import os
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 
+import ray
+
 from etl_ray.state import manifest as mf
-from etl_ray.state.lake import _resolve_bucket
+from etl_ray.state.lake import bucket_tasks
 from etl_ray.state.merge import _atomic_write
-from etl_ray.util import run_tasks
 
 
 def export_snapshot(lake_dir: str, out_dir: str,
@@ -42,33 +45,28 @@ def export_snapshot(lake_dir: str, out_dir: str,
     snap = mf.snapshot(lake_dir, as_of_epoch)
     if snap.last is None:
         raise FileNotFoundError(f"no committed manifest in {lake_dir}")
-    # the per-bucket row filter recomputes the key hash; a lake
-    # persisted under another hash version would export stale or
-    # missing rows with no error — fence at read time (ADVICE r3)
-    snap.check_key_hash()
     epoch = snap.wal_epoch if as_of_epoch is None else as_of_epoch
-    P, B, schema = snap.num_partitions, snap.num_buckets, snap.schema
-    vis = snap.visible_files()
 
-    def _export_bucket(bucket: int, files: list[str]) -> dict:
-        """Resolve one bucket with the shared kernel and write one
-        Parquet file (atomic, skip-if-exists)."""
-        out_path = os.path.join(out_dir, f"bucket={bucket}",
-                                f"part-e{epoch}.parquet")
-        if os.path.exists(out_path):
-            return {"n_rows": pq.read_metadata(out_path).num_rows,
-                    "skipped": True}
-        table = _resolve_bucket(files, bucket, P, B, schema)
-        os.makedirs(os.path.dirname(out_path), exist_ok=True)
-        _atomic_write(table, out_path)  # the lake's one write policy
-        return {"n_rows": len(table), "skipped": False}
+    def _out(bucket: int) -> str:
+        return os.path.join(out_dir, f"bucket={bucket}",
+                            f"part-e{epoch}.parquet")
 
-    results = run_tasks(_export_bucket,
-                        [(k, fs) for k, fs in sorted(vis.items()) if fs])
+    def _export_bucket(bucket: int, table: pa.Table) -> int:
+        os.makedirs(os.path.dirname(_out(bucket)), exist_ok=True)
+        _atomic_write(table, _out(bucket))  # the lake's one write policy
+        return len(table)
+
+    todo, done = {}, []  # a finished bucket: its footer's row count
+    for k, fs in snap.visible_files().items():
+        if fs and os.path.exists(_out(k)):
+            done.append(pq.read_metadata(_out(k)).num_rows)
+        elif fs:
+            todo[k] = fs
+    written = ray.get(bucket_tasks(snap, todo, None, _export_bucket))
     summary = {"lake": lake_dir, "out_dir": out_dir, "epoch": int(epoch),
-               "n_buckets": len(results),
-               "n_rows": int(sum(r["n_rows"] for r in results)),
-               "n_skipped": int(sum(r["skipped"] for r in results))}
+               "n_buckets": len(done) + len(written),
+               "n_rows": int(sum(done) + sum(written)),
+               "n_skipped": len(done)}
     tmp = os.path.join(out_dir, f"._SUCCESS.tmp.{os.getpid()}")
     with open(tmp, "w") as f:
         json.dump(summary, f)

@@ -6,13 +6,17 @@ committed manifests. Every row of a key lives in one bucket
 every reader resolves bucket by bucket with one kernel,
 ``_resolve_bucket``: scan the bucket's visible files, keep the rows
 routed to the bucket, and keep per (repo, path) the row with the max
-lsn, dropping delete tombstones unless asked for them. ``read_lake``,
-``changes_between``, the views, ``compact`` and ``export`` run it as
-one plain Ray task per bucket (``util.submit_tasks``, at the CPU width
-of every engine task); no reader shuffles rows between tasks. The first
-two return the tasks' tables as a materialized Dataset, the only Ray
-Data object in this module. A point lookup reads one bucket's files,
-and compacting a set of buckets needs no rows from any other bucket.
+lsn, dropping delete tombstones unless asked for them. One runner,
+``bucket_tasks``, launches it: one plain Ray task per bucket
+(``util.submit_tasks``, at the CPU width of every engine task) for
+``read_lake``, ``changes_between``, the views, ``compact`` and
+``export``, and no reader shuffles rows between tasks. The runner is
+also where every per-bucket resolve meets the key-hash routing fence
+(``Snapshot.check_key_hash``), so a new reader cannot skip it. The
+first two readers return the tasks' tables as a materialized Dataset,
+the only Ray Data object in this module. A point lookup reads one
+bucket's files, and compacting a set of buckets needs no rows from any
+other bucket.
 """
 
 from __future__ import annotations
@@ -74,24 +78,6 @@ def _resolve_bucket(files: list[str], bucket: int, P: int, B: int,
     return live.drop_columns(["lsn", "op"])
 
 
-def _per_bucket(snap: mf.Snapshot, files: dict[int, list[str]],
-                schema: pa.Schema, then=None, *args,
-                keep_deletes: bool = False) -> list[ray.ObjectRef]:
-    """One plain Ray task per non-empty bucket of ``files``: the
-    bucket's ``_resolve_bucket`` rows under ``schema``, or
-    ``then(rows, *args)`` of them. Returns the tasks' refs in bucket
-    order; the tasks start now. An ObjectRef in ``args`` reaches
-    ``then`` as its value."""
-    P, B = snap.num_partitions, snap.num_buckets
-
-    def _bucket(bucket: int, fs: list[str], *a):
-        t = _resolve_bucket(fs, bucket, P, B, schema, keep_deletes)
-        return t if then is None else then(t, *a)
-
-    return submit_tasks(_bucket, [(k, fs, *args)
-                                  for k, fs in sorted(files.items()) if fs])
-
-
 def _pruned(schema: pa.Schema, columns: list[str] | None) -> pa.Schema:
     """``schema`` cut to ``columns`` plus the key; KeyError on a name
     the lake does not have."""
@@ -105,16 +91,38 @@ def _pruned(schema: pa.Schema, columns: list[str] | None) -> pa.Schema:
                       if f.name in set(columns) | set(KEY_COLS)])
 
 
-def _drop_sha(t: pa.Table) -> pa.Table:
-    return t.drop_columns(["content_sha256"])
+def bucket_tasks(snap: mf.Snapshot, files: dict[int, list[str]],
+                 columns: list[str] | None = None, then=None, *args,
+                 keep_deletes: bool = False) -> list[ray.ObjectRef]:
+    """The one launcher of ``_resolve_bucket``: one plain Ray task per
+    non-empty bucket of ``files``, returning the bucket's rows (payload
+    pruned to ``columns``) or ``then(bucket, rows, *args)``. Returns the
+    refs in bucket order; the tasks start now. An ObjectRef in ``args``
+    reaches ``then`` as its value. [] for a lake with no schema.
+
+    Every per-bucket resolve passes the routing fence here: the row
+    filter replays the manifest's routing with this build's key hash,
+    so a lake written under another key-hash version would lose rows
+    silently."""
+    snap.check_key_hash()
+    if snap.schema is None:
+        return []
+    P, B = snap.num_partitions, snap.num_buckets
+    schema = _pruned(snap.schema, columns)
+
+    def _bucket(bucket: int, fs: list[str], *a):
+        t = _resolve_bucket(fs, bucket, P, B, schema, keep_deletes)
+        return t if then is None else then(bucket, t, *a)
+
+    return submit_tasks(_bucket, [(k, fs, *args)
+                                  for k, fs in sorted(files.items()) if fs])
 
 
-def read_lake(lake_dir: str, keep_sha: bool = True,
-              columns: list[str] | None = None,
+def read_lake(lake_dir: str, columns: list[str] | None = None,
               as_of_epoch: int | None = None) -> "ray.data.Dataset":
     """Scan the converged state of the lake (merge-on-read): one
-    ``_resolve_bucket`` task per bucket with visible files, so the
-    task count is the manifest's bucket count.
+    ``bucket_tasks`` task per bucket with visible files, so the task
+    count is the manifest's bucket count.
 
     ``columns`` prunes the payload at the Parquet read — only the
     requested columns plus the merge metadata (key, lsn, op, sha) leave
@@ -133,33 +141,9 @@ def read_lake(lake_dir: str, keep_sha: bool = True,
     The Dataset is materialized: the bucket tasks start at the call,
     and the Dataset holds their tables, not a plan.
     """
-    return read_snapshot(mf.snapshot(lake_dir, as_of_epoch), keep_sha,
-                         columns)
-
-
-def read_snapshot(snap: mf.Snapshot, keep_sha: bool = True,
-                  columns: list[str] | None = None) -> "ray.data.Dataset":
-    """``read_lake`` of a folded (maybe time-travelled) snapshot."""
-    refs = snapshot_refs(snap, columns, None if keep_sha else _drop_sha)
-    return dataset(refs, snap.schema or pa.schema([]))
-
-
-def snapshot_refs(snap: mf.Snapshot, columns: list[str] | None = None,
-                  then=None, *args, buckets: set[int] | None = None
-                  ) -> list[ray.ObjectRef]:
-    """``read_snapshot``'s bucket tasks (``_per_bucket``), one per
-    bucket with visible files, restricted to ``buckets`` when given;
-    [] for a lake with none."""
-    # the per-bucket row filter replays the manifest's routing with
-    # this build's key hash; an older lake would lose rows silently
-    snap.check_key_hash()
-    if snap.schema is None:
-        return []
-    schema = _pruned(snap.schema, columns)
-    vis = snap.visible_files()
-    if buckets is not None:
-        vis = {k: fs for k, fs in vis.items() if k in buckets}
-    return _per_bucket(snap, vis, schema, then, *args)
+    snap = mf.snapshot(lake_dir, as_of_epoch)
+    return dataset(bucket_tasks(snap, snap.visible_files(), columns),
+                   snap.schema or pa.schema([]))
 
 
 def lookup(lake_dir: str, repo: str, path: str) -> dict | None:
@@ -234,32 +218,19 @@ def changes_between(lake_dir: str, from_epoch: int,
 
     Reads ONLY the delta files of WAL epochs in (from_epoch, to_epoch]
     (manifest-pruned — no full-lake scan) and resolves each bucket's
-    deltas with ``_resolve_bucket``, keeping tombstones: one row per
+    deltas in ``bucket_tasks``, keeping tombstones: one row per
     changed key with ``op`` = upsert after-image ("I"/"U", payload as of
     to_epoch) or "D", plus the deciding ``lsn``. Applying the feed to
     the as-of-from_epoch state reproduces the as-of-to_epoch state
     exactly (tested) — the engine is therefore both a CDC consumer and
     a CDC producer for downstream incremental pipelines.
     """
-    return read_changes(mf.snapshot(lake_dir, to_epoch), from_epoch)
-
-
-def read_changes(snap: mf.Snapshot, from_epoch: int) -> "ray.data.Dataset":
-    """``changes_between`` from ``from_epoch`` to ``snap``'s epoch."""
-    return dataset(change_refs(snap, from_epoch), pa.schema([
+    snap = mf.snapshot(lake_dir, to_epoch)
+    refs = bucket_tasks(snap, snap.change_files(from_epoch),
+                        keep_deletes=True)
+    return dataset(refs, pa.schema([
         ("repo", pa.string()), ("path", pa.string()), ("op", pa.string()),
         ("lsn", pa.int64())]))
-
-
-def change_refs(snap: mf.Snapshot, from_epoch: int,
-                columns: list[str] | None = None) -> list[ray.ObjectRef]:
-    """``read_changes``' bucket tasks, each returning its bucket's feed
-    rows (payload pruned to ``columns``); [] for an empty feed."""
-    snap.check_key_hash()  # same routing fence as read_lake
-    if snap.last is None:
-        return []
-    return _per_bucket(snap, snap.change_files(from_epoch),
-                       _pruned(snap.schema, columns), keep_deletes=True)
 
 
 def audit_lake(lake_dir: str, verify_content: bool = False) -> dict:
@@ -369,9 +340,9 @@ def compact(lake_dir: str, buckets: list[int] | None = None) -> int:
     a visible file still belongs to a visible entry (``audit_lake`` and
     ``vacuum`` rely on it).
 
-    Each target bucket is one task: ``_resolve_bucket`` over the
-    bucket's visible files, then the bucket's base file is written and
-    its entry row returned — no rows cross tasks. Base rows carry
+    Each target bucket is one ``bucket_tasks`` task: it resolves the
+    bucket's visible files, writes the bucket's base file and returns
+    its entry — no rows cross tasks. Base rows carry
     lsn=0 / op="I" (any later event out-lives them under LWW),
     tombstones are dropped, and entries carry n_events=0 (rewrites, not
     WAL events — lineage event sums stay equal to the WAL count).
@@ -394,12 +365,7 @@ def compact_snapshot(snap: mf.Snapshot, buckets: list[int] | None = None
     """``compact`` on ``snap``: (the snapshot after, live-row count)."""
     if snap.last is None:
         return snap, 0
-    # compaction re-buckets rows with THIS build's key hash and carries
-    # hwm/covered buckets from the persisted manifests — version-mixed
-    # routing would commit a base that loses keys; fence first
-    snap.check_key_hash()
-    lake_dir, schema, seq = snap.lake_dir, snap.schema, snap.seq + 1
-    P, num_buckets = snap.num_partitions, snap.num_buckets
+    lake_dir, seq = snap.lake_dir, snap.seq + 1
     vis = snap.visible_files()
 
     targets: set[int] | None = None
@@ -419,8 +385,7 @@ def compact_snapshot(snap: mf.Snapshot, buckets: list[int] | None = None
         if not any(vis.values()):
             return snap, 0
 
-    def _write_base(bucket: int, files: list[str]) -> dict:
-        t = _resolve_bucket(files, bucket, P, num_buckets, schema)
+    def _write_base(bucket: int, t: pa.Table) -> tuple[int, dict]:
         n = len(t)
         rel = os.path.join(mf.DATA_DIR, f"bucket={bucket}",
                            f"base-{seq}.parquet")
@@ -434,33 +399,18 @@ def compact_snapshot(snap: mf.Snapshot, buckets: list[int] | None = None
             _atomic_write(base, path)
         checksum = int(np.bitwise_xor.reduce(
             sha_prefix64(t["content_sha256"])))
-        return {"pid": bucket, "files": [rel], "lsn_min": 0, "lsn_max": 0,
-                "n_events": 0, "n_upserts": 0, "n_deletes": 0,
-                "n_rows": n, "n_quarantined": 0,
-                "checksum": f"{checksum:016x}"}
+        return bucket, mf.entry(files=[rel], lsn_min=0, lsn_max=0,
+                                n_rows=n, checksum=f"{checksum:016x}")
 
-    rows = run_tasks(_write_base,
-                     [(k, fs) for k, fs in sorted(vis.items()) if fs])
     # a bucket left without live rows wrote no file: it gets the empty
     # covered-bucket entry below
-    partitions = {int(r["pid"]): {k: r[k] for k in r if k != "pid"}
-                  for r in rows if r["n_rows"]}
-    if targets is not None:
-        stray = set(partitions) - targets
-        if stray:  # one bucket per key guarantees this never happens
-            raise RuntimeError(
-                "partial compaction produced base entries for buckets "
-                f"{sorted(stray)} outside the closed target set "
-                f"{sorted(targets)} — committing would reset un-rewritten "
-                "buckets and lose their deltas")
+    partitions = {k: e for k, e in ray.get(bucket_tasks(
+        snap, vis, None, _write_base)) if e["n_rows"]}
     n_live = sum(e["n_rows"] for e in partitions.values())
     # every covered bucket carries its high-watermark forward, so
     # resume-after-compact still fences; one left without live rows (all
     # deleted, or none in the subset) gets an empty entry: files reset
     for p in (set(snap.hwm) if targets is None else targets):
-        partitions.setdefault(p, {
-            "files": [], "lsn_min": -1, "lsn_max": -1, "n_events": 0,
-            "n_upserts": 0, "n_deletes": 0, "n_rows": 0, "n_quarantined": 0,
-            "checksum": "0" * 16})["hwm"] = snap.hwm.get(p, -1)
+        partitions.setdefault(p, mf.entry())["hwm"] = snap.hwm.get(p, -1)
     return (mf.commit_base(snap, partitions, partial=targets is not None),
             int(n_live))

@@ -278,6 +278,15 @@ def commit_epoch(lake_dir: str, epoch: int, schema: pa.Schema,
                         num_partitions, num_buckets)[1]
 
 
+def entry(**fields) -> dict:
+    """A manifest partition entry: the one that holds no rows (no files,
+    lsn range -1, zero counts, checksum 0, hwm -1) with ``fields``
+    applied over it."""
+    return {"files": [], "lsn_min": -1, "lsn_max": -1, "n_events": 0,
+            "n_upserts": 0, "n_deletes": 0, "n_rows": 0, "n_quarantined": 0,
+            "checksum": "0" * 16, "hwm": -1, **fields}
+
+
 def merge_entry_rows(rows: list[dict]) -> dict:
     """Combine several fragment-writer entry rows for one (epoch, bucket)
     into a single manifest partition entry (files concat, lsn range

@@ -267,17 +267,14 @@ def make_fragment_writer(lake_dir: str, schema_b64: str, hwm_ref,
                     checksum = int(np.bitwise_xor.reduce(
                         shp[s:e].astype(np.uint64)))
                     n_del = int(dmask[s:e].sum())
-                    rows.append({
-                        "epoch": k_s, "pid": b, "files": [rel],
-                        "lsn_min": int(lsn_f[s]),
-                        "lsn_max": int(lsn_f[e - 1]),
-                        "n_events": 0,  # filled from pre-reduce counts
-                        "n_upserts": (e - s) - n_del, "n_deletes": n_del,
-                        "n_rows": e - s,
-                        "n_quarantined": n_bad.pop((k_s, b), 0),
-                        "checksum": f"{checksum:016x}",
-                        "hwm": int(lsn_f[e - 1]),
-                    })
+                    # n_events is filled from pre-reduce counts below
+                    rows.append(mf.entry(
+                        epoch=k_s, pid=b, files=[rel],
+                        lsn_min=int(lsn_f[s]), lsn_max=int(lsn_f[e - 1]),
+                        n_upserts=(e - s) - n_del, n_deletes=n_del,
+                        n_rows=e - s, n_quarantined=n_bad.pop((k_s, b), 0),
+                        checksum=f"{checksum:016x}",
+                        hwm=int(lsn_f[e - 1])))
                 gi_start = gi_end + 1
             # pre-reduce per-(epoch, bucket) event counts (lineage
             # invariant: sums to the WAL event count regardless of
@@ -289,13 +286,8 @@ def make_fragment_writer(lake_dir: str, schema_b64: str, hwm_ref,
                 r["n_events"] = ev_map.get((r["epoch"], r["pid"]), 0)
         # (epoch, bucket)s that had only-quarantined events still need an
         # entry (dropping them silently under-counts lineage)
-        for (k, b), c in n_bad.items():
-            rows.append({
-                "epoch": k, "pid": b, "files": [],
-                "lsn_min": -1, "lsn_max": -1, "n_events": 0,
-                "n_upserts": 0, "n_deletes": 0, "n_rows": 0,
-                "n_quarantined": c, "checksum": "0" * 16, "hwm": -1,
-            })
+        rows += [mf.entry(epoch=k, pid=b, n_quarantined=c)
+                 for (k, b), c in n_bad.items()]
         lap("write", m)
         return pa.Table.from_pylist(rows, schema=_ENTRY_SCHEMA)
 

@@ -5,17 +5,17 @@ The canonical downstream consumer of a CDC engine (Hudi/Delta
 CURRENT state, refreshed from the change feed instead of rescanned.
 A refresh from checkpoint ``f`` to ``t`` reads
 
-  * ``changes_between(lake, f, t)`` — the net per-key after-images and
-    tombstones, manifest-pruned to the delta files of epochs (f, t]
-    (no full-lake scan), and
-  * the PRIOR contribution of exactly the changed keys — the
-    ``read_lake(as_of_epoch=f)`` bucket tasks of only the buckets that
-    hold a changed key, each filtered by the changed key-hash set
-    (retraction side),
+  * the change feed of ``changes_between(lake, f, t)`` — the net
+    per-key after-images and tombstones, manifest-pruned to the delta
+    files of epochs (f, t] (no full-lake scan), and
+  * the PRIOR contribution of exactly the changed keys — the as-of-f
+    state of only the buckets that hold a changed key, each filtered
+    by the changed key-hash set (retraction side),
 
-and applies ``view += agg(after-images) − agg(prior rows)`` per group.
-Each bucket task aggregates its own rows (``_group_partial``), so only
-a few rows per bucket reach the driver.
+both through the lake's one bucket runner (``lake.bucket_tasks``), and
+applies ``view += agg(after-images) − agg(prior rows)`` per group. Each
+retraction and build task aggregates its own rows (``_bucket_partial``),
+so only a few rows per bucket reach the driver.
 Incremental == recompute is pinned by tests at every epoch split.
 
 Supported aggregates are the retractable ones: ``n`` (row count) and
@@ -47,8 +47,8 @@ import ray
 
 from etl_ray.state import manifest as mf
 # read_lake, changes_between: perfbench's tracer wraps them here
-from etl_ray.state.lake import (change_refs, changes_between,  # noqa: F401
-                                read_lake, snapshot_refs)
+from etl_ray.state.lake import (bucket_tasks, changes_between,  # noqa: F401
+                                read_lake)
 from etl_ray.state.merge import bucket_of
 from etl_ray.util import key_hash64
 
@@ -77,13 +77,14 @@ def _group_partial(t: pa.Table, group_cols: list[str],
     return pa.Table.from_pandas(out.reset_index(), preserve_index=False)
 
 
-def _changed_partial(t: pa.Table, changed: np.ndarray,
-                     group_cols: list[str], sum_cols: list[str]
-                     ) -> pa.Table:
-    """``_group_partial`` of the rows of ``t`` whose key hash is in
-    ``changed``."""
-    mask = np.isin(key_hash64(t, _KEY_COLS), changed)
-    return _group_partial(t.filter(pa.array(mask)), group_cols, sum_cols)
+def _bucket_partial(bucket: int, t: pa.Table, changed: np.ndarray | None,
+                    group_cols: list[str], sum_cols: list[str]
+                    ) -> pa.Table:
+    """A bucket task's ``_group_partial``: of all its rows, or of those
+    whose key hash is in ``changed``."""
+    if changed is not None:
+        t = t.filter(pa.array(np.isin(key_hash64(t, _KEY_COLS), changed)))
+    return _group_partial(t, group_cols, sum_cols)
 
 
 def _partials(refs: list, sum_cols: list[str],
@@ -183,8 +184,8 @@ def create_view(lake_dir: str, view_dir: str, group_cols: list[str],
     sum_cols = sum_cols or []
     snap = mf.snapshot(lake_dir, as_of_epoch)
     epoch = snap.wal_epoch if as_of_epoch is None else as_of_epoch
-    refs = snapshot_refs(snap, group_cols + sum_cols, _group_partial,
-                         group_cols, sum_cols)
+    refs = bucket_tasks(snap, snap.visible_files(), group_cols + sum_cols,
+                        _bucket_partial, None, group_cols, sum_cols)
     df = _combine(_partials(refs, sum_cols), group_cols, sum_cols)
     meta = {"group_cols": group_cols, "sum_cols": sum_cols,
             "as_of_epoch": int(epoch)}
@@ -204,9 +205,10 @@ def refresh_view(lake_dir: str, view_dir: str,
     if t_epoch <= f_epoch:
         return meta  # nothing newer; idempotent no-op
 
-    feed = [t for t in ray.get(change_refs(snap.as_of(t_epoch), f_epoch,
-                                           group_cols + sum_cols))
-            if t.num_rows]
+    at_t = snap.as_of(t_epoch)
+    feed = [t for t in ray.get(bucket_tasks(
+        at_t, at_t.change_files(f_epoch), group_cols + sum_cols,
+        keep_deletes=True)) if t.num_rows]
     if not feed:
         meta["as_of_epoch"] = int(t_epoch)
         _write_state(view_dir, read_view(view_dir).to_pandas(), meta)
@@ -226,9 +228,11 @@ def refresh_view(lake_dir: str, view_dir: str,
     # the buckets that hold them only; the hash set is one task argument
     buckets = set(bucket_of(changed, snap.num_partitions,
                             snap.num_buckets).tolist())
-    refs = snapshot_refs(snap.as_of(f_epoch), group_cols + sum_cols,
-                         _changed_partial, ray.put(changed), group_cols,
-                         sum_cols, buckets=buckets)
+    at_f = snap.as_of(f_epoch)
+    files = {k: fs for k, fs in at_f.visible_files().items()
+             if k in buckets}
+    refs = bucket_tasks(at_f, files, group_cols + sum_cols, _bucket_partial,
+                        ray.put(changed), group_cols, sum_cols)
     subs = _partials(refs, sum_cols, -1)
 
     prior = read_view(view_dir).to_pandas()

@@ -1113,8 +1113,8 @@ def test_incremental_view_maintenance(wal_dir, tmp_path, P):
     replay(wal_dir, lake, N_EPOCHS, num_partitions=P)
 
     def recompute(epoch):
-        t = read_lake(lake, columns=["lang", "size"], as_of_epoch=epoch,
-                      keep_sha=False).to_pandas()
+        t = read_lake(lake, columns=["lang", "size"],
+                      as_of_epoch=epoch).to_pandas()
         g = t.groupby("lang", dropna=False)
         out = g.size().rename("n").to_frame()
         out["sum_size"] = g["size"].sum().astype("int64")
@@ -1269,8 +1269,8 @@ def test_lake_reads_run_no_all_to_all(wal_dir, ref_state, tmp_path,
     monkeypatch.setattr(ray.data.Dataset, "groupby", no_shuffle)
     want = ref_shas(ref_state)
     assert lake_shas(lake) == want
-    t = read_lake(lake, columns=["size"], keep_sha=False).to_pandas()
-    assert list(t.columns) == ["repo", "path", "size"]
+    t = read_lake(lake, columns=["size"]).to_pandas()
+    assert list(t.columns) == ["repo", "path", "size", "content_sha256"]
     assert sorted(zip(t.repo, t.path, t["size"])) == sorted(
         (*k, v["size"]) for k, v in ref_state.items())
 
@@ -1321,7 +1321,8 @@ def test_layout_fence_refuses_older_lakes(wal_dir, tmp_path):
     import os
 
     from etl_ray.state.export import export_snapshot
-    from etl_ray.state.lake import lookup
+    from etl_ray.state.lake import changes_between, lookup
+    from etl_ray.state.views import create_view
 
     lake = str(tmp_path / "lake")
     replay(wal_dir, lake, 2, num_partitions=P)
@@ -1335,6 +1336,8 @@ def test_layout_fence_refuses_older_lakes(wal_dir, tmp_path):
     for call in (lambda: replay(wal_dir, lake, N_EPOCHS, num_partitions=P),
                  lambda: lookup(lake, "org0/repo0", "src/a.py"),
                  lambda: read_lake(lake).count(),
+                 lambda: changes_between(lake, 0, 1).count(),
+                 lambda: create_view(lake, str(tmp_path / "view"), ["lang"]),
                  lambda: compact(lake),
                  lambda: export_snapshot(lake, str(tmp_path / "snap"))):
         with pytest.raises(RuntimeError, match="key_hash_version=2"):
@@ -1370,7 +1373,7 @@ def test_view_crash_between_state_files_recovers(wal_dir, tmp_path):
     assert view_meta(vdir)["as_of_epoch"] == 0
 
     refresh_view(lake, vdir)
-    t = read_lake(lake, columns=["lang", "size"], keep_sha=False).to_pandas()
+    t = read_lake(lake, columns=["lang", "size"]).to_pandas()
     g = t.groupby("lang", dropna=False)
     want = g.size().rename("n").to_frame()
     want["sum_size"] = g["size"].sum().astype("int64")
@@ -1394,7 +1397,7 @@ def test_view_int_group_column(wal_dir, tmp_path):
     create_view(lake, vdir, ["size"], [], as_of_epoch=0)
     refresh_view(lake, vdir)
 
-    t = read_lake(lake, columns=["size"], keep_sha=False).to_pandas()
+    t = read_lake(lake, columns=["size"]).to_pandas()
     want = (t.groupby("size", dropna=False).size().rename("n")
             .reset_index().sort_values("size", ignore_index=True))
     got = (read_view(vdir).to_pandas()[["size", "n"]]
@@ -1409,6 +1412,8 @@ def test_compaction_racing_a_wal_commit_fails_loudly(wal_dir, ref_state,
     and its base commit makes the compaction raise, not commit a base
     that hides the epoch: the lake equals the reference before and after
     vacuum reclaims the orphan base, and a later compaction succeeds."""
+    import ray
+
     from etl_ray.pipelines.cdc import apply_window
     from etl_ray.state import lake as lake_mod
     from etl_ray.state.lake import vacuum
@@ -1416,14 +1421,15 @@ def test_compaction_racing_a_wal_commit_fails_loudly(wal_dir, ref_state,
     lake = str(tmp_path / "lake")
     replay(wal_dir, lake, N_EPOCHS, num_partitions=P,
            stop_after=N_EPOCHS - 1)
-    resolve = lake_mod.run_tasks
+    resolve = lake_mod.bucket_tasks
 
     def resolve_then_wal_commit(*args, **kwargs):
-        out = resolve(*args, **kwargs)
+        refs = resolve(*args, **kwargs)
+        ray.get(refs)
         apply_window(wal_dir, lake, [N_EPOCHS - 1], P)
-        return out
+        return refs
 
-    monkeypatch.setattr(lake_mod, "run_tasks", resolve_then_wal_commit)
+    monkeypatch.setattr(lake_mod, "bucket_tasks", resolve_then_wal_commit)
     with pytest.raises(mf.EpochFencingError):
         compact(lake)
     monkeypatch.undo()

@@ -59,7 +59,7 @@ def test_lake_read_column_pruning(tmp_path, ray_session):
     generate_wal(corpus, wal, n_epochs=2, n_repos=10)
     replay(wal, lake, 2, num_partitions=8)
     full = read_lake(lake).to_pandas()
-    slim = read_lake(lake, columns=["size"], keep_sha=False).to_pandas()
+    slim = read_lake(lake, columns=["size"]).to_pandas()
     assert len(slim) == len(full)
     assert "content" not in slim.columns and "size" in slim.columns
     assert sorted(slim["size"]) == sorted(full["size"])
